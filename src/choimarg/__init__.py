@@ -10,7 +10,6 @@ classical bound 2 and Tsirelson bound 2*sqrt(2).
 
 from .channels import (
     Channel,
-    ChannelPair,
     adjoint_effect,
     apply,
     choi_from_kraus,
@@ -37,16 +36,14 @@ from .marginals import (
     MarginalSpec,
     bell_local,
     channels_compatible,
-    dual_witness,
     effects_compatible,
     marginal_feasibility,
     state_steerable,
 )
-from .sdp import FeasibilityReport, SdpProblem, SdpSolution, feasibility, solve
+from .sdp import FeasibilityReport, SdpProblem, SdpSolution, solve
 
 __all__ = [
     "Channel",
-    "ChannelPair",
     "CompatReport",
     "CorrelationReport",
     "DEFAULT",
@@ -65,9 +62,7 @@ __all__ = [
     "closed_form_chsh",
     "correlation",
     "depolarizing_channel",
-    "dual_witness",
     "effects_compatible",
-    "feasibility",
     "identity_channel",
     "marginal_feasibility",
     "max_entangled",

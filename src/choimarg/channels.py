@@ -38,7 +38,6 @@ from .linalg import (
 
 __all__ = [
     "Channel",
-    "ChannelPair",
     "choi_from_kraus",
     "identity_channel",
     "unitary_channel",
@@ -87,29 +86,6 @@ class Channel:
     @property
     def out_dim(self) -> int:
         return int(np.prod(self.out_dims))
-
-
-@dataclass(frozen=True)
-class ChannelPair:
-    """A conditional channel: two channels on the same input, chosen later.
-
-    Compatibility asks whether the pair arises as the marginals of one joint
-    channel; steering and Bell tests apply the pair to shares of a state.
-    """
-
-    first: Channel
-    second: Channel
-
-    def __post_init__(self) -> None:
-        if self.first.in_dim != self.second.in_dim:
-            raise ValueError(
-                f"paired channels have different input dimensions "
-                f"{self.first.in_dim} != {self.second.in_dim}"
-            )
-
-    @property
-    def in_dim(self) -> int:
-        return self.first.in_dim
 
 
 def choi_from_kraus(

@@ -30,7 +30,6 @@ __all__ = [
     "permute_factors",
     "embed",
     "eigh",
-    "is_psd",
     "min_eigenvalue",
     "hermitian_basis",
     "hermitian_product_basis",
@@ -206,13 +205,6 @@ def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0])
 
 
-def is_psd(a: np.ndarray, tol: float = DEFAULT.psd) -> bool:
-    """True iff the minimum eigenvalue of the Hermitian part is >= -tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return min_eigenvalue(a) >= -tol
-
-
 # ---------------------------------------------------------------------------
 # Hermitian bases and the real symmetric embedding
 # ---------------------------------------------------------------------------
@@ -221,17 +213,20 @@ def is_psd(a: np.ndarray, tol: float = DEFAULT.psd) -> bool:
 def hermitian_basis(d: int) -> list[np.ndarray]:
     """Orthonormal basis of d x d Hermitian matrices under <A, B> = Tr(AB).
 
-    Ordering (generalized Gell-Mann): the d diagonal units |k><k| first, then
-    the symmetric pairs (|k><l| + |l><k|)/sqrt(2) for k < l, then the
-    antisymmetric pairs (-i|k><l| + i|l><k|)/sqrt(2) for k < l.
+    Ordering (generalized Gell-Mann): the identity 1/sqrt(d) first, then the
+    d - 1 traceless diagonal elements (sum_{j<k} |j><j| - k|k><k|)/sqrt(k(k+1))
+    for k = 1..d-1, then the symmetric pairs (|k><l| + |l><k|)/sqrt(2) for
+    k < l, then the antisymmetric pairs (-i|k><l| + i|l><k|)/sqrt(2) for k < l.
+    Every element after the first is traceless.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
-    basis: list[np.ndarray] = []
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = 1.0
-        basis.append(e)
+    basis: list[np.ndarray] = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    for k in range(1, d):
+        diag = np.zeros(d)
+        diag[:k] = 1.0
+        diag[k] = -k
+        basis.append(np.diag(diag / np.sqrt(k * (k + 1))).astype(complex))
     s = 1.0 / np.sqrt(2.0)
     for k in range(d):
         for l in range(k + 1, d):

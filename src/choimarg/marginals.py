@@ -11,8 +11,12 @@ traces:
   the four pairwise output marginals.
 
 Factor numbering is 1-based, matching :mod:`choimarg.linalg`. Each target
-equation is expanded in the Hermitian product basis of its kept factors; the
-overlapping trace rows this produces are pruned inside the solver.
+equation is expanded in the identity-first Hermitian product basis of its
+kept factors. A lifted basis element is the identity on every factor where
+its factor element is the identity, so targets that share factors produce
+the same element more than once; the rows are built once from the marginal
+structure, keeping each element a single time. They are then pairwise
+orthogonal and include exactly one normalization row.
 
 Infeasibility of the steering problem means the state IS steerable, and
 infeasibility of the locality problem means the state IS Bell nonlocal.
@@ -21,6 +25,7 @@ infeasibility of the locality problem means the state IS Bell nonlocal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -41,7 +46,9 @@ from .sdp import (
     FEASIBLE,
     INFEASIBLE,
     FeasibilityReport,
+    SdpError,
     hermitian_feasibility,
+    witness_valid,
 )
 
 __all__ = [
@@ -52,7 +59,6 @@ __all__ = [
     "MARGINAL",
     "marginal_feasibility",
     "channels_compatible",
-    "dual_witness",
     "state_steerable",
     "bell_local",
     "effects_compatible",
@@ -68,7 +74,8 @@ class MarginalSpec:
     """Prescribed partial traces of one multipartite Hermitian variable.
 
     targets: pairs of (kept 1-based factor indices, target matrix). All
-    targets must share the same trace, the required normalization.
+    targets must share the same trace, the required normalization, and every
+    two targets must agree on the marginal of the factors they share.
     """
 
     dims: tuple[int, ...]
@@ -102,6 +109,19 @@ class MarginalSpec:
                     f"inconsistent target traces: factor set {kept} has trace {tr!r}, "
                     f"expected {norm!r}"
                 )
+        for i, (kept_a, target_a) in enumerate(cleaned):
+            for kept_b, target_b in cleaned[i + 1:]:
+                shared = set(kept_a) & set(kept_b)
+                if not shared:
+                    continue
+                dev = np.max(np.abs(
+                    _reduced(dims, kept_a, target_a, shared) - _reduced(dims, kept_b, target_b, shared)
+                ))
+                if dev > DEFAULT.psd:
+                    raise ValueError(
+                        f"inconsistent targets: factor sets {kept_a} and {kept_b} disagree on "
+                        f"their shared marginal over {tuple(sorted(shared))} by {dev:.3e}"
+                    )
         object.__setattr__(self, "targets", tuple(cleaned))
         object.__setattr__(self, "normalization", float(norm))
 
@@ -110,23 +130,62 @@ class MarginalSpec:
         return int(np.prod(self.dims))
 
 
-def _target_rows(spec: MarginalSpec) -> tuple[list[tuple[tuple[np.ndarray], float]], list[slice]]:
-    """Expand every target in the Hermitian product basis of its kept factors.
+def _reduced(
+    dims: tuple[int, ...], kept: tuple[int, ...], target: np.ndarray, shared: set[int]
+) -> np.ndarray:
+    """Marginal of a target on its kept factors over the ``shared`` factors."""
+    traced = [i + 1 for i, k in enumerate(kept) if k not in shared]
+    return partial_trace(target, [dims[k - 1] for k in kept], traced)
 
-    Returns the constraint rows and, per target, the slice of row indices it
-    occupies (used to assemble dual witnesses).
+
+def _target_rows(
+    spec: MarginalSpec,
+) -> tuple[list[tuple[tuple[np.ndarray], float]], list[tuple[int, np.ndarray]]]:
+    """Expand the targets in the identity-first product basis, each element once.
+
+    A lifted element is keyed by its non-identity factors and their element
+    indices; a key already produced by an earlier target is the same operator
+    up to scale (the targets agree on shared marginals), so it is skipped.
+    The rows are pairwise orthogonal and the all-identity key is the single
+    normalization row.
+
+    Returns the rows and, per row, its owner: the index of the target that
+    produced it and the basis element on that target's kept factors.
     """
     rows: list[tuple[tuple[np.ndarray], float]] = []
-    groups: list[slice] = []
-    for kept, target in spec.targets:
+    owners: list[tuple[int, np.ndarray]] = []
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    for owner, (kept, target) in enumerate(spec.targets):
         kept_dims = [spec.dims[k - 1] for k in kept]
-        start = len(rows)
-        for b in hermitian_product_basis(kept_dims):
-            lifted = embed(b, spec.dims, kept)
+        indices = product(*(range(d * d) for d in kept_dims))
+        for idx, b in zip(indices, hermitian_product_basis(kept_dims)):
+            key = tuple((k, i) for k, i in zip(kept, idx) if i)
+            if key in seen:
+                continue
+            seen.add(key)
             rhs = float(np.real(np.sum(np.conj(b) * target)))
-            rows.append(((lifted,), rhs))
-        groups.append(slice(start, len(rows)))
-    return rows, groups
+            rows.append(((embed(b, spec.dims, kept),), rhs))
+            owners.append((owner, b))
+    return rows, owners
+
+
+def _decide(
+    spec: MarginalSpec,
+    rows: list[tuple[tuple[np.ndarray], float]],
+    tol: Tolerances,
+    gap_tol: float | None,
+    band: float | None,
+) -> FeasibilityReport:
+    """Solve the spec's rows; a feasible witness is rescaled to the exact trace."""
+    report = hermitian_feasibility((spec.total_dim,), rows, tol=tol, gap_tol=gap_tol, band=band)
+    if report.status == FEASIBLE and spec.normalization > 0:
+        # rescale to the exact required trace (preserves positivity, moves the
+        # marginal residuals by a relative ~1e-9)
+        witness = report.witness * (spec.normalization / float(np.trace(report.witness).real))
+        if not witness_valid(rows, (witness,), tol):
+            raise SdpError("rescaled witness failed independent validation")
+        report = replace(report, witness=witness, blocks=(witness,))
+    return report
 
 
 def marginal_feasibility(
@@ -137,14 +196,8 @@ def marginal_feasibility(
     band: float | None = None,
 ) -> FeasibilityReport:
     """Decide existence of a PSD operator with the prescribed marginals."""
-    rows, _ = _target_rows(spec)
-    report = hermitian_feasibility((spec.total_dim,), rows, tol=tol, gap_tol=gap_tol, band=band)
-    if report.status == FEASIBLE and spec.normalization > 0:
-        # rescale to the exact required trace (preserves positivity, moves the
-        # marginal residuals by a relative ~1e-9)
-        witness = report.witness * (spec.normalization / float(np.trace(report.witness).real))
-        report = replace(report, witness=witness, blocks=(witness,))
-    return report
+    rows, _owners = _target_rows(spec)
+    return _decide(spec, rows, tol, gap_tol, band)
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +235,13 @@ def _compat_spec(c1: Channel, c2: Channel) -> MarginalSpec:
 
 
 def _assemble_dual_pair(
-    spec: MarginalSpec, report: FeasibilityReport
+    owners: list[tuple[int, np.ndarray]], report: FeasibilityReport
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Recombine the dual vector into one Hermitian matrix per target group."""
+    """Recombine the dual vector into one Hermitian matrix per target."""
     if report.dual_certificate is None:
         return None
-    _rows, groups = _target_rows(spec)
     y = report.dual_certificate
-    mats = []
-    for (kept, _target), grp in zip(spec.targets, groups):
-        kept_dims = [spec.dims[k - 1] for k in kept]
-        basis = hermitian_product_basis(kept_dims)
-        m = sum(c * b for c, b in zip(y[grp], basis))
-        mats.append(m)
-    return tuple(mats)
+    return tuple(sum(c * b for (owner, b), c in zip(owners, y) if owner == t) for t in (0, 1))
 
 
 def channels_compatible(
@@ -208,8 +254,9 @@ def channels_compatible(
 ) -> CompatReport:
     """Decide whether two channels admit a joint channel with both marginals."""
     spec = _compat_spec(c1, c2)
-    report = marginal_feasibility(spec, tol=tol, gap_tol=gap_tol, band=band)
-    pair = _assemble_dual_pair(spec, report)
+    rows, owners = _target_rows(spec)
+    report = _decide(spec, rows, tol, gap_tol, band)
+    pair = _assemble_dual_pair(owners, report)
     dual_value = None
     witness_pair = None
     if pair is not None:
@@ -228,37 +275,13 @@ def channels_compatible(
         dims = (c1.out_dim, c2.out_dim, c1.in_dim)
         defect = partial_trace(choi, dims, {1, 2}) - np.eye(c1.in_dim)
         choi = choi - kron(np.eye(c1.out_dim * c2.out_dim), defect) / (c1.out_dim * c2.out_dim)
+        if not witness_valid(rows, (choi,), tol):
+            raise SdpError("trace-preserving joint channel failed independent validation")
         joint = Channel(in_dim=c1.in_dim, out_dims=(c1.out_dim, c2.out_dim), choi=choi)
         return CompatReport(COMPATIBLE, report.slack, joint, witness_pair, dual_value, report)
     if report.status == INFEASIBLE:
         return CompatReport(INCOMPATIBLE, report.slack, None, witness_pair, dual_value, report)
     return CompatReport(MARGINAL, report.slack, None, witness_pair, dual_value, report)
-
-
-def dual_witness(
-    c1: Channel,
-    c2: Channel,
-    *,
-    tol: Tolerances = DEFAULT,
-    gap_tol: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Incompatibility witness (A, B) on the Frobenius ball.
-
-    Minimizes Tr(C_1 A) + Tr(C_2 B) over the dual cone lift(A) + 1 (x) B >= 0
-    (up to normalization); a value below -eps certifies incompatibility, a
-    nonnegative value is consistent with compatibility.
-    """
-    report = channels_compatible(c1, c2, tol=tol, gap_tol=gap_tol)
-    if report.dual_witness is None:
-        raise RuntimeError("dual certificate unavailable")
-    a, b = report.dual_witness
-    return a, b, float(report.dual_value)
-
-
-def dual_witness_cone_matrix(c1: Channel, c2: Channel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The lifted operator lift(A) + 1 (x) B whose positivity defines the dual cone."""
-    dims = (c1.out_dim, c2.out_dim, c1.in_dim)
-    return embed(a, dims, (1, 3)) + embed(b, dims, (2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ Y = X - t*1 as the PSD block and t eliminated inside the Schur system.
 
 Hermitian problems enter through :func:`hermitian_feasibility`, which embeds
 them as real symmetric problems via ``realify`` and reads the witness back.
+Callers pass linearly independent rows that fix the total trace; the rows of
+:mod:`choimarg.marginals` are independent by construction, so nothing here
+prunes or probes them.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ __all__ = [
     "INFEASIBLE",
     "MARGINAL",
     "hermitian_feasibility",
-    "feasibility",
+    "witness_valid",
 ]
 
 OPTIMAL = "optimal"
@@ -119,13 +122,6 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2
 
 
-def _svec(s: np.ndarray) -> np.ndarray:
-    n = s.shape[0]
-    iu = np.triu_indices(n)
-    w = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return s[iu] * w
-
-
 def _step_to_boundary(s: np.ndarray, ds: np.ndarray) -> float:
     """sup { a >= 0 : s + a*ds >= 0 } for s > 0 symmetric."""
     l = np.linalg.cholesky(s)
@@ -134,29 +130,6 @@ def _step_to_boundary(s: np.ndarray, ds: np.ndarray) -> float:
     if lam >= 0:
         return np.inf
     return -1.0 / lam
-
-
-def _prune_rows(rows: np.ndarray, rhs: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Rank-revealing row selection.
-
-    Returns the kept row indices and the worst right-hand-side mismatch of the
-    discarded (linearly dependent) rows; a large mismatch means the equality
-    system is inconsistent.
-    """
-    m = rows.shape[0]
-    _q, r, piv = scipy.linalg.qr(rows.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    scale = diag[0] if diag.size and diag[0] > 0 else 0.0
-    if scale == 0.0:
-        return np.array([], dtype=int), float(np.max(np.abs(rhs))) if m else 0.0
-    rank = int(np.sum(diag > tol * scale))
-    kept = np.sort(piv[:rank])
-    dropped = np.sort(piv[rank:])
-    mismatch = 0.0
-    if dropped.size:
-        coeff, *_ = np.linalg.lstsq(rows[kept].T, rows[dropped].T, rcond=None)
-        mismatch = float(np.max(np.abs(coeff.T @ rhs[kept] - rhs[dropped])))
-    return kept, mismatch
 
 
 def solve(
@@ -168,11 +141,13 @@ def solve(
     init_scale: float = 1.0,
     debug: bool = False,
 ) -> SdpSolution:
-    """Run the interior-point method on a (preprocessed) problem.
+    """Run the interior-point method on a problem.
 
-    Linearly dependent constraint rows are pruned by rank-revealing QR; an
-    inconsistent equality system raises ValueError. The returned dual vector
-    is indexed by the original rows (zeros on pruned ones).
+    Precondition: the constraint rows (with their free-scalar coefficients)
+    are linearly independent, and for a problem with a free scalar they fix
+    the total block trace. Nothing is pruned, so the returned dual vector is
+    indexed by the rows as given. An inconsistent equality system never
+    reaches the residual test and ends with a non-optimal status.
     """
     dims = problem.block_dims
     nb = len(dims)
@@ -181,29 +156,15 @@ def solve(
         sign * _sym(np.asarray(c, dtype=float))
         for c in (problem.objective or [np.zeros((d, d)) for d in dims])
     ]
-    m_all = len(problem.constraints)
+    m = len(problem.constraints)
     a_mats = [
         np.stack([_sym(np.asarray(row[0][b], dtype=float)) for row in problem.constraints])
         for b in range(nb)
     ]
-    b_all = np.array([row[1] for row in problem.constraints], dtype=float)
+    b = np.array([row[1] for row in problem.constraints], dtype=float)
     has_free = problem.free_coeffs is not None
-    free_all = np.asarray(problem.free_coeffs, dtype=float) if has_free else np.zeros(m_all)
+    a_free = np.asarray(problem.free_coeffs, dtype=float) if has_free else np.zeros(m)
     c_free = sign * float(problem.free_objective) if has_free else 0.0
-
-    stacked = np.hstack(
-        [np.stack([_svec(a_mats[b][i]) for i in range(m_all)]) for b in range(nb)]
-        + ([free_all[:, None]] if has_free else [])
-    )
-    kept, mismatch = _prune_rows(stacked, b_all)
-    if kept.size == 0:
-        raise ValueError("constraint system has rank zero")
-    if mismatch > 1e-9 * max(1.0, float(np.max(np.abs(b_all)))):
-        raise ValueError(f"inconsistent equality constraints (mismatch {mismatch:.3e})")
-    a_mats = [a[kept] for a in a_mats]
-    b = b_all[kept]
-    a_free = free_all[kept]
-    m = kept.size
 
     xs = [init_scale * np.eye(d) for d in dims]
     zs = [np.eye(d) for d in dims]
@@ -315,12 +276,10 @@ def solve(
             status = OPTIMAL
             break
 
-    dual_full = np.zeros(m_all)
-    dual_full[kept] = sign * y
     return SdpSolution(
         blocks=tuple(xs),
         free_value=(t if has_free else None),
-        dual=dual_full,
+        dual=sign * y,
         primal_objective=sign * primal,
         dual_objective=sign * dual,
         gap=relgap,
@@ -367,14 +326,22 @@ def _clip_psd(x: np.ndarray) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def _max_residual(
-    rows: Sequence[tuple[Sequence[np.ndarray], float]], blocks: Sequence[np.ndarray]
-) -> float:
-    worst = 0.0
+def witness_valid(
+    rows: Sequence[tuple[Sequence[np.ndarray], float]],
+    blocks: Sequence[np.ndarray],
+    tol: Tolerances,
+) -> bool:
+    """Independent check of a witness against the rows it must satisfy.
+
+    True when every row holds to ``tol.witness_residual`` and every block's
+    minimum eigenvalue is at least ``-tol.witness_psd``. Run it after the last
+    change made to a witness.
+    """
     for mats, rhs in rows:
         val = sum(float(np.real(np.sum(np.conj(h) * x))) for h, x in zip(mats, blocks))
-        worst = max(worst, abs(val - rhs))
-    return worst
+        if abs(val - rhs) > tol.witness_residual:
+            return False
+    return all(float(np.linalg.eigvalsh(x)[0]) >= -tol.witness_psd for x in blocks)
 
 
 def hermitian_feasibility(
@@ -389,9 +356,12 @@ def hermitian_feasibility(
     """Decide existence of Hermitian PSD blocks with prescribed affine data.
 
     rows: (per-block Hermitian matrices, real rhs) meaning
-    sum_b <H_i^b, X_b> = rhs_i with <A, B> = Tr(A B). The row span must fix
-    the total block trace, otherwise the slack program is unbounded and a
-    ValueError is raised (missing normalization).
+    sum_b <H_i^b, X_b> = rhs_i with <A, B> = Tr(A B).
+
+    Precondition: the rows are linearly independent and their span fixes the
+    total block trace. Neither is checked; the rows go to :func:`solve` as
+    given. An unbounded slack program (such as a lone traceless row) or an
+    inconsistent system does not converge and raises SdpError.
     """
     gap_tol = tol.solver if gap_tol is None else gap_tol
     band = tol.band if band is None else band
@@ -407,27 +377,6 @@ def hermitian_feasibility(
         if len(mats) != len(dims):
             raise ValueError("each row needs one matrix per block")
         real_rows.append((tuple(realify(h) for h in mats), 2.0 * float(rhs)))
-
-    stacked = np.stack(
-        [np.concatenate([_svec(h) for h in mats]) for mats, _ in real_rows]
-    )
-    ident = np.concatenate([_svec(np.eye(2 * d)) for d in dims])
-    coef, res, *_ = np.linalg.lstsq(stacked.T, ident, rcond=None)
-    res_norm = float(np.sqrt(res[0])) if len(res) else float(
-        np.linalg.norm(stacked.T @ coef - ident)
-    )
-    if res_norm > 1e-8 * np.linalg.norm(ident):
-        raise ValueError(
-            "slack program is unbounded: constraint rows do not fix the total trace "
-            "(missing normalization row)"
-        )
-
-    rhs_vec = np.array([r for _, r in real_rows])
-    kept, mismatch = _prune_rows(np.hstack([stacked, np.array([[2.0 * sum(np.trace(h).real for h in mats)] for mats, _ in rows])]), rhs_vec)
-    if mismatch > 1e-9 * max(1.0, float(np.max(np.abs(rhs_vec)))):
-        return FeasibilityReport(
-            status=INFEASIBLE, slack=float("-inf"), witness=None, dual_certificate=None
-        )
 
     problem = SdpProblem(
         block_dims=tuple(2 * d for d in dims),
@@ -455,15 +404,8 @@ def hermitian_feasibility(
     )
     dual = solution.dual
 
-    def validated(blks: tuple[np.ndarray, ...]) -> bool:
-        if _max_residual(rows, blks) > tol.witness_residual:
-            return False
-        return all(
-            float(np.linalg.eigvalsh(x)[0]) >= -tol.witness_psd for x in blks
-        )
-
     if t_hat >= band:
-        if not validated(blocks):
+        if not witness_valid(rows, blocks, tol):
             raise SdpError("feasible verdict failed independent witness validation")
         return FeasibilityReport(
             status=FEASIBLE, slack=t_hat, witness=blocks[0],
@@ -475,7 +417,7 @@ def hermitian_feasibility(
             dual_certificate=dual, blocks=(), solution=solution,
         )
     clipped = tuple(_clip_psd(x) for x in blocks)
-    if validated(clipped):
+    if witness_valid(rows, clipped, tol):
         return FeasibilityReport(
             status=FEASIBLE, slack=t_hat, witness=clipped[0],
             dual_certificate=dual, blocks=clipped, solution=solution,
@@ -485,18 +427,3 @@ def hermitian_feasibility(
         dual_certificate=dual, blocks=(), solution=solution,
     )
 
-
-def feasibility(
-    dim: int,
-    constraints: Sequence[tuple[np.ndarray, float]],
-    *,
-    tol: Tolerances = DEFAULT,
-    gap_tol: float | None = None,
-    band: float | None = None,
-) -> FeasibilityReport:
-    """Feasibility of one Hermitian PSD variable under <H_i, X> = b_i rows."""
-    rows = [((np.asarray(h, dtype=complex),), float(r)) for h, r in constraints]
-    for (h,), _ in rows:
-        if h.shape != (dim, dim):
-            raise ValueError(f"constraint shape {h.shape} != ({dim}, {dim})")
-    return hermitian_feasibility((dim,), rows, tol=tol, gap_tol=gap_tol, band=band)

@@ -137,24 +137,6 @@ class TestEigh:
             linalg.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestIsPsd:
-    def test_identity(self):
-        assert linalg.is_psd(np.eye(3), 0.0)
-
-    def test_sigma_z_is_not(self):
-        assert not linalg.is_psd(SZ, 1e-9)
-
-    def test_w_marginal_is(self):
-        rho_w = linalg.partial_trace(w_state(), (2, 2, 2), {2})
-        assert linalg.is_psd(rho_w, 1e-9)
-        w = np.linalg.eigvalsh(rho_w)
-        assert np.allclose(sorted(w), [0.0, 0.0, 1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.is_psd(np.eye(2), -1.0)
-
-
 class TestHermitianBasis:
     def test_dim_one(self):
         (b,) = linalg.hermitian_basis(1)
@@ -178,11 +160,19 @@ class TestHermitianBasis:
             assert np.max(np.abs(recon - p)) < 1e-12
 
     def test_ordering_diagonal_first(self):
+        # identity first, then the traceless diagonal elements, then the pairs
         basis = linalg.hermitian_basis(2)
-        assert np.allclose(basis[0], np.diag([1.0, 0.0]))
-        assert np.allclose(basis[1], np.diag([0.0, 1.0]))
+        assert np.allclose(basis[0], np.eye(2) / np.sqrt(2))
+        assert np.allclose(basis[1], SZ / np.sqrt(2))
         assert np.allclose(basis[2], SX / np.sqrt(2))
         assert np.allclose(basis[3], SY / np.sqrt(2))
+        basis = linalg.hermitian_basis(3)
+        assert np.allclose(basis[0], np.eye(3) / np.sqrt(3))
+        assert np.allclose(basis[1], np.diag([1.0, -1.0, 0.0]) / np.sqrt(2))
+        assert np.allclose(basis[2], np.diag([1.0, 1.0, -2.0]) / np.sqrt(6))
+        assert all(abs(np.trace(b)) < 1e-12 for b in basis[1:])
+        assert all(np.allclose(b, np.diag(np.diag(b))) for b in basis[:3])
+        assert not any(np.allclose(b, np.diag(np.diag(b))) for b in basis[3:])
 
     def test_product_basis(self):
         basis = linalg.hermitian_product_basis((2, 2))

@@ -12,7 +12,7 @@ from choimarg.channels import (
     unitary_channel,
     w_state,
 )
-from choimarg.linalg import is_psd, kron, partial_trace
+from choimarg.linalg import embed, hermitian_product_basis, kron, partial_trace
 from choimarg.sampling import random_channel, random_density, random_unitary
 from choimarg.sdp import FEASIBLE, INFEASIBLE
 from conftest import HADAMARD, SX, SZ
@@ -69,7 +69,7 @@ class TestMarginalFeasibility:
         )
         rep = mg.marginal_feasibility(spec)
         assert rep.status == FEASIBLE
-        assert is_psd(rep.witness, 1e-8)
+        assert np.linalg.eigvalsh(rep.witness)[0] >= -1e-8
 
     def test_w_state_overlapping_marginals(self):
         w = w_state()
@@ -82,12 +82,12 @@ class TestMarginalFeasibility:
         assert np.linalg.norm(rep.witness - w) < 1e-5
 
     def test_contradictory_targets(self):
-        spec = mg.MarginalSpec(
-            dims=(2, 2),
-            targets=(((1, 2), max_entangled(2)), ((1,), np.diag([1.0, 0.0]))),
-        )
-        rep = mg.marginal_feasibility(spec)
-        assert rep.status == INFEASIBLE
+        # Tr_2 of the maximally entangled state is 1/2, not |0><0|
+        with pytest.raises(ValueError, match=r"\(1, 2\) and \(1,\)"):
+            mg.MarginalSpec(
+                dims=(2, 2),
+                targets=(((1, 2), max_entangled(2)), ((1,), np.diag([1.0, 0.0]))),
+            )
 
 
 class TestChannelsCompatible:
@@ -136,33 +136,95 @@ class TestChannelsCompatible:
         dep3 = depolarizing_channel(3)
         assert mg.channels_compatible(dep3, dep3).verdict == mg.COMPATIBLE
 
+    @pytest.mark.parametrize("d, threshold", [(2, 1.0 / 3.0), (3, 3.0 / 8.0)])
+    def test_universal_cloning_threshold(self, d, threshold):
+        # two copies of rho -> (1 - p) rho + p 1/d are compatible iff
+        # 1 - p <= (d + 2) / (2 (d + 1)), the optimal symmetric cloner
+        def verdict(p):
+            dep = depolarizing_channel(d, p)
+            return mg.channels_compatible(dep, dep).verdict
+
+        assert verdict(threshold - 1e-3) == mg.INCOMPATIBLE
+        assert verdict(threshold + 1e-3) == mg.COMPATIBLE
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="input"):
             mg.channels_compatible(identity_channel(2), identity_channel(3))
 
 
+class TestTargetRows:
+    @staticmethod
+    def specs(rng, monkeypatch):
+        """The specs the compatibility, steering and Bell tests hand to the solver."""
+        specs = [
+            mg._compat_spec(random_channel(2, 2, rng), random_channel(2, 2, rng)),
+            mg._compat_spec(random_channel(3, 3, rng), random_channel(3, 3, rng)),
+            mg._compat_spec(random_channel(2, 2, rng), random_channel(2, 3, rng)),
+        ]
+        monkeypatch.setattr(mg, "marginal_feasibility", lambda spec, **_: specs.append(spec))
+        mg.state_steerable(max_entangled(2), random_channel(2, 2, rng), random_channel(2, 3, rng))
+        mg.bell_local(random_density(4, rng), *[random_channel(2, 2, rng) for _ in range(4)])
+        assert len(specs) == 5
+        return specs
+
+    def test_rows_are_an_orthogonal_basis_of_the_naive_span(self, rng, monkeypatch):
+        specs = self.specs(rng, monkeypatch)
+        assert [len(mg._target_rows(spec)[0]) for spec in specs] == [28, 153, 48, 48, 49]
+        for spec in specs:
+            rows, owners = mg._target_rows(spec)
+            assert len(owners) == len(rows)
+            vecs = np.array([h.reshape(-1) for (h,), _ in rows])
+            gram = vecs.conj() @ vecs.T
+            assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-12
+            n = spec.total_dim
+            ident = [np.allclose(h, h[0, 0] * np.eye(n)) and abs(h[0, 0]) > 0 for (h,), _ in rows]
+            assert sum(ident) == 1
+            naive = np.array([
+                embed(b, spec.dims, kept).reshape(-1)
+                for kept, _ in spec.targets
+                for b in hermitian_product_basis([spec.dims[k - 1] for k in kept])
+            ])
+            rank = np.linalg.matrix_rank(naive)
+            assert len(rows) == rank == np.linalg.matrix_rank(np.vstack([naive, vecs]))
+
+    def test_rows_built_once_per_decision(self, monkeypatch):
+        calls = []
+        original = mg._target_rows
+        monkeypatch.setattr(mg, "_target_rows", lambda spec: calls.append(spec) or original(spec))
+        ident = identity_channel(2)
+        rep = mg.channels_compatible(ident, ident)
+        assert rep.verdict == mg.INCOMPATIBLE and rep.dual_witness is not None
+        assert len(calls) == 1
+
+
+def cone_matrix(c1, c2, a, b):
+    """lift(A) + 1 (x) B on the joint Choi factors (out_1, out_2, in)."""
+    dims = (c1.out_dim, c2.out_dim, c1.in_dim)
+    return embed(a, dims, (1, 3)) + embed(b, dims, (2, 3))
+
+
 class TestDualWitness:
     def test_compatible_pair_nonnegative(self):
         dep = depolarizing_channel(2)
-        _a, _b, value = mg.dual_witness(dep, dep)
-        assert value >= -1e-7
+        assert mg.channels_compatible(dep, dep).dual_value >= -1e-7
 
     def test_identity_pair_certificate(self):
         ident = identity_channel(2)
-        a, b, value = mg.dual_witness(ident, ident)
+        rep = mg.channels_compatible(ident, ident)
+        a, b = rep.dual_witness
+        value = rep.dual_value
         assert value <= -1e-4
         # re-check by explicit trace evaluation and cone membership
         direct = np.trace(a @ ident.choi).real + np.trace(b @ ident.choi).real
         assert abs(direct - value) <= 1e-9
-        cone = mg.dual_witness_cone_matrix(ident, ident, a, b)
-        assert np.linalg.eigvalsh(cone)[0] >= -1e-8
+        assert np.linalg.eigvalsh(cone_matrix(ident, ident, a, b))[0] >= -1e-8
         norm = np.sqrt(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2))
         assert abs(norm - 1.0) <= 1e-9
 
     def test_cone_constraint_on_random_joint_chois(self, rng):
         ident = identity_channel(2)
-        a, b, _ = mg.dual_witness(ident, ident)
-        cone = mg.dual_witness_cone_matrix(ident, ident, a, b)
+        a, b = mg.channels_compatible(ident, ident).dual_witness
+        cone = cone_matrix(ident, ident, a, b)
         for _ in range(10):
             joint = random_channel(2, 4, rng)
             assert np.trace(joint.choi @ cone).real >= -1e-6
@@ -178,8 +240,7 @@ class TestDualWitness:
             checked += 1
             a, b = rep.dual_witness
             assert rep.dual_value <= -1e-7
-            cone = mg.dual_witness_cone_matrix(c1, c2, a, b)
-            assert np.linalg.eigvalsh(cone)[0] >= -1e-8
+            assert np.linalg.eigvalsh(cone_matrix(c1, c2, a, b))[0] >= -1e-8
         assert checked >= 4
 
 

@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 
 from choimarg import sdp
-from choimarg.linalg import hermitian_basis, is_psd, realify
+from choimarg.config import DEFAULT
+from choimarg.linalg import hermitian_basis, realify
+from choimarg.marginals import MarginalSpec
 from conftest import SX, SY, SZ, random_hermitian
 
 
 def herm_rows(d, pins):
     """Rows pinning <H, X> = value for the given Hermitian/value pairs."""
-    return [(np.asarray(h, dtype=complex), float(v)) for h, v in pins]
+    return [((np.asarray(h, dtype=complex),), float(v)) for h, v in pins]
+
+
+def feasibility(d, rows):
+    """Feasibility of one d x d Hermitian PSD variable under the given rows."""
+    return sdp.hermitian_feasibility((d,), rows)
 
 
 class TestSolve:
@@ -91,14 +98,17 @@ class TestSolve:
         assert len(sol.history) == sol.iterations
 
     def test_inconsistent_rows_raise(self):
+        # rows are not pruned: the residual test alone keeps an inconsistent
+        # system from being reported optimal
         p = sdp.SdpProblem(
             block_dims=(2,),
             objective=None,
             constraints=(((np.eye(2),), 1.0), ((np.eye(2),), 2.0)),
             sense="max",
         )
-        with pytest.raises(ValueError, match="inconsistent"):
-            sdp.solve(p)
+        sol = sdp.solve(p)
+        assert sol.status != "optimal"
+        assert sol.primal_residual > 1e-9
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="sense"):
@@ -113,7 +123,7 @@ class TestSolve:
 
 class TestFeasibility:
     def test_scalar_pin(self):
-        rep = sdp.feasibility(1, herm_rows(1, [(np.array([[1.0]]), 5.0)]))
+        rep = feasibility(1, herm_rows(1, [(np.array([[1.0]]), 5.0)]))
         assert rep.status == sdp.FEASIBLE
         assert abs(rep.slack - 5.0) < 1e-6
         assert abs(rep.witness[0, 0] - 5.0) < 1e-6
@@ -126,19 +136,19 @@ class TestFeasibility:
             (b[2], 0.7 * np.sqrt(2.0)),
             (b[3], 0.0),
         ])
-        rep = sdp.feasibility(2, rows)
+        rep = feasibility(2, rows)
         assert rep.status == sdp.INFEASIBLE
         assert abs(rep.slack - (-0.2)) < 1e-6
 
     def test_trace_only_gives_maximally_mixed(self):
-        rep = sdp.feasibility(2, herm_rows(2, [(np.eye(2), 1.0)]))
+        rep = feasibility(2, herm_rows(2, [(np.eye(2), 1.0)]))
         assert rep.status == sdp.FEASIBLE
         assert abs(rep.slack - 0.5) < 1e-6
         assert np.max(np.abs(rep.witness - np.eye(2) / 2)) < 1e-5
 
     def test_impossible_diagonal(self):
         rows = herm_rows(2, [(np.eye(2), 1.0), (np.diag([1.0, 0.0]), 2.0)])
-        rep = sdp.feasibility(2, rows)
+        rep = feasibility(2, rows)
         assert rep.status == sdp.INFEASIBLE
         assert rep.slack <= -0.9
 
@@ -149,29 +159,32 @@ class TestFeasibility:
                 h = random_hermitian(rng, d)
                 h -= np.trace(h) * np.eye(d) / d
                 rows.append((h, 0.05))
-            rep = sdp.feasibility(d, herm_rows(d, rows))
+            rep = feasibility(d, herm_rows(d, rows))
             assert rep.slack <= 1.0 / d + 1e-7
 
     def test_missing_normalization_raises(self):
-        with pytest.raises(ValueError, match="normalization"):
-            sdp.feasibility(2, herm_rows(2, [(np.diag([1.0, -1.0]), 0.0)]))
+        # without a trace-fixing row the slack program is unbounded
+        with pytest.raises(sdp.SdpError):
+            feasibility(2, herm_rows(2, [(np.diag([1.0, -1.0]), 0.0)]))
 
     def test_inconsistent_targets_infeasible(self):
-        rows = herm_rows(2, [(np.eye(2), 1.0), (2.0 * np.eye(2), 3.0)])
-        rep = sdp.feasibility(2, rows)
-        assert rep.status == sdp.INFEASIBLE
-        assert rep.slack == -np.inf
+        # overlapping targets that disagree on factor 1 are rejected up front
+        with pytest.raises(ValueError, match=r"\(1, 2\) and \(1,\)"):
+            MarginalSpec(
+                dims=(2, 2),
+                targets=(((1, 2), np.eye(4) / 4), ((1,), np.diag([0.7, 0.3]))),
+            )
 
     def test_constraint_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            sdp.feasibility(2, herm_rows(3, [(np.eye(3), 1.0)]))
+            feasibility(2, herm_rows(3, [(np.eye(3), 1.0)]))
 
     def test_boundary_recovers_witness(self):
         # pin X to a rank-deficient PSD matrix: slack is exactly 0
         target = np.diag([1.0, 0.0])
         b = hermitian_basis(2)
         rows = [(bb, float(np.trace(bb @ target).real)) for bb in b]
-        rep = sdp.feasibility(2, herm_rows(2, rows))
+        rep = feasibility(2, herm_rows(2, rows))
         assert rep.status == sdp.FEASIBLE
         assert abs(rep.slack) < 1e-7
         assert np.max(np.abs(rep.witness - target)) < 1e-6
@@ -198,19 +211,20 @@ class TestRealificationConsistency:
     @pytest.mark.parametrize("rows", FEASIBLE_CASES)
     def test_feasible(self, rows):
         d = rows[0][0].shape[0]
-        rep = sdp.feasibility(d, herm_rows(d, rows))
+        rep = feasibility(d, herm_rows(d, rows))
         assert rep.status == sdp.FEASIBLE
 
     @pytest.mark.parametrize("rows", INFEASIBLE_CASES)
     def test_infeasible(self, rows):
         d = rows[0][0].shape[0]
-        rep = sdp.feasibility(d, herm_rows(d, rows))
+        rep = feasibility(d, herm_rows(d, rows))
         assert rep.status == sdp.INFEASIBLE
 
     def test_realified_psd_iff_hermitian_psd(self, rng):
         for _ in range(5):
             h = random_hermitian(rng, 3)
-            assert is_psd(realify(h), 1e-12) == is_psd(h, 1e-12)
+            psd = np.linalg.eigvalsh(h)[0] >= -1e-12
+            assert (np.linalg.eigvalsh(realify(h))[0] >= -1e-12) == psd
 
 
 class TestWitnessAudit:
@@ -222,10 +236,20 @@ class TestWitnessAudit:
         target /= np.trace(target).real
         for h in hermitian_basis(3)[:4]:
             rows.append((h, float(np.trace(h @ target).real)))
-        rep = sdp.feasibility(3, herm_rows(3, rows))
+        rep = feasibility(3, herm_rows(3, rows))
         assert rep.status == sdp.FEASIBLE
         assert np.linalg.eigvalsh(rep.witness)[0] >= -1e-8
         for h, v in rows:
             assert abs(np.trace(h @ rep.witness).real - v) <= 1e-6
         sol = rep.solution
         assert abs(sol.primal_objective - sol.dual_objective) <= 1e-6 * (1 + abs(sol.primal_objective))
+
+    def test_rejects_witness_perturbed_past_residual(self):
+        target = np.diag([0.6, 0.4]).astype(complex)
+        rows = herm_rows(2, [(b, float(np.trace(b @ target).real)) for b in hermitian_basis(2)])
+        assert sdp.witness_valid(rows, (target,), DEFAULT)
+        nudge = np.diag([1.0, 0.0]) * 1.5 * DEFAULT.witness_residual
+        assert not sdp.witness_valid(rows, (target + nudge,), DEFAULT)
+        assert sdp.witness_valid(rows, (target + nudge / 3,), DEFAULT)
+        # a witness that satisfies every row but is not PSD is rejected too
+        assert not sdp.witness_valid(herm_rows(2, [(np.eye(2), 1.0)]), (np.diag([1.5, -0.5]),), DEFAULT)
