@@ -3,7 +3,9 @@
 Subcommands: ``compat``, ``steer``, ``bell``, ``chsh-scan``, ``preset list``.
 Verdict commands print a JSON object to stdout (pretty by default, compact
 with ``--json``) and optionally write it to ``--out``. Exit codes: 0 for any
-decided verdict, 2 for a marginal verdict, 1 for input errors.
+decided verdict, 2 for a marginal verdict, 1 for input errors, 3 when the
+solver cannot certify a verdict (no convergence, or a witness that fails its
+independent validation).
 
 Floats in emitted JSON are rounded to 12 significant digits so that identical
 inputs produce byte-identical output.
@@ -27,6 +29,7 @@ from .sdp import FEASIBLE, INFEASIBLE, SdpError
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_MARGINAL = 2
+EXIT_SOLVER_ERROR = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,9 +226,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SdpError) as exc:
+    except ValueError as exc:
         print(f"choimarg: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except SdpError as exc:
+        print(f"choimarg: solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_ERROR
 
 
 if __name__ == "__main__":

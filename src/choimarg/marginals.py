@@ -75,7 +75,9 @@ class MarginalSpec:
 
     targets: pairs of (kept 1-based factor indices, target matrix). All
     targets must share the same trace, the required normalization, and every
-    two targets must agree on the marginal of the factors they share.
+    two targets must agree on the marginal of the factors they share, both up
+    to the tolerance :class:`~choimarg.channels.Channel` allows its trace
+    preservation.
     """
 
     dims: tuple[int, ...]
@@ -103,8 +105,12 @@ class MarginalSpec:
             cleaned.append((kept, frozen(target)))
             traces.append(float(np.trace(target).real))
         norm = self.normalization if self.normalization is not None else traces[0]
+        # a Channel is trace preserving to DEFAULT.psd per entry of its d_in x d_in
+        # input marginal: a valid Choi target's trace may drift by d_in * psd =
+        # norm * psd, and two valid targets' shared marginals may differ by 2 * psd
+        tol = DEFAULT.psd * max(1.0, abs(norm))
         for kept, tr in zip([c[0] for c in cleaned], traces):
-            if abs(tr - norm) > DEFAULT.psd:
+            if abs(tr - norm) > tol:
                 raise ValueError(
                     f"inconsistent target traces: factor set {kept} has trace {tr!r}, "
                     f"expected {norm!r}"
@@ -117,7 +123,7 @@ class MarginalSpec:
                 dev = np.max(np.abs(
                     _reduced(dims, kept_a, target_a, shared) - _reduced(dims, kept_b, target_b, shared)
                 ))
-                if dev > DEFAULT.psd:
+                if dev > 2 * tol:
                     raise ValueError(
                         f"inconsistent targets: factor sets {kept_a} and {kept_b} disagree on "
                         f"their shared marginal over {tuple(sorted(shared))} by {dev:.3e}"

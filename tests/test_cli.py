@@ -4,6 +4,7 @@ import numpy as np
 
 from choimarg import cli
 from choimarg.channels import channel_from_dict, state_from_dict, state_to_dict, w_state
+from choimarg.sdp import SdpError
 from conftest import SX, SZ
 
 
@@ -198,6 +199,16 @@ class TestErrors:
     def test_invalid_scan_range(self, capsys):
         code, _, _ = run(capsys, ["chsh-scan", "--theta-min", "1", "--theta-max", "1"])
         assert code == 1
+
+    def test_solver_error_exit_code(self, capsys, monkeypatch):
+        def fail(*_args, **_kwargs):
+            raise SdpError("feasibility solve did not converge: status max_iterations")
+
+        monkeypatch.setattr(cli, "channels_compatible", fail)
+        code, out, err = run(capsys, ["compat", "--preset", "identity-pair"])
+        assert code == cli.EXIT_SOLVER_ERROR == 3
+        assert out == ""
+        assert err == "choimarg: solver error: feasibility solve did not converge: status max_iterations\n"
 
 
 class TestScanCommand:

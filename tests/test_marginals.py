@@ -3,6 +3,7 @@ import pytest
 
 from choimarg import marginals as mg
 from choimarg.channels import (
+    Channel,
     apply,
     depolarizing_channel,
     identity_channel,
@@ -60,6 +61,26 @@ class TestMarginalSpec:
             mg.MarginalSpec(
                 dims=(2, 2), targets=(((1,), np.eye(2)), ((2,), np.eye(2) / 2))
             )
+
+    def test_accepts_shared_marginals_within_channel_tolerance(self):
+        # each Choi is trace preserving to 0.9e-9, so their input marginals
+        # differ by 1.8e-9; p = 0.5 is above the qubit cloning threshold 1/3
+        dep = depolarizing_channel(2, 0.5)
+        bump = np.zeros((4, 4))
+        bump[0, 0] = 0.9e-9
+        c1 = Channel(in_dim=2, out_dims=(2,), choi=dep.choi + bump)
+        c2 = Channel(in_dim=2, out_dims=(2,), choi=dep.choi - bump)
+        assert mg.channels_compatible(c1, c2).verdict == mg.COMPATIBLE
+
+    def test_accepts_trace_within_channel_tolerance(self):
+        # 0.9e-9 on each diagonal entry of the input marginal puts the trace
+        # 2.7e-9 above d_in = 3; p = 0.5 is above the qutrit threshold 3/8
+        dep = depolarizing_channel(3, 0.5)
+        bump = np.zeros((9, 9))
+        for i in range(3):
+            bump[i * 3 + i, i * 3 + i] = 0.9e-9
+        c1 = Channel(in_dim=3, out_dims=(3,), choi=dep.choi + bump)
+        assert mg.channels_compatible(c1, dep).verdict == mg.COMPATIBLE
 
 
 class TestMarginalFeasibility:

@@ -4,6 +4,8 @@ import pytest
 from choimarg import sdp
 from choimarg.config import DEFAULT
 from choimarg.linalg import hermitian_basis, realify
+from choimarg import marginals as mg
+from choimarg.channels import depolarizing_channel, identity_channel
 from choimarg.marginals import MarginalSpec
 from conftest import SX, SY, SZ, random_hermitian
 
@@ -86,6 +88,15 @@ class TestSolve:
         for h1, h2 in zip(s1.history, s2.history):
             assert h1 == h2
 
+    def test_determinism_qutrit_compatibility(self):
+        c1, c2 = depolarizing_channel(3, 0.5), depolarizing_channel(3, 0.6)
+        r1, r2 = mg.channels_compatible(c1, c2), mg.channels_compatible(c1, c2)
+        assert r1.verdict == mg.COMPATIBLE
+        assert r1.slack == r2.slack
+        assert r1.report.solution.iterations == r2.report.solution.iterations
+        np.testing.assert_array_equal(r1.report.dual_certificate, r2.report.dual_certificate)
+        np.testing.assert_array_equal(r1.joint_choi.choi, r2.joint_choi.choi)
+
     def test_weak_duality_checked_in_debug(self):
         p = sdp.SdpProblem(
             block_dims=(3,),
@@ -121,7 +132,54 @@ class TestSolve:
             sdp.SdpProblem((2,), None, ())
 
 
+class TestSchurKernel:
+    def test_matches_kronecker_formula(self):
+        # S_ij = sum_b vec(A_i)^T (X_b (x) Z_b^-1) vec(A_j), with column-stacking vec
+        rng = np.random.default_rng(7)
+        dims, m = (3, 4), 7
+
+        def sym(g):
+            return (g + g.T) / 2
+
+        def spd(d):
+            g = rng.standard_normal((d, d))
+            return sym(g @ g.T + d * np.eye(d))
+
+        a = [np.array([sym(rng.standard_normal((d, d))) for _ in range(m)]) for d in dims]
+        xs = [spd(d) for d in dims]
+        zinvs = [sym(np.linalg.inv(spd(d))) for d in dims]
+        cores = [sym(rng.standard_normal((d, d))) for d in dims]
+        schur, rhs = sdp._schur_rhs([ab.reshape(m, -1) for ab in a], zinvs, xs, cores)
+
+        def vec(mat):
+            return mat.reshape(-1, order="F")
+
+        expected = sum(
+            np.array([[vec(ai) @ np.kron(x, zinv) @ vec(aj) for aj in ab] for ai in ab])
+            for ab, x, zinv in zip(a, xs, zinvs)
+        )
+        expected_rhs = sum(
+            np.array([np.trace(ai @ core) for ai in ab]) for ab, core in zip(a, cores)
+        )
+        np.testing.assert_allclose(schur, expected, rtol=1e-12)
+        np.testing.assert_allclose(rhs, expected_rhs, rtol=1e-12)
+
+
 class TestFeasibility:
+    def test_failure_reports_iterations_residuals_and_gap(self):
+        ident = identity_channel(2)
+        spec = mg._compat_spec(ident, ident)
+        rows, _ = mg._target_rows(spec)
+        number = r"[-+.e\d]+|inf"
+        with pytest.raises(
+            sdp.SdpError,
+            match=(
+                rf"status max_iterations after 2 iterations \(primal residual ({number}), "
+                rf"dual residual ({number}), gap ({number})\)"
+            ),
+        ):
+            sdp.hermitian_feasibility((spec.total_dim,), rows, max_iterations=2)
+
     def test_scalar_pin(self):
         rep = feasibility(1, herm_rows(1, [(np.array([[1.0]]), 5.0)]))
         assert rep.status == sdp.FEASIBLE
