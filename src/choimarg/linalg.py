@@ -29,12 +29,9 @@ __all__ = [
     "partial_trace",
     "permute_factors",
     "embed",
-    "eigh",
     "min_eigenvalue",
     "hermitian_basis",
     "hermitian_product_basis",
-    "realify",
-    "derealify",
     "check_finite",
     "check_hermitian",
     "check_shape",
@@ -192,21 +189,12 @@ def embed(op: np.ndarray, dims: Sequence[int], factors: Sequence[int]) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def eigh(a: np.ndarray, tol: float = DEFAULT.construction) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues ascending and the unitary of column eigenvectors.
-    """
-    a = check_hermitian(a, tol)
-    return np.linalg.eigh(a)
-
-
 def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0])
 
 
 # ---------------------------------------------------------------------------
-# Hermitian bases and the real symmetric embedding
+# Hermitian bases
 # ---------------------------------------------------------------------------
 
 
@@ -257,34 +245,3 @@ def hermitian_product_basis(dims: Sequence[int]) -> list[np.ndarray]:
             m = kron(m, f)
         out.append(m)
     return out
-
-
-def realify(a: np.ndarray, tol: float = DEFAULT.construction) -> np.ndarray:
-    """Real symmetric embedding [[Re A, -Im A], [Im A, Re A]] of a Hermitian A.
-
-    The embedding doubles every eigenvalue's multiplicity, so A and realify(A)
-    are PSD together.
-    """
-    a = check_hermitian(a, tol)
-    re, im = a.real, a.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def derealify(s: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`realify` by orthogonal projection.
-
-    A symmetric 2d x 2d matrix is first projected onto the image of realify
-    (an average with its conjugation by the symplectic form, which preserves
-    positivity), then read back as P + iQ.
-    """
-    s = np.asarray(s, dtype=float)
-    n2 = s.shape[0]
-    if s.ndim != 2 or s.shape[1] != n2 or n2 % 2:
-        raise ValueError(f"expected an even-dimensional square matrix, got {s.shape}")
-    d = n2 // 2
-    s = (s + s.T) / 2
-    s11, s12 = s[:d, :d], s[:d, d:]
-    s21, s22 = s[d:, :d], s[d:, d:]
-    p = (s11 + s22) / 2
-    q = (s21 - s12) / 2
-    return (p + p.T) / 2 + 1j * (q - q.T) / 2

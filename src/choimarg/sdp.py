@@ -1,35 +1,38 @@
-"""Dense semidefinite feasibility and optimization over block-diagonal variables.
+"""Dense semidefinite feasibility and optimization over Hermitian block-diagonal variables.
 
 The solver is a primal-dual path-following interior-point method with the
-HKM direction (linearize XZ = mu*1, symmetrize the X step), fixed centering
-sigma = 0.1, step fraction 0.98 to the cone boundary, and an iteration cap of
-200. It is written for the problem sizes of this package (realified block
-dimensions up to ~64, a few hundred constraint rows at most) and is
+HKM direction (linearize XZ = mu*1, take the Hermitian part of the X step),
+fixed centering sigma = 0.1, step fraction 0.98 to the cone boundary, and an
+iteration cap of 200. It works on complex Hermitian blocks directly, as SDPT3
+and SeDuMi do, and is written for the problem sizes of this package (block
+dimensions up to ~32, a few hundred constraint rows at most). It is
 deterministic: fixed initialization, no randomized pivoting, no Mehrotra
 correction.
 
-Each block's constraint stack is flattened once into an (m, n_b^2) matrix,
-so A(X), A*(y) and the right-hand side are matrix-vector products, and the
-Schur complement S_ij = sum_b Tr(A_i Z_b^-1 A_j X_b) is three GEMMs per
-block (see :func:`_schur_rhs`). An iteration costs O(m n^3 + m^2 n^2) in
-dense BLAS for m rows and block dimension n, plus the O(m^3) Cholesky
-factorization of S.
+Each block's constraint stack is flattened once into an (m, n_b^2) complex
+matrix. The inner product Re<A, X> = Re Tr(A^H X) is a real dot product of
+the interleaved real and imaginary parts, so A(X), A*(y) and the right-hand
+side are real matrix-vector products, and the Schur complement
+S_ij = sum_b Re Tr(A_i Z_b^-1 A_j X_b) is three GEMMs per block (see
+:func:`_schur_rhs`). An iteration costs O(m n^3 + m^2 n^2) in dense BLAS for
+m rows and block dimension n, plus the O(m^3) Cholesky factorization of S.
+Each step is also projected onto the primal equations with the rows' Gram
+matrix, factored once per solve, so rounding in the Schur solve cannot leave
+a primal residual that the path no longer reduces.
 
-Problems are stated over real symmetric blocks::
+Problems are stated over Hermitian blocks, real input included::
 
-    max/min  sum_b <C_b, X_b> + c_free * t
-    s.t.     sum_b <A_i^b, X_b> + a_i * t = b_i        (i = 1..m)
+    max/min  sum_b Re<C_b, X_b> + c_free * t
+    s.t.     sum_b Re<A_i^b, X_b> + a_i * t = b_i        (i = 1..m)
              X_b >= 0,   t free (optional scalar)
 
 The optional free scalar carries the feasibility slack of the prescribed
 marginal problems: "max t s.t. X - t*1 >= 0, A(X) = b" is solved with
 Y = X - t*1 as the PSD block and t eliminated inside the Schur system.
-
-Hermitian problems enter through :func:`hermitian_feasibility`, which embeds
-them as real symmetric problems via ``realify`` and reads the witness back.
-Callers pass linearly independent rows that fix the total trace; the rows of
-:mod:`choimarg.marginals` are independent by construction, so nothing here
-prunes or probes them.
+:func:`hermitian_feasibility` states that program and reads the witness back
+as Y + t*1. Callers pass linearly independent rows that fix the total trace;
+the rows of :mod:`choimarg.marginals` are independent by construction, so
+nothing here prunes or probes them.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT, Tolerances
-from .linalg import derealify, realify
+from .linalg import check_hermitian
 
 __all__ = [
     "SdpProblem",
@@ -73,7 +76,7 @@ class SdpError(RuntimeError):
 class SdpProblem:
     """Block-diagonal SDP with affine equality constraints.
 
-    constraints: list of (per-block symmetric matrices, rhs). A problem may
+    constraints: list of (per-block Hermitian matrices, rhs). A problem may
     carry one free scalar variable; ``free_coeffs`` holds its per-constraint
     coefficients and ``free_objective`` its objective coefficient.
     """
@@ -125,15 +128,15 @@ class SdpSolution:
     history: tuple[dict, ...] = field(default=(), repr=False)
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2
+def _herm(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2
 
 
 def _step_to_boundary(s: np.ndarray, ds: np.ndarray) -> float:
-    """sup { a >= 0 : s + a*ds >= 0 } for s > 0 symmetric."""
+    """sup { a >= 0 : s + a*ds >= 0 } for s > 0 Hermitian."""
     l = np.linalg.cholesky(s)
-    w = np.linalg.solve(l, np.linalg.solve(l, ds).T).T
-    lam = np.linalg.eigvalsh(_sym(w))[0]
+    w = np.linalg.solve(l, np.linalg.solve(l, ds).conj().T)
+    lam = np.linalg.eigvalsh(_herm(w))[0]
     if lam >= 0:
         return np.inf
     return -1.0 / lam
@@ -147,11 +150,11 @@ def _schur_rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """HKM Schur complement and the constraint image of the rhs cores.
 
-    a_flat[b] holds block b's symmetric constraint matrices as rows of shape
-    (m, d_b^2). Returns S with S_ij = sum_b Tr(A_i Z_b^-1 A_j X_b) and r with
-    r_i = sum_b <A_i, core_b>. The m matrices are multiplied as one stacked
-    (m d_b, d_b) operand rather than as a batch of m small products, which
-    multithreaded BLAS runs several times slower.
+    a_flat[b] holds block b's Hermitian constraint matrices as complex rows of
+    shape (m, d_b^2). Returns S with S_ij = sum_b Re Tr(A_i Z_b^-1 A_j X_b)
+    and r with r_i = sum_b Re<A_i, core_b>. The m matrices are multiplied as
+    one stacked (m d_b, d_b) operand rather than as a batch of m small
+    products, which multithreaded BLAS runs several times slower.
     """
     m = a_flat[0].shape[0]
     schur = np.zeros((m, m))
@@ -159,11 +162,11 @@ def _schur_rhs(
     for a, zinv, x, core in zip(a_flat, zinvs, xs, cores):
         d = x.shape[0]
         rows = a.reshape(m * d, d)
-        # (A_i Z^-1)^T = Z^-1 A_i, so S_ij = <Z^-1 A_i, A_j X>
-        za = (rows @ zinv).reshape(m, d, d).transpose(0, 2, 1).reshape(m, -1)
-        schur += za @ (rows @ x).reshape(m, -1).T
-        rhs += a @ core.ravel()
-    return _sym(schur), rhs
+        # (A_i Z^-1)^H = Z^-1 A_i, so S_ij = Re<Z^-1 A_i, A_j X>
+        za = (rows @ zinv).reshape(m, d, d).transpose(0, 2, 1).reshape(m, -1).conj()
+        schur += za.view(float) @ (rows @ x).reshape(m, -1).view(float).T
+        rhs += a.view(float) @ core.ravel().view(float)
+    return _herm(schur), rhs
 
 
 def solve(
@@ -181,28 +184,31 @@ def solve(
     are linearly independent, and for a problem with a free scalar they fix
     the total block trace. Nothing is pruned, so the returned dual vector is
     indexed by the rows as given. An inconsistent equality system never
-    reaches the residual test and ends with a non-optimal status.
+    reaches the residual test and ends with a non-optimal status. The
+    returned blocks are complex, also for real input.
     """
     dims = problem.block_dims
     nb = len(dims)
     sign = 1.0 if problem.sense == "max" else -1.0
     cs = [
-        sign * _sym(np.asarray(c, dtype=float))
+        sign * _herm(np.asarray(c, dtype=complex))
         for c in (problem.objective or [np.zeros((d, d)) for d in dims])
     ]
     m = len(problem.constraints)
     a_flat = [
-        np.stack([_sym(np.asarray(row[0][b], dtype=float)) for row in problem.constraints])
+        np.stack([_herm(np.asarray(row[0][b], dtype=complex)) for row in problem.constraints])
         .reshape(m, -1)
         for b in range(nb)
     ]
+    # Re<A, X> as a real dot product over interleaved real and imaginary parts
+    a_real = [a.view(float) for a in a_flat]
     b = np.array([row[1] for row in problem.constraints], dtype=float)
     has_free = problem.free_coeffs is not None
     a_free = np.asarray(problem.free_coeffs, dtype=float) if has_free else np.zeros(m)
     c_free = sign * float(problem.free_objective) if has_free else 0.0
 
-    xs = [init_scale * np.eye(d) for d in dims]
-    zs = [np.eye(d) for d in dims]
+    xs = [init_scale * np.eye(d, dtype=complex) for d in dims]
+    zs = [np.eye(d, dtype=complex) for d in dims]
     y = np.zeros(m)
     t = 0.0
     n_total = sum(dims)
@@ -214,10 +220,19 @@ def solve(
     primal = dual = 0.0
 
     def operator(xs_cur: list[np.ndarray]) -> np.ndarray:
-        return sum(a_flat[b_] @ xs_cur[b_].ravel() for b_ in range(nb))
+        return sum(a_real[b_] @ xs_cur[b_].ravel().view(float) for b_ in range(nb))
 
     def adjoint(y_cur: np.ndarray, b_: int) -> np.ndarray:
-        return (y_cur @ a_flat[b_]).reshape(dims[b_], dims[b_])
+        return (y_cur @ a_real[b_]).view(complex).reshape(dims[b_], dims[b_])
+
+    # Gram matrix of the rows with their free-scalar coefficients, regularised
+    # as the Schur complement is: it projects each step onto the primal equations
+    gram = sum(a @ a.T for a in a_real) + np.outer(a_free, a_free)
+    try:
+        gram_cho = scipy.linalg.cho_factor(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
+    except np.linalg.LinAlgError:
+        # every row is zero: there are no equations to iterate on
+        max_iterations, status = 0, NUMERICAL_FAILURE
 
     for it in range(1, max_iterations + 1):
         try:
@@ -225,19 +240,19 @@ def solve(
             for z in zs:
                 l = np.linalg.cholesky(z)
                 linv = scipy.linalg.solve_triangular(l, np.eye(z.shape[0]), lower=True)
-                zinvs.append(linv.T @ linv)
+                zinvs.append(linv.conj().T @ linv)
         except np.linalg.LinAlgError:
             status = NUMERICAL_FAILURE
             break
 
-        mu = sum(np.sum(x * z) for x, z in zip(xs, zs)) / n_total
+        mu = sum(np.vdot(z, x).real for x, z in zip(xs, zs)) / n_total
         target = sigma * mu
         r_p = b - operator(xs) - a_free * t
         r_ds = [cs[b_] + zs[b_] - adjoint(y, b_) for b_ in range(nb)]
         r_f = c_free - float(a_free @ y) if has_free else 0.0
 
         cores = [
-            target * zinvs[b_] - xs[b_] + _sym(zinvs[b_] @ r_ds[b_] @ xs[b_])
+            target * zinvs[b_] - xs[b_] + _herm(zinvs[b_] @ r_ds[b_] @ xs[b_])
             for b_ in range(nb)
         ]
         schur, rhs = _schur_rhs(a_flat, zinvs, xs, cores)
@@ -263,9 +278,12 @@ def solve(
 
         dzs = [adjoint(dy, b_) - r_ds[b_] for b_ in range(nb)]
         dxs = [
-            target * zinvs[b_] - xs[b_] - _sym(zinvs[b_] @ dzs[b_] @ xs[b_])
+            target * zinvs[b_] - xs[b_] - _herm(zinvs[b_] @ dzs[b_] @ xs[b_])
             for b_ in range(nb)
         ]
+        correction = scipy.linalg.cho_solve(gram_cho, r_p - operator(dxs) - a_free * dt)
+        dxs = [dx + adjoint(correction, b_) for b_, dx in enumerate(dxs)]
+        dt += float(a_free @ correction)
 
         try:
             alpha_p = min([1.0] + [0.98 * _step_to_boundary(xs[b_], dxs[b_]) for b_ in range(nb)])
@@ -276,12 +294,12 @@ def solve(
         if alpha_p <= 0 or alpha_d <= 0:
             status = NUMERICAL_FAILURE
             break
-        xs = [_sym(x + alpha_p * dx) for x, dx in zip(xs, dxs)]
-        zs = [_sym(z + alpha_d * dz) for z, dz in zip(zs, dzs)]
+        xs = [_herm(x + alpha_p * dx) for x, dx in zip(xs, dxs)]
+        zs = [_herm(z + alpha_d * dz) for z, dz in zip(zs, dzs)]
         y = y + alpha_d * dy
         t = t + alpha_p * dt
 
-        primal = sum(np.sum(c * x) for c, x in zip(cs, xs)) + c_free * t
+        primal = sum(np.vdot(c, x).real for c, x in zip(cs, xs)) + c_free * t
         dual = float(b @ y)
         r_p = b - operator(xs) - a_free * t
         pinf = float(np.linalg.norm(r_p)) / (1.0 + float(np.linalg.norm(b)))
@@ -403,19 +421,15 @@ def hermitian_feasibility(
     if not rows:
         raise ValueError("at least one constraint row is required")
 
-    real_rows = []
-    for mats, rhs in rows:
-        if len(mats) != len(dims):
-            raise ValueError("each row needs one matrix per block")
-        real_rows.append((tuple(realify(h) for h in mats), 2.0 * float(rhs)))
-
     problem = SdpProblem(
-        block_dims=tuple(2 * d for d in dims),
+        block_dims=dims,
         objective=None,
-        constraints=tuple((mats, rhs) for mats, rhs in real_rows),
+        constraints=tuple(
+            (tuple(check_hermitian(h) for h in mats), float(rhs)) for mats, rhs in rows
+        ),
         sense="max",
         free_objective=1.0,
-        free_coeffs=tuple(2.0 * sum(float(np.trace(h).real) for h in mats) for mats, _ in rows),
+        free_coeffs=tuple(sum(float(np.trace(h).real) for h in mats) for mats, _ in rows),
     )
     trace_rhs = max(abs(float(r)) for _, r in rows)
     init_scale = max(trace_rhs / sum(dims), 1e-2)
@@ -434,9 +448,7 @@ def hermitian_feasibility(
         )
 
     t_hat = float(solution.free_value)
-    blocks = tuple(
-        derealify(yb) + t_hat * np.eye(d) for yb, d in zip(solution.blocks, dims)
-    )
+    blocks = tuple(yb + t_hat * np.eye(d) for yb, d in zip(solution.blocks, dims))
     dual = solution.dual
 
     if t_hat >= band:

@@ -101,42 +101,6 @@ class TestPermuteEmbed:
         assert abs(lhs - rhs) <= 1e-10
 
 
-class TestEigh:
-    def test_identity(self):
-        w, v = linalg.eigh(np.eye(2))
-        assert np.allclose(w, [1.0, 1.0])
-        assert np.allclose(v.conj().T @ v, np.eye(2))
-
-    def test_sigma_z(self):
-        w, v = linalg.eigh(SZ)
-        assert np.allclose(w, [-1.0, 1.0])
-        # ascending order pairs the -1 eigenvalue with |1> and +1 with |0>
-        assert abs(abs(v[1, 0]) - 1.0) < 1e-12
-        assert abs(abs(v[0, 1]) - 1.0) < 1e-12
-
-    def test_two_by_two_closed_form(self):
-        # eigenvalues of [[a, b], [b, a]] are a -/+ b
-        w, _ = linalg.eigh(np.array([[0.5, 0.7], [0.7, 0.5]]))
-        assert np.max(np.abs(w - np.array([-0.2, 1.2]))) < 1e-12
-
-    @pytest.mark.parametrize("d", [2, 5, 17, 32])
-    def test_reconstruction_residual_orthonormality(self, rng, d):
-        a = random_hermitian(rng, d)
-        w, v = linalg.eigh(a)
-        assert np.all(np.diff(w) >= -1e-14)
-        norm2 = max(abs(w[0]), abs(w[-1]))
-        for i in range(d):
-            res = np.linalg.norm(a @ v[:, i] - w[i] * v[:, i])
-            assert res <= 1e-10 * max(norm2, 1e-300)
-        assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-10
-        recon = (v * w) @ v.conj().T
-        assert np.max(np.abs(a - recon)) <= 1e-9 * np.max(np.abs(a))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            linalg.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestHermitianBasis:
     def test_dim_one(self):
         (b,) = linalg.hermitian_basis(1)
@@ -179,36 +143,6 @@ class TestHermitianBasis:
         assert len(basis) == 16
         gram = np.array([[np.trace(a @ b).real for b in basis] for a in basis])
         assert np.max(np.abs(gram - np.eye(16))) < 1e-12
-
-
-class TestRealify:
-    def test_identity(self):
-        assert np.allclose(linalg.realify(np.eye(2)), np.eye(4))
-
-    def test_sigma_y_eigenvalues(self):
-        w = np.linalg.eigvalsh(linalg.realify(SY))
-        assert np.allclose(w, [-1.0, -1.0, 1.0, 1.0])
-
-    def test_trace_doubles(self):
-        assert abs(np.trace(linalg.realify(np.diag([1.0, 2.0]))) - 6.0) < 1e-14
-
-    def test_min_eigenvalue_matches(self, rng):
-        for d in (2, 3, 5):
-            a = random_hermitian(rng, d)
-            lam_c = np.linalg.eigvalsh(a)[0]
-            lam_r = np.linalg.eigvalsh(linalg.realify(a))[0]
-            assert abs(lam_c - lam_r) <= 1e-10
-
-    def test_round_trip(self, rng):
-        a = random_hermitian(rng, 4)
-        assert np.max(np.abs(linalg.derealify(linalg.realify(a)) - a)) < 1e-13
-
-    def test_derealify_projects_psd(self, rng):
-        # a PSD symmetric matrix off the embedded subspace still reads back PSD
-        g = rng.standard_normal((8, 8))
-        s = g @ g.T
-        back = linalg.derealify(s)
-        assert np.linalg.eigvalsh(back)[0] >= -1e-12
 
 
 class TestValidators:

@@ -168,6 +168,19 @@ class TestChannelsCompatible:
         assert verdict(threshold - 1e-3) == mg.INCOMPATIBLE
         assert verdict(threshold + 1e-3) == mg.COMPATIBLE
 
+    def test_full_kraus_rank_qutrit_pair_converges(self):
+        # the primal residual of this pair used to stall just above the solver's
+        # feasibility tolerance, and the decision raised SdpError
+        rng = np.random.default_rng(7000 + 18)
+        c1 = random_channel(3, 3, rng, kraus_rank=9)
+        c2 = random_channel(3, 3, rng, kraus_rank=9)
+        rep = mg.channels_compatible(c1, c2)
+        assert rep.verdict == mg.COMPATIBLE
+        witness = rep.joint_choi.choi
+        assert np.linalg.eigvalsh(witness)[0] >= -1e-8
+        assert np.max(np.abs(partial_trace(witness, (3, 3, 3), {2}) - c1.choi)) <= 1e-6
+        assert np.max(np.abs(partial_trace(witness, (3, 3, 3), {1}) - c2.choi)) <= 1e-6
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="input"):
             mg.channels_compatible(identity_channel(2), identity_channel(3))

@@ -1,9 +1,10 @@
-"""Symmetries of the compatibility verdict on seeded random qutrit channel pairs.
+"""Symmetries and certificates of the compatibility verdict on seeded random qutrit pairs.
 
 Each example draws two random channels of Kraus rank 1 to 3 from a seed and
 mixes each with a random amount of depolarizing noise, so both verdicts
-occur. The properties hold exactly in the mathematics, so verdict and slack
-must agree up to the solver's accuracy.
+occur. The symmetries hold exactly in the mathematics, so verdict and slack
+must agree up to the solver's accuracy. Every verdict's witness or dual
+certificate is re-checked with numpy alone, independently of the package.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choimarg import marginals as mg
-from choimarg.channels import Channel
+from choimarg.channels import Channel, depolarizing_channel, identity_channel
 from choimarg.linalg import kron
 from choimarg.sampling import random_channel, random_unitary
 
@@ -56,3 +57,50 @@ def test_compatibility_invariant_under_local_output_unitaries(seed):
         mg.channels_compatible(a, b),
         mg.channels_compatible(conjugate_output(a, u), conjugate_output(b, v)),
     )
+
+
+def joint_marginals(joint):
+    """Tr_2 and Tr_1 of a joint Choi matrix on (out_1, out_2, in), all qutrits."""
+    t = joint.reshape((3,) * 6)
+    return np.einsum("ijkljn->ikln", t).reshape(9, 9), np.einsum("ijkimn->jkmn", t).reshape(9, 9)
+
+
+def cone_matrix(a, b):
+    """lift(A) + 1 (x) B: A on factors (1, 3) and B on factors (2, 3) of (out_1, out_2, in)."""
+    eye = np.eye(3)
+    lifted = np.einsum("ikln,jm->ijklmn", a.reshape((3,) * 4), eye) + np.einsum(
+        "jkmn,il->ijklmn", b.reshape((3,) * 4), eye
+    )
+    return lifted.reshape(27, 27)
+
+
+def assert_certified(a, b):
+    """Decide (a, b) and re-check its witness or certificate; return the verdict."""
+    rep = mg.channels_compatible(a, b)
+    assert rep.verdict in (mg.COMPATIBLE, mg.INCOMPATIBLE)
+    if rep.verdict == mg.COMPATIBLE:
+        joint = rep.joint_choi.choi
+        assert np.linalg.eigvalsh(joint)[0] >= -1e-8
+        m1, m2 = joint_marginals(joint)
+        assert np.max(np.abs(m1 - a.choi)) <= 1e-6
+        assert np.max(np.abs(m2 - b.choi)) <= 1e-6
+    else:
+        wa, wb = rep.dual_witness
+        assert np.linalg.eigvalsh(cone_matrix(wa, wb))[0] >= -1e-8
+        value = np.trace(a.choi @ wa).real + np.trace(b.choi @ wb).real
+        assert value < 0
+        assert abs(value - rep.dual_value) <= 1e-8
+    return rep.verdict
+
+
+@qutrit_pairs
+@given(seeds)
+def test_every_verdict_has_an_independently_valid_certificate(seed):
+    # besides the random pair, the identity channel is compatible only with
+    # constant channels and the fully depolarizing channel with every channel,
+    # so both kinds of certificate are checked on every example
+    rng = np.random.default_rng(seed)
+    a, b = noisy_qutrit_channel(rng), noisy_qutrit_channel(rng)
+    assert_certified(a, b)
+    assert assert_certified(a, identity_channel(3)) == mg.INCOMPATIBLE
+    assert assert_certified(a, depolarizing_channel(3)) == mg.COMPATIBLE

@@ -3,7 +3,7 @@ import pytest
 
 from choimarg import sdp
 from choimarg.config import DEFAULT
-from choimarg.linalg import hermitian_basis, realify
+from choimarg.linalg import hermitian_basis
 from choimarg import marginals as mg
 from choimarg.channels import depolarizing_channel, identity_channel
 from choimarg.marginals import MarginalSpec
@@ -75,6 +75,20 @@ class TestSolve:
         z = sol.dual[0] * a1 + sol.dual[1] * a2 - p.objective[0]
         assert np.linalg.eigvalsh(z)[0] >= -1e-7
 
+    def test_complex_objective(self):
+        # max <sigma_y, X> s.t. Tr X = 1 is the top eigenvalue 1, at X = (1 + sigma_y) / 2
+        p = sdp.SdpProblem(
+            block_dims=(2,),
+            objective=(SY,),
+            constraints=(((np.eye(2),), 1.0),),
+            sense="max",
+        )
+        sol = sdp.solve(p)
+        assert sol.status == "optimal"
+        assert abs(sol.primal_objective - 1.0) < 1e-6
+        assert abs(sol.dual_objective - 1.0) < 1e-6
+        assert np.max(np.abs(sol.blocks[0] - (np.eye(2) + SY) / 2)) < 1e-5
+
     def test_determinism(self):
         p = sdp.SdpProblem(
             block_dims=(2,),
@@ -134,35 +148,40 @@ class TestSolve:
 
 class TestSchurKernel:
     def test_matches_kronecker_formula(self):
-        # S_ij = sum_b vec(A_i)^T (X_b (x) Z_b^-1) vec(A_j), with column-stacking vec
+        # S_ij = sum_b Re vec(A_i)^H (X_b^T (x) Z_b^-1) vec(A_j), with column-stacking
+        # vec, on real symmetric and on complex Hermitian blocks
         rng = np.random.default_rng(7)
         dims, m = (3, 4), 7
 
-        def sym(g):
-            return (g + g.T) / 2
-
-        def spd(d):
-            g = rng.standard_normal((d, d))
-            return sym(g @ g.T + d * np.eye(d))
-
-        a = [np.array([sym(rng.standard_normal((d, d))) for _ in range(m)]) for d in dims]
-        xs = [spd(d) for d in dims]
-        zinvs = [sym(np.linalg.inv(spd(d))) for d in dims]
-        cores = [sym(rng.standard_normal((d, d))) for d in dims]
-        schur, rhs = sdp._schur_rhs([ab.reshape(m, -1) for ab in a], zinvs, xs, cores)
+        def herm(g):
+            return (g + g.conj().T) / 2
 
         def vec(mat):
             return mat.reshape(-1, order="F")
 
-        expected = sum(
-            np.array([[vec(ai) @ np.kron(x, zinv) @ vec(aj) for aj in ab] for ai in ab])
-            for ab, x, zinv in zip(a, xs, zinvs)
-        )
-        expected_rhs = sum(
-            np.array([np.trace(ai @ core) for ai in ab]) for ab, core in zip(a, cores)
-        )
-        np.testing.assert_allclose(schur, expected, rtol=1e-12)
-        np.testing.assert_allclose(rhs, expected_rhs, rtol=1e-12)
+        def gauss(d, imag):
+            return rng.standard_normal((d, d)) + imag * 1j * rng.standard_normal((d, d))
+
+        def hpd(d, imag):
+            g = gauss(d, imag)
+            return herm(g @ g.conj().T + d * np.eye(d))
+
+        for imag in (0.0, 1.0):
+            a = [np.array([herm(gauss(d, imag)) for _ in range(m)]) for d in dims]
+            xs = [hpd(d, imag) for d in dims]
+            zinvs = [herm(np.linalg.inv(hpd(d, imag))) for d in dims]
+            cores = [herm(gauss(d, imag)) for d in dims]
+            schur, rhs = sdp._schur_rhs([ab.reshape(m, -1) for ab in a], zinvs, xs, cores)
+
+            expected = sum(
+                np.array([[vec(ai).conj() @ np.kron(x.T, zinv) @ vec(aj) for aj in ab] for ai in ab])
+                for ab, x, zinv in zip(a, xs, zinvs)
+            ).real
+            expected_rhs = sum(
+                np.array([np.trace(ai @ core) for ai in ab]) for ab, core in zip(a, cores)
+            ).real
+            np.testing.assert_allclose(schur, expected, rtol=1e-12)
+            np.testing.assert_allclose(rhs, expected_rhs, rtol=1e-12)
 
 
 class TestFeasibility:
@@ -249,7 +268,7 @@ class TestFeasibility:
 
 
 class TestRealificationConsistency:
-    """Hand-built Hermitian instances with known verdicts, solved via realify."""
+    """Hand-built Hermitian instances with known verdicts, solved on complex blocks."""
 
     FEASIBLE_CASES = [
         [(np.eye(2), 1.0)],
@@ -277,12 +296,6 @@ class TestRealificationConsistency:
         d = rows[0][0].shape[0]
         rep = feasibility(d, herm_rows(d, rows))
         assert rep.status == sdp.INFEASIBLE
-
-    def test_realified_psd_iff_hermitian_psd(self, rng):
-        for _ in range(5):
-            h = random_hermitian(rng, 3)
-            psd = np.linalg.eigvalsh(h)[0] >= -1e-12
-            assert (np.linalg.eigvalsh(realify(h))[0] >= -1e-12) == psd
 
 
 class TestWitnessAudit:
