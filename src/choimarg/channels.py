@@ -17,6 +17,7 @@ in the same computational basis the Choi matrix is built in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from .config import DEFAULT, Tolerances
 from .linalg import (
     check_density,
     check_effect,
+    check_finite,
     check_hermitian,
     check_shape,
     check_unitary,
@@ -33,7 +35,6 @@ from .linalg import (
     kron,
     min_eigenvalue,
     partial_trace,
-    permute_factors,
 )
 
 __all__ = [
@@ -59,7 +60,9 @@ __all__ = [
 class Channel:
     """A completely positive trace-preserving map stored as its Choi matrix.
 
-    Immutable after validation; safe to share between threads.
+    ``Channel(...)`` validates the Choi matrix in full; ``choi_from_kraus`` and
+    ``tensor`` skip that check, their results being CPTP by construction.
+    Immutable; safe to share between threads.
     """
 
     in_dim: int
@@ -83,9 +86,24 @@ class Channel:
             raise ValueError(f"channel is not trace preserving: output marginal deviates by {dev:.3e}")
         object.__setattr__(self, "choi", frozen(choi))
 
+    @classmethod
+    def _trusted(cls, in_dim: int, out_dims: tuple[int, ...], choi: np.ndarray) -> Channel:
+        """A channel whose Choi matrix is CPTP by construction; runs no checks.
+
+        Only for Hermitian complex arrays that no caller can write to afterwards,
+        built from validated inputs (Kraus operators, tensor factors).
+        """
+        c = object.__new__(cls)
+        choi.setflags(write=False)
+        object.__setattr__(c, "in_dim", in_dim)
+        object.__setattr__(c, "out_dims", out_dims)
+        object.__setattr__(c, "choi", choi)
+        object.__setattr__(c, "tol", DEFAULT)
+        return c
+
     @property
     def out_dim(self) -> int:
-        return int(np.prod(self.out_dims))
+        return math.prod(self.out_dims)
 
 
 def choi_from_kraus(
@@ -94,7 +112,7 @@ def choi_from_kraus(
     out_dim: int | None = None,
 ) -> Channel:
     """Channel from Kraus operators K_k, validating sum_k K_k^dagger K_k = 1."""
-    ops = [np.asarray(k, dtype=complex) for k in kraus]
+    ops = [check_finite(k) for k in kraus]
     if not ops:
         raise ValueError("at least one Kraus operator is required")
     r, c = ops[0].shape
@@ -112,7 +130,7 @@ def choi_from_kraus(
     for k in ops:
         v = k.reshape(-1)
         choi += np.outer(v, v.conj())
-    return Channel(in_dim=in_dim, out_dims=(out_dim,), choi=choi)
+    return Channel._trusted(in_dim, (out_dim,), choi)
 
 
 def identity_channel(d: int) -> Channel:
@@ -172,6 +190,11 @@ def apply(c: Channel, rho: np.ndarray) -> np.ndarray:
     rho = check_density(rho)
     if rho.shape[0] != c.in_dim:
         raise ValueError(f"state dimension {rho.shape[0]} != channel input {c.in_dim}")
+    return _apply(c, rho)
+
+
+def _apply(c: Channel, rho: np.ndarray) -> np.ndarray:
+    """``apply`` for a density matrix already validated against ``c.in_dim``."""
     d_out, d_in = c.out_dim, c.in_dim
     c4 = c.choi.reshape(d_out, d_in, d_out, d_in)
     out = np.einsum("aibj,ij->ab", c4, rho)
@@ -179,13 +202,18 @@ def apply(c: Channel, rho: np.ndarray) -> np.ndarray:
 
 
 def tensor(c1: Channel, c2: Channel) -> Channel:
-    """Tensor product channel, Choi factors reordered to (outputs..., input)."""
-    k = kron(c1.choi, c2.choi)
-    n1, n2 = len(c1.out_dims), len(c2.out_dims)
-    dims = c1.out_dims + (c1.in_dim,) + c2.out_dims + (c2.in_dim,)
-    order = list(range(n1)) + [n1 + 1 + j for j in range(n2)] + [n1, n1 + 1 + n2]
-    choi = permute_factors(k, dims, order)
-    return Channel(in_dim=c1.in_dim * c2.in_dim, out_dims=c1.out_dims + c2.out_dims, choi=choi)
+    """Tensor product channel, Choi factors reordered to (outputs..., input).
+
+    The product of two CPTP maps is CPTP, so the result is not re-validated:
+    its marginal may deviate from the identity by the sum of the factors'
+    deviations, which each factor's own validation bounds.
+    """
+    o1, i1, o2, i2 = c1.out_dim, c1.in_dim, c2.out_dim, c2.in_dim
+    # axes (a, i, b, j, c, k, d, l) of C1[ai, bj] C2[ck, dl] -> rows (a c i k), columns (b d j l)
+    t = np.multiply.outer(c1.choi.reshape(o1, i1, o1, i1), c2.choi.reshape(o2, i2, o2, i2))
+    d = o1 * o2 * i1 * i2
+    choi = t.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(d, d)
+    return Channel._trusted(i1 * i2, c1.out_dims + c2.out_dims, choi)
 
 
 def adjoint_effect(c: Channel, e: np.ndarray) -> np.ndarray:

@@ -23,11 +23,12 @@ for the channel-application path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, apply, max_entangled, tensor, unitary_channel
-from .linalg import check_effect, check_hermitian, check_unitary, frozen
+from .channels import Channel, _apply, max_entangled, tensor, unitary_channel
+from .linalg import check_density, check_effect, check_hermitian, check_unitary, frozen
 
 __all__ = [
     "CorrelationReport",
@@ -82,15 +83,36 @@ def _check_observable(a: np.ndarray, dim: int) -> np.ndarray:
     return a
 
 
+def _validated(rho: np.ndarray, obs: np.ndarray | None, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """rho and A (default parity) checked once, for joint output dimension ``dim``."""
+    rho = check_density(rho)
+    a = default_observable() if obs is None else obs
+    return rho, _check_observable(a, dim)
+
+
+def _correlation(ci: Channel, cj: Channel, rho: np.ndarray, a: np.ndarray) -> float:
+    """Tr((ci (x) cj)(rho) A) for a rho and A from ``_validated``."""
+    joint = tensor(ci, cj)
+    if joint.in_dim != rho.shape[0]:
+        raise ValueError(f"state dimension {rho.shape[0]} != joint channel input {joint.in_dim}")
+    if joint.out_dim != a.shape[0]:
+        raise ValueError(f"observable dimension {a.shape[0]} != joint output dimension {joint.out_dim}")
+    return float(np.real(np.trace(_apply(joint, rho) @ a)))
+
+
 def correlation(
     ci: Channel, cj: Channel, rho: np.ndarray, obs: np.ndarray | None = None
 ) -> float:
     """E(ci, cj) = Tr((ci (x) cj)(rho) A)."""
-    joint = tensor(ci, cj)
-    a = default_observable() if obs is None else obs
-    a = _check_observable(a, joint.out_dim)
-    out = apply(joint, rho)
-    return float(np.real(np.trace(out @ a)))
+    return _correlation(ci, cj, *_validated(rho, obs, ci.out_dim * cj.out_dim))
+
+
+def _chsh(
+    c11: Channel, c21: Channel, c12: Channel, c22: Channel, rho: np.ndarray, a: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The correlators E[i, j] and X for a rho and A from ``_validated``."""
+    e = np.array([[_correlation(ci, cj, rho, a) for cj in (c12, c22)] for ci in (c11, c21)])
+    return e, float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
 
 
 def chsh_value(
@@ -102,13 +124,7 @@ def chsh_value(
     obs: np.ndarray | None = None,
 ) -> CorrelationReport:
     """CHSH report for channel choices (c11, c21) on wing 1 and (c12, c22) on wing 2."""
-    e = np.array(
-        [
-            [correlation(c11, c12, rho, obs), correlation(c11, c22, rho, obs)],
-            [correlation(c21, c12, rho, obs), correlation(c21, c22, rho, obs)],
-        ]
-    )
-    x = float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
+    e, x = _chsh(c11, c21, c12, c22, *_validated(rho, obs, c11.out_dim * c12.out_dim))
     return CorrelationReport(
         correlations=e,
         value=x,
@@ -155,33 +171,31 @@ def closed_form_chsh(theta: float) -> float:
     return (4.0 * np.sqrt(theta) + 2.0 * theta - 2.0) / (1.0 + theta)
 
 
-def chsh_scan(theta_min: float, theta_max: float, steps: int) -> list[tuple[float, float]]:
+def chsh_scan(theta_min: float, theta_max: float, steps: int) -> np.ndarray:
     """Evaluate the CHSH value of the theta family on a uniform grid.
 
-    Each X is computed through the full channel-application path (tensor the
-    unitary channels, apply to the maximally entangled state, trace against
-    the observable), not from the closed form.
+    Returns a ``(steps, 2)`` float array of ``(theta, X)`` rows. Each X is
+    computed through the full channel-application path (tensor the unitary
+    channels, apply to the maximally entangled state, trace against the
+    observable), not from the closed form; it equals ``chsh_value`` of the
+    four unitary channels on ``max_entangled(2)`` exactly.
     """
     if not (0 <= theta_min < theta_max):
         raise ValueError(f"invalid scan range [{theta_min}, {theta_max}]")
     if steps < 2:
         raise ValueError("need at least two grid points")
-    rho = max_entangled(2)
-    rows = []
-    for theta in np.linspace(theta_min, theta_max, steps):
-        u1, u2, v1, v2 = theta_family(float(theta))
-        report = chsh_value(
-            unitary_channel(u1),
-            unitary_channel(u2),
-            unitary_channel(v1),
-            unitary_channel(v2),
-            rho,
-        )
-        rows.append((float(theta), report.value))
+    u1, u2, _v1, _v2 = theta_family(theta_min)
+    c11, c21 = unitary_channel(u1), unitary_channel(u2)
+    rho, a = _validated(max_entangled(2), None, 4)
+    rows = np.empty((steps, 2))
+    rows[:, 0] = np.linspace(theta_min, theta_max, steps)
+    for row in rows:
+        _u1, _u2, v1, v2 = theta_family(float(row[0]))
+        row[1] = _chsh(c11, c21, unitary_channel(v1), unitary_channel(v2), rho, a)[1]
     return rows
 
 
-def scan_to_csv(rows: list[tuple[float, float]]) -> str:
+def scan_to_csv(rows: np.ndarray | Sequence[tuple[float, float]]) -> str:
     """CSV with header ``theta,X``, 12 significant digits, decimal points."""
     lines = ["theta,X"]
     for theta, x in rows:

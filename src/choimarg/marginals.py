@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .channels import Channel, apply, identity_channel, tensor
+from .channels import Channel, _apply, identity_channel, tensor
 from .config import DEFAULT, Tolerances
 from .linalg import (
     check_density,
@@ -319,8 +319,8 @@ def state_steerable(
             f"state dimension {rho.shape[0]} is not a multiple of the channel input {d_a}"
         )
     ident = identity_channel(d_c)
-    t1 = apply(tensor(ident, c1), rho)
-    t2 = apply(tensor(ident, c2), rho)
+    t1 = _apply(tensor(ident, c1), rho)
+    t2 = _apply(tensor(ident, c2), rho)
     spec = MarginalSpec(
         dims=(d_c, c1.out_dim, c2.out_dim),
         targets=(((1, 2), t1), ((1, 3), t2)),
@@ -355,10 +355,10 @@ def bell_local(
             f"{c11.in_dim} * {c12.in_dim}"
         )
     targets = (
-        ((1, 3), apply(tensor(c11, c12), rho)),
-        ((1, 4), apply(tensor(c11, c22), rho)),
-        ((2, 3), apply(tensor(c21, c12), rho)),
-        ((2, 4), apply(tensor(c21, c22), rho)),
+        ((1, 3), _apply(tensor(c11, c12), rho)),
+        ((1, 4), _apply(tensor(c11, c22), rho)),
+        ((2, 3), _apply(tensor(c21, c12), rho)),
+        ((2, 4), _apply(tensor(c21, c22), rho)),
     )
     spec = MarginalSpec(
         dims=(c11.out_dim, c21.out_dim, c12.out_dim, c22.out_dim),

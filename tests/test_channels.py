@@ -45,6 +45,12 @@ class TestChoiFromKraus:
         with pytest.raises(ValueError, match="trace preserving"):
             ch.choi_from_kraus([np.diag([1.0, 0.5])])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # nan slips through the trace-preservation comparison (nan > tol is false)
+        with pytest.raises(ValueError, match="non-finite"):
+            ch.choi_from_kraus([np.array([[bad, 0.0], [0.0, 1.0]])])
+
 
 class TestChannelValidation:
     def test_accepts_valid_choi(self):
@@ -177,6 +183,21 @@ class TestTensor:
     def test_depolarizing_pair(self, rng):
         c = ch.tensor(ch.depolarizing_channel(2), ch.depolarizing_channel(2))
         assert np.allclose(ch.apply(c, random_density(4, rng)), np.eye(4) / 4)
+
+    def test_factors_at_the_edge_of_tolerance(self):
+        # each factor is trace preserving to 0.9e-9, within Channel's 1e-9;
+        # the product deviates by about their sum, which a re-check rejected
+        def marginal_deviation(c):
+            marg = partial_trace(c.choi, (c.out_dim, c.in_dim), {1})
+            return np.max(np.abs(marg - np.eye(c.in_dim)))
+
+        chois = [choi_of_identity(2), choi_of_identity(2)]
+        chois[0][0, 0] += 0.9e-9
+        chois[1][3, 3] += 0.9e-9
+        c1, c2 = (ch.Channel(in_dim=2, out_dims=(2,), choi=c) for c in chois)
+        joint = ch.tensor(c1, c2)
+        assert marginal_deviation(joint) > 1e-9
+        assert marginal_deviation(joint) <= marginal_deviation(c1) + marginal_deviation(c2) + 1e-15
 
     def test_marginal_consistency(self, rng):
         c1, c2 = random_channel(2, 2, rng), random_channel(2, 2, rng)

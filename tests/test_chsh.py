@@ -142,6 +142,7 @@ class TestScan:
 
     def test_first_row(self):
         rows = chsh.chsh_scan(1.0, 10.0, 10)
+        assert rows.shape == (10, 2) and rows.dtype == np.float64
         assert rows[0][0] == 1.0
         assert abs(rows[0][1] - 2.0) <= 1e-9
 
@@ -150,6 +151,30 @@ class TestScan:
         best_theta, best_x = max(rows, key=lambda r: r[1])
         assert abs(best_x - chsh.TSIRELSON_BOUND) <= 1e-4
         assert abs(best_theta - (3.0 + 2.0 * np.sqrt(2.0))) <= 2e-2
+
+    def test_rows_equal_chsh_value(self):
+        rows = chsh.chsh_scan(1.0, 10.0, 50)
+        for theta, x in rows[[0, 23, 49]]:
+            chans = [unitary_channel(u) for u in chsh.theta_family(float(theta))]
+            assert x == chsh.chsh_value(*chans, max_entangled(2)).value
+
+    def test_validation_does_not_grow_with_steps(self, monkeypatch):
+        # the state and the observable are validated once per scan; the
+        # channels built from unitaries are CPTP without an eigen-solve
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        counts = []
+        for steps in (10, 50):
+            calls.clear()
+            chsh.chsh_scan(1.0, 10.0, steps)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):

@@ -354,6 +354,14 @@ class TestBellLocal:
             with_id = mg.bell_local(rho, ident, *others)
             assert with_u.status == with_id.status
 
+    def test_channels_at_the_edge_of_tolerance(self):
+        # each channel is trace preserving to 0.9e-9; their tensor products
+        # deviate by 1.8e-9 and are decided, not rejected
+        bumped = identity_channel(2).choi.copy()
+        bumped[0, 0] += 0.9e-9
+        c = Channel(in_dim=2, out_dims=(2,), choi=bumped)
+        assert mg.bell_local(max_entangled(2), c, c, c, c).status == INFEASIBLE
+
     def test_dimension_mismatch(self):
         ident = identity_channel(2)
         with pytest.raises(ValueError, match="does not match"):

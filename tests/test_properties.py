@@ -3,8 +3,10 @@
 Each example draws two random channels of Kraus rank 1 to 3 from a seed and
 mixes each with a random amount of depolarizing noise, so both verdicts
 occur. The symmetries hold exactly in the mathematics, so verdict and slack
-must agree up to the solver's accuracy. Every verdict's witness or dual
-certificate is re-checked with numpy alone, independently of the package.
+must agree up to the solver's accuracy, and more depolarizing noise on one
+channel never makes a compatible pair incompatible. Every verdict's witness
+or dual certificate is re-checked with numpy alone, independently of the
+package.
 """
 
 import numpy as np
@@ -22,10 +24,15 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 qutrit_pairs = settings(max_examples=3, deadline=None, derandomize=True, database=None)
 
 
+def depolarize(c, p):
+    """The channel rho -> (1 - p) Phi(rho) + p Tr(rho) 1/d."""
+    mixed = np.eye(c.choi.shape[0]) / c.out_dim
+    return Channel(in_dim=c.in_dim, out_dims=c.out_dims, choi=(1.0 - p) * c.choi + p * mixed)
+
+
 def noisy_qutrit_channel(rng):
     c = random_channel(3, 3, rng, kraus_rank=int(rng.integers(1, 4)))
-    p = rng.uniform(0.0, 0.8)
-    return Channel(in_dim=3, out_dims=(3,), choi=(1.0 - p) * c.choi + p * np.eye(9) / 3)
+    return depolarize(c, rng.uniform(0.0, 0.8))
 
 
 def conjugate_output(c, u):
@@ -57,6 +64,20 @@ def test_compatibility_invariant_under_local_output_unitaries(seed):
         mg.channels_compatible(a, b),
         mg.channels_compatible(conjugate_output(a, u), conjugate_output(b, v)),
     )
+
+
+@qutrit_pairs
+@given(seeds)
+def test_extra_noise_never_breaks_compatibility(seed):
+    # the pair of depolarizing channels at p = 0.38 sits just above the qutrit
+    # cloning threshold 3/8, so the property is also checked near the boundary
+    rng = np.random.default_rng(seed)
+    a, b = noisy_qutrit_channel(rng), noisy_qutrit_channel(rng)
+    q = rng.uniform(0.0, 0.5)
+    cloning = depolarizing_channel(3, 0.38)
+    for x, y in ((a, b), (cloning, cloning)):
+        if mg.channels_compatible(x, y).verdict == mg.COMPATIBLE:
+            assert mg.channels_compatible(x, depolarize(y, q)).verdict == mg.COMPATIBLE
 
 
 def joint_marginals(joint):
