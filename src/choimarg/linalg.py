@@ -17,7 +17,6 @@ Dimensions beyond ~64 and sparse storage are out of scope.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -231,17 +230,17 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     return basis
 
 
-def hermitian_product_basis(dims: Sequence[int]) -> list[np.ndarray]:
+def hermitian_product_basis(dims: Sequence[int]) -> np.ndarray:
     """Orthonormal product basis of the Hermitian space on a tensor product.
 
-    Elements are Kronecker products of per-factor ``hermitian_basis`` elements
-    in lexicographic index order; deterministic for constraint assembly.
+    Element i of the returned (prod d^2, D, D) stack is the Kronecker product
+    of per-factor ``hermitian_basis`` elements, with i running over their
+    indices in lexicographic order; deterministic for constraint assembly.
     """
-    factor_bases = [hermitian_basis(int(d)) for d in dims]
-    out: list[np.ndarray] = []
-    for combo in product(*factor_bases):
-        m = combo[0]
-        for f in combo[1:]:
-            m = kron(m, f)
-        out.append(m)
+    out = np.ones((1, 1, 1), dtype=complex)
+    for d in dims:
+        f = np.array(hermitian_basis(int(d)))
+        out = np.einsum("iac,jbd->ijabcd", out, f).reshape(
+            len(out) * len(f), out.shape[1] * d, out.shape[2] * d
+        )
     return out

@@ -35,7 +35,6 @@ from .linalg import (
     check_density,
     check_effect,
     check_hermitian,
-    embed,
     frozen,
     hermitian_basis,
     hermitian_product_basis,
@@ -46,9 +45,10 @@ from .sdp import (
     FEASIBLE,
     INFEASIBLE,
     FeasibilityReport,
+    RowGroup,
     SdpError,
-    hermitian_feasibility,
-    witness_valid,
+    _group_feasibility,
+    _Rows,
 )
 
 __all__ = [
@@ -144,51 +144,47 @@ def _reduced(
     return partial_trace(target, [dims[k - 1] for k in kept], traced)
 
 
-def _target_rows(
-    spec: MarginalSpec,
-) -> tuple[list[tuple[tuple[np.ndarray], float]], list[tuple[int, np.ndarray]]]:
-    """Expand the targets in the identity-first product basis, each element once.
+def _target_rows(spec: MarginalSpec) -> list[RowGroup]:
+    """One row group per target: the identity-first product basis of its kept
+    factors, each lifted element once, with rhs P vec(target).
 
     A lifted element is keyed by its non-identity factors and their element
     indices; a key already produced by an earlier target is the same operator
     up to scale (the targets agree on shared marginals), so it is skipped.
-    The rows are pairwise orthogonal and the all-identity key is the single
-    normalization row.
-
-    Returns the rows and, per row, its owner: the index of the target that
-    produced it and the basis element on that target's kept factors.
+    The rows are pairwise orthogonal and the all-identity element is the
+    single normalization row (in the first target's group).
     """
-    rows: list[tuple[tuple[np.ndarray], float]] = []
-    owners: list[tuple[int, np.ndarray]] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
-    for owner, (kept, target) in enumerate(spec.targets):
+    groups = []
+    for kept, target in spec.targets:
         kept_dims = [spec.dims[k - 1] for k in kept]
-        indices = product(*(range(d * d) for d in kept_dims))
-        for idx, b in zip(indices, hermitian_product_basis(kept_dims)):
+        fresh = []
+        for pos, idx in enumerate(product(*(range(d * d) for d in kept_dims))):
             key = tuple((k, i) for k, i in zip(kept, idx) if i)
-            if key in seen:
-                continue
-            seen.add(key)
-            rhs = float(np.real(np.sum(np.conj(b) * target)))
-            rows.append(((embed(b, spec.dims, kept),), rhs))
-            owners.append((owner, b))
-    return rows, owners
+            if key not in seen:
+                seen.add(key)
+                fresh.append(pos)
+        coeffs = hermitian_product_basis(kept_dims).reshape(-1, target.size)[fresh]
+        rhs = coeffs.view(float) @ target.reshape(-1).view(float)
+        groups.append(RowGroup(((0, tuple(k - 1 for k in kept), coeffs),), rhs))
+    return groups
 
 
 def _decide(
     spec: MarginalSpec,
-    rows: list[tuple[tuple[np.ndarray], float]],
+    groups: list[RowGroup],
     tol: Tolerances,
     gap_tol: float | None,
     band: float | None,
 ) -> FeasibilityReport:
     """Solve the spec's rows; a feasible witness is rescaled to the exact trace."""
-    report = hermitian_feasibility((spec.total_dim,), rows, tol=tol, gap_tol=gap_tol, band=band)
+    factors = (spec.dims,)
+    report = _group_feasibility(factors, groups, tol=tol, gap_tol=gap_tol, band=band)
     if report.status == FEASIBLE and spec.normalization > 0:
         # rescale to the exact required trace (preserves positivity, moves the
         # marginal residuals by a relative ~1e-9)
         witness = report.witness * (spec.normalization / float(np.trace(report.witness).real))
-        if not witness_valid(rows, (witness,), tol):
+        if not _Rows(factors, groups).holds((witness,), tol):
             raise SdpError("rescaled witness failed independent validation")
         report = replace(report, witness=witness, blocks=(witness,))
     return report
@@ -202,8 +198,7 @@ def marginal_feasibility(
     band: float | None = None,
 ) -> FeasibilityReport:
     """Decide existence of a PSD operator with the prescribed marginals."""
-    rows, _owners = _target_rows(spec)
-    return _decide(spec, rows, tol, gap_tol, band)
+    return _decide(spec, _target_rows(spec), tol, gap_tol, band)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +235,18 @@ def _compat_spec(c1: Channel, c2: Channel) -> MarginalSpec:
     )
 
 
-def _assemble_dual_pair(
-    owners: list[tuple[int, np.ndarray]], report: FeasibilityReport
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Recombine the dual vector into one Hermitian matrix per target."""
+def _dual_per_target(
+    spec: MarginalSpec, groups: list[RowGroup], report: FeasibilityReport
+) -> list[np.ndarray] | None:
+    """Recombine the dual vector into one Hermitian matrix sum_p y_p B_p per target."""
     if report.dual_certificate is None:
         return None
-    y = report.dual_certificate
-    return tuple(sum(c * b for (owner, b), c in zip(owners, y) if owner == t) for t in (0, 1))
+    ends = np.cumsum([len(g.rhs) for g in groups])
+    return [
+        (report.dual_certificate[end - len(g.rhs):end] @ g.parts[0][2].view(float))
+        .view(complex).reshape(target.shape)
+        for g, end, (_, target) in zip(groups, ends, spec.targets)
+    ]
 
 
 def channels_compatible(
@@ -260,9 +259,9 @@ def channels_compatible(
 ) -> CompatReport:
     """Decide whether two channels admit a joint channel with both marginals."""
     spec = _compat_spec(c1, c2)
-    rows, owners = _target_rows(spec)
-    report = _decide(spec, rows, tol, gap_tol, band)
-    pair = _assemble_dual_pair(owners, report)
+    groups = _target_rows(spec)
+    report = _decide(spec, groups, tol, gap_tol, band)
+    pair = _dual_per_target(spec, groups, report)
     dual_value = None
     witness_pair = None
     if pair is not None:
@@ -281,7 +280,7 @@ def channels_compatible(
         dims = (c1.out_dim, c2.out_dim, c1.in_dim)
         defect = partial_trace(choi, dims, {1, 2}) - np.eye(c1.in_dim)
         choi = choi - kron(np.eye(c1.out_dim * c2.out_dim), defect) / (c1.out_dim * c2.out_dim)
-        if not witness_valid(rows, (choi,), tol):
+        if not _Rows((dims,), groups).holds((choi,), tol):
             raise SdpError("trace-preserving joint channel failed independent validation")
         joint = Channel(in_dim=c1.in_dim, out_dims=(c1.out_dim, c2.out_dim), choi=choi)
         return CompatReport(COMPATIBLE, report.slack, joint, witness_pair, dual_value, report)
@@ -393,13 +392,13 @@ def effects_compatible(
     if f.shape != g.shape:
         raise ValueError(f"effects have different dimensions {f.shape} != {g.shape}")
     d = f.shape[0]
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
-    rows = []
-    for b in hermitian_basis(d):
-        rows.append(((b, b, zero, zero), float(np.real(np.sum(np.conj(b) * f)))))
-    for b in hermitian_basis(d):
-        rows.append(((zero, zero, b, b), float(np.real(np.sum(np.conj(b) * (eye - f))))))
-    for b in hermitian_basis(d):
-        rows.append(((b, zero, b, zero), float(np.real(np.sum(np.conj(b) * g)))))
-    return hermitian_feasibility((d, d, d, d), rows, tol=tol, gap_tol=gap_tol, band=band)
+    basis = np.array(hermitian_basis(d)).reshape(d * d, d * d)
+
+    def group(blocks: tuple[int, int], target: np.ndarray) -> RowGroup:
+        return RowGroup(
+            tuple((b, (0,), basis) for b in blocks),
+            basis.view(float) @ np.ascontiguousarray(target).reshape(-1).view(float),
+        )
+
+    groups = (group((0, 1), f), group((2, 3), np.eye(d) - f), group((0, 2), g))
+    return _group_feasibility(((d,),) * 4, groups, tol=tol, gap_tol=gap_tol, band=band)

@@ -2,23 +2,32 @@
 
 The solver is a primal-dual path-following interior-point method with the
 HKM direction (linearize XZ = mu*1, take the Hermitian part of the X step),
-fixed centering sigma = 0.1, step fraction 0.98 to the cone boundary, and an
-iteration cap of 200. It works on complex Hermitian blocks directly, as SDPT3
+fixed centering sigma = 0.1, step fraction 0.98 to the cone boundary (halved
+while rounding leaves an iterate that is not numerically positive definite),
+and an iteration cap of 200. It works on complex Hermitian blocks directly, as SDPT3
 and SeDuMi do, and is written for the problem sizes of this package (block
-dimensions up to ~32, a few hundred constraint rows at most). It is
+dimensions up to ~81, a few hundred constraint rows at most). It is
 deterministic: fixed initialization, no randomized pivoting, no Mehrotra
 correction.
 
-Each block's constraint stack is flattened once into an (m, n_b^2) complex
-matrix. The inner product Re<A, X> = Re Tr(A^H X) is a real dot product of
-the interleaved real and imaginary parts, so A(X), A*(y) and the right-hand
-side are real matrix-vector products, and the Schur complement
-S_ij = sum_b Re Tr(A_i Z_b^-1 A_j X_b) is three GEMMs per block (see
-:func:`_schur_rhs`). An iteration costs O(m n^3 + m^2 n^2) in dense BLAS for
-m rows and block dimension n, plus the O(m^3) Cholesky factorization of S.
-Each step is also projected onto the primal equations with the rows' Gram
-matrix, factored once per solve, so rounding in the Schur solve cannot leave
-a primal residual that the path no longer reduces.
+Constraint rows come in row groups (:class:`RowGroup`): row p of a group is
+lift(B_p), a Hermitian element B_p on the kept factors K of a block with the
+identity on the other factors R, and the group stores vec(B_p) as row p of a
+coefficient matrix P. A marginal target is one group; dense rows are one
+group whose K is the whole block. A(X) is P applied to each group's partial
+trace Tr_R X, A*(y) one lift of y_g P per group, and the HKM Schur block of
+groups s and t is Re P_s T_st P_t^T, where T_st contracts Z^-1 and X over the
+factors outside K_s and K_t in one GEMM (see :meth:`_Rows.schur`). A pair
+costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) + m_s m_t d_Kt^2) instead of the
+O(m n^3 + m^2 n^2) of dense rows on a block of dimension n. Dense rows are
+themselves one group whose K is the whole block; their T_st is the outer
+product Z^-1 (x) X of n^4 entries, so dense rows suit small blocks. On one
+core of a 2-vCPU Xeon guest a qutrit compatibility decision (m = 153,
+n = 27) takes ~2.6 ms per iteration and a qutrit Bell decision (m = 289,
+n = 81) ~10 ms, the O(m^3) Cholesky factorization of S included. Each step
+is projected onto the primal equations with the rows' Gram matrix (the
+kernel at Z^-1 = X = 1), factored once per solve, so rounding in the Schur
+solve cannot leave a primal residual that the path no longer reduces.
 
 Problems are stated over Hermitian blocks, real input included::
 
@@ -38,7 +47,9 @@ nothing here prunes or probes them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import lru_cache
+from math import prod
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -72,13 +83,200 @@ class SdpError(RuntimeError):
     """Raised when the solver cannot certify a verdict."""
 
 
+def _herm(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2
+
+
+# ---------------------------------------------------------------------------
+# constraint rows as row groups
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RowGroup:
+    """Constraint rows that lift basis elements from the kept factors of blocks.
+
+    Row p reads sum over parts of Re<lift(B_p), X_b> = rhs[p]. A part
+    (b, kept, coeffs) touches block b: row p of the complex array coeffs is
+    vec(B_p), row-major, on the block's 0-based ``kept`` factors (ascending),
+    and lift places the identity on the block's other factors. A group has
+    at most one part per block.
+    """
+
+    parts: tuple[tuple[int, tuple[int, ...], np.ndarray], ...]
+    rhs: np.ndarray
+
+
+def _dense_group(dims: tuple[int, ...], rows: Sequence[tuple[Sequence[np.ndarray], float]]) -> RowGroup:
+    """Rows of per-block matrices as one group whose kept set is each whole block.
+
+    Each matrix is replaced by its Hermitian part. Raises ValueError on a
+    wrong count or shape of matrices, and names the row whose rhs or matrix
+    entries are not finite.
+    """
+    if not dims or any(d < 1 for d in dims):
+        raise ValueError(f"block dimensions must be positive, got {dims}")
+    if not rows:
+        raise ValueError("at least one constraint row is required")
+    coeffs = [np.empty((len(rows), d * d), dtype=complex) for d in dims]
+    rhs = np.empty(len(rows))
+    for i, (mats, value) in enumerate(rows):
+        if len(mats) != len(dims):
+            raise ValueError("each constraint needs one matrix per block")
+        for c, mat, d in zip(coeffs, mats, dims):
+            mat = np.asarray(mat, dtype=complex)
+            if mat.shape != (d, d):
+                raise ValueError(f"constraint block shape {mat.shape} != ({d}, {d})")
+            c[i] = _herm(mat).ravel()
+        rhs[i] = value
+        if not np.isfinite(rhs[i]):
+            raise ValueError(f"constraint row {i} has a non-finite rhs {value!r}")
+        if not all(np.all(np.isfinite(c[i])) for c in coeffs):
+            raise ValueError(f"constraint row {i} has non-finite matrix entries")
+    return RowGroup(tuple((b, (0,), c) for b, c in enumerate(coeffs)), rhs)
+
+
+class _Part(NamedTuple):
+    """One group's rows on one block; perm orders the block's axes as (kept
+    rows, kept columns, rest rows, rest columns), lift_perm is its inverse."""
+
+    block: int
+    rows: slice
+    split: tuple[int, ...]
+    perm: tuple[int, ...]
+    lift_split: tuple[int, ...]
+    lift_perm: tuple[int, ...]
+    d_kept: int
+    d_rest: int
+
+
+@lru_cache(maxsize=64)
+def _structure(
+    factors: tuple[tuple[int, ...], ...],
+    layout: tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...],
+) -> tuple[int, tuple[_Part, ...], tuple[tuple, ...]]:
+    """Row count, parts, and pairs (i, j, zperm, xperm) of parts on one block.
+
+    layout holds, per group, its row count and its (block, kept) parts.
+    """
+    parts, sets, start = [], [], 0
+    for m_g, touched in layout:
+        for block, kept in touched if m_g else ():
+            dims = factors[block]
+            nf = len(dims)
+            rest = tuple(f for f in range(nf) if f not in kept)
+            perm = kept + tuple(nf + k for k in kept) + rest + tuple(nf + r for r in rest)
+            split = dims + dims
+            parts.append(_Part(
+                block, slice(start, start + m_g), split, perm, tuple(split[p] for p in perm),
+                tuple(int(p) for p in np.argsort(perm)),
+                prod(dims[k] for k in kept), prod(dims[r] for r in rest),
+            ))
+            sets.append((nf, kept, rest))
+        start += m_g
+    pairs = []
+    for i, j in ((i, j) for i in range(len(parts)) for j in range(i, len(parts))):
+        if parts[i].block != parts[j].block:
+            continue
+        (nf, ks, rs), (_, kt, rt) = sets[i], sets[j]
+        # Z^-1 rows (b), columns (c); X rows (d), columns (a). lift(B_i) ties
+        # a = b outside K_s and lift(B_j) ties c = d outside K_t.
+        zperm = ks + tuple(nf + k for k in kt) + rs + tuple(nf + r for r in rt)
+        xperm = tuple(nf + r for r in rs) + rt + kt + tuple(nf + k for k in ks)
+        pairs.append((i, j, zperm, xperm))
+    return start, tuple(parts), tuple(pairs)
+
+
+class _Rows:
+    """The equality operator of a problem, applied through its row groups."""
+
+    def __init__(self, factors: Sequence[Sequence[int]], groups: Sequence[RowGroup]):
+        factors = tuple(tuple(int(d) for d in f) for f in factors)
+        layout = tuple(
+            (len(g.rhs), tuple((int(b), tuple(int(k) for k in kept)) for b, kept, _ in g.parts))
+            for g in groups
+        )
+        self.m, self.parts, self.pairs = _structure(factors, layout)
+        self.dims = tuple(prod(f) for f in factors)
+        self.coeffs = [
+            np.ascontiguousarray(c, dtype=complex) for g in groups if len(g.rhs) for _, _, c in g.parts
+        ]
+        self.rhs = np.concatenate([np.asarray(g.rhs, dtype=float) for g in groups])
+
+    def __call__(self, xs: Sequence[np.ndarray]) -> np.ndarray:
+        """A(X): each group's coefficients of its partial traces."""
+        out = np.zeros(self.m)
+        for part, c in zip(self.parts, self.coeffs):
+            kept = (
+                np.asarray(xs[part.block], dtype=complex).reshape(part.split).transpose(part.perm)
+                .reshape(part.d_kept ** 2, part.d_rest ** 2)[:, :: part.d_rest + 1].sum(axis=1)
+            )
+            # Re<B, Tr_R X> as a real dot product over interleaved real and imaginary parts
+            out[part.rows] += c.view(float) @ kept.view(float)
+        return out
+
+    def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
+        """A*(y): per block, the lifts of y_g P over the groups touching it."""
+        out = [np.zeros((d, d), dtype=complex) for d in self.dims]
+        for part, c in zip(self.parts, self.coeffs):
+            mat = (y[part.rows] @ c.view(float)).view(complex).reshape(part.d_kept, part.d_kept)
+            lifted = np.multiply.outer(mat, np.eye(part.d_rest)).reshape(part.lift_split)
+            out[part.block] += lifted.transpose(part.lift_perm).reshape(out[part.block].shape)
+        return out
+
+    def free_coeffs(self) -> np.ndarray:
+        """Tr lift(B_p) = d_rest Tr B_p, summed over a row's parts."""
+        out = np.zeros(self.m)
+        for part, c in zip(self.parts, self.coeffs):
+            out[part.rows] += part.d_rest * c[:, :: part.d_kept + 1].sum(axis=1).real
+        return out
+
+    def schur(self, zinvs: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> np.ndarray:
+        """HKM Schur complement S_ij = sum_b Re Tr(A_i Z_b^-1 A_j X_b).
+
+        For parts s, t on one block, T_st[(a,b),(c,d)] = sum Z^-1[b,c] X[d,a]
+        over the factors outside K_s (where a = b) and outside K_t (where
+        c = d) is one GEMM, and the block is Re P_s T_st P_t^T. On whole
+        blocks the sum is empty and T_st is the outer product Z^-1 (x) X.
+        """
+        schur = np.zeros((self.m, self.m))
+        for i, j, zperm, xperm in self.pairs:
+            s, t = self.parts[i], self.parts[j]
+            p, q = self.coeffs[i], self.coeffs[j]
+            ks, kt, inner = s.d_kept, t.d_kept, s.d_rest * t.d_rest
+            g = (
+                zinvs[s.block].reshape(s.split).transpose(zperm).reshape(ks * kt, inner)
+                @ xs[s.block].reshape(s.split).transpose(xperm).reshape(inner, kt * ks)
+            )
+            tst = g.reshape(ks, kt, kt, ks).transpose(3, 0, 1, 2).reshape(ks * ks, kt * kt)
+            # Re(u . v) = Re<conj u, v>, a real dot product over interleaved parts
+            block = (p @ tst).conj().view(float) @ q.view(float).T
+            schur[s.rows, t.rows] += block
+            if i != j:
+                schur[t.rows, s.rows] += block.T
+        return (schur + schur.T) / 2
+
+    def holds(self, blocks: Sequence[np.ndarray], tol: Tolerances) -> bool:
+        """Every row holds to tol.witness_residual and every block is PSD to -tol.witness_psd."""
+        if float(np.max(np.abs(self(blocks) - self.rhs))) > tol.witness_residual:
+            return False
+        return all(float(np.linalg.eigvalsh(x)[0]) >= -tol.witness_psd for x in blocks)
+
+
+# ---------------------------------------------------------------------------
+# the interior-point method
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """Block-diagonal SDP with affine equality constraints.
 
     constraints: list of (per-block Hermitian matrices, rhs). A problem may
     carry one free scalar variable; ``free_coeffs`` holds its per-constraint
-    coefficients and ``free_objective`` its objective coefficient.
+    coefficients and ``free_objective`` its objective coefficient. The rows
+    are converted to one row group on construction; a non-finite rhs, matrix
+    entry or free coefficient raises ValueError naming its row.
     """
 
     block_dims: tuple[int, ...]
@@ -87,30 +285,26 @@ class SdpProblem:
     sense: str = "max"
     free_objective: float | None = None
     free_coeffs: tuple[float, ...] | None = None
+    _group: RowGroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sense not in ("max", "min"):
             raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
         dims = tuple(int(d) for d in self.block_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"block dimensions must be positive, got {dims}")
         object.__setattr__(self, "block_dims", dims)
-        if not self.constraints:
-            raise ValueError("at least one constraint row is required")
-        for mats, _rhs in self.constraints:
-            if len(mats) != len(dims):
-                raise ValueError("each constraint needs one matrix per block")
-            for m, d in zip(mats, dims):
-                if np.asarray(m).shape != (d, d):
-                    raise ValueError(f"constraint block shape {np.asarray(m).shape} != ({d}, {d})")
+        object.__setattr__(self, "_group", _dense_group(dims, self.constraints))
         if self.objective is not None:
             for m, d in zip(self.objective, dims):
                 if np.asarray(m).shape != (d, d):
                     raise ValueError(f"objective block shape {np.asarray(m).shape} != ({d}, {d})")
         if (self.free_objective is None) != (self.free_coeffs is None):
             raise ValueError("free_objective and free_coeffs must be given together")
-        if self.free_coeffs is not None and len(self.free_coeffs) != len(self.constraints):
-            raise ValueError("free_coeffs length must match the number of constraints")
+        if self.free_coeffs is not None:
+            if len(self.free_coeffs) != len(self.constraints):
+                raise ValueError("free_coeffs length must match the number of constraints")
+            for i, a in enumerate(self.free_coeffs):
+                if not np.isfinite(a):
+                    raise ValueError(f"constraint row {i} has a non-finite free coefficient {a!r}")
 
 
 @dataclass(frozen=True)
@@ -128,13 +322,8 @@ class SdpSolution:
     history: tuple[dict, ...] = field(default=(), repr=False)
 
 
-def _herm(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
-
-
-def _step_to_boundary(s: np.ndarray, ds: np.ndarray) -> float:
-    """sup { a >= 0 : s + a*ds >= 0 } for s > 0 Hermitian."""
-    l = np.linalg.cholesky(s)
+def _step_to_boundary(l: np.ndarray, ds: np.ndarray) -> float:
+    """sup { a >= 0 : s + a*ds >= 0 } for s = l l^H > 0 Hermitian."""
     w = np.linalg.solve(l, np.linalg.solve(l, ds).conj().T)
     lam = np.linalg.eigvalsh(_herm(w))[0]
     if lam >= 0:
@@ -142,31 +331,22 @@ def _step_to_boundary(s: np.ndarray, ds: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def _schur_rhs(
-    a_flat: Sequence[np.ndarray],
-    zinvs: Sequence[np.ndarray],
-    xs: Sequence[np.ndarray],
-    cores: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """HKM Schur complement and the constraint image of the rhs cores.
+def _advance(
+    blocks: list[np.ndarray], steps: list[np.ndarray], alpha: float
+) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+    """The blocks moved by alpha * steps, their Cholesky factors and the alpha taken.
 
-    a_flat[b] holds block b's Hermitian constraint matrices as complex rows of
-    shape (m, d_b^2). Returns S with S_ij = sum_b Re Tr(A_i Z_b^-1 A_j X_b)
-    and r with r_i = sum_b Re<A_i, core_b>. The m matrices are multiplied as
-    one stacked (m d_b, d_b) operand rather than as a batch of m small
-    products, which multithreaded BLAS runs several times slower.
+    Near the cone boundary, rounding can leave a block that is not numerically
+    positive definite after a step that stays inside in exact arithmetic; alpha
+    is then halved. Raises LinAlgError when 30 halvings do not suffice.
     """
-    m = a_flat[0].shape[0]
-    schur = np.zeros((m, m))
-    rhs = np.zeros(m)
-    for a, zinv, x, core in zip(a_flat, zinvs, xs, cores):
-        d = x.shape[0]
-        rows = a.reshape(m * d, d)
-        # (A_i Z^-1)^H = Z^-1 A_i, so S_ij = Re<Z^-1 A_i, A_j X>
-        za = (rows @ zinv).reshape(m, d, d).transpose(0, 2, 1).reshape(m, -1).conj()
-        schur += za.view(float) @ (rows @ x).reshape(m, -1).view(float).T
-        rhs += a.view(float) @ core.ravel().view(float)
-    return _herm(schur), rhs
+    for _ in range(30):
+        moved = [_herm(b + alpha * d) for b, d in zip(blocks, steps)]
+        try:
+            return moved, [np.linalg.cholesky(x) for x in moved], alpha
+        except np.linalg.LinAlgError:
+            alpha /= 2
+    raise np.linalg.LinAlgError("no step length keeps the iterate positive definite")
 
 
 def solve(
@@ -185,30 +365,54 @@ def solve(
     the total block trace. Nothing is pruned, so the returned dual vector is
     indexed by the rows as given. An inconsistent equality system never
     reaches the residual test and ends with a non-optimal status. The
-    returned blocks are complex, also for real input.
+    returned blocks are complex, also for real input. Raises ValueError
+    unless init_scale, the first X = init_scale * 1, is finite and positive.
     """
+    if not (np.isfinite(init_scale) and init_scale > 0):
+        raise ValueError(f"init_scale must be finite and positive, got {init_scale!r}")
     dims = problem.block_dims
-    nb = len(dims)
-    sign = 1.0 if problem.sense == "max" else -1.0
-    cs = [
-        sign * _herm(np.asarray(c, dtype=complex))
-        for c in (problem.objective or [np.zeros((d, d)) for d in dims])
-    ]
-    m = len(problem.constraints)
-    a_flat = [
-        np.stack([_herm(np.asarray(row[0][b], dtype=complex)) for row in problem.constraints])
-        .reshape(m, -1)
-        for b in range(nb)
-    ]
-    # Re<A, X> as a real dot product over interleaved real and imaginary parts
-    a_real = [a.view(float) for a in a_flat]
-    b = np.array([row[1] for row in problem.constraints], dtype=float)
     has_free = problem.free_coeffs is not None
-    a_free = np.asarray(problem.free_coeffs, dtype=float) if has_free else np.zeros(m)
-    c_free = sign * float(problem.free_objective) if has_free else 0.0
+    return _ipm(
+        _Rows(tuple((d,) for d in dims), (problem._group,)),
+        problem.objective or [np.zeros((d, d)) for d in dims],
+        np.asarray(problem.free_coeffs, dtype=float) if has_free else None,
+        float(problem.free_objective) if has_free else 0.0,
+        1.0 if problem.sense == "max" else -1.0,
+        gap_tol=gap_tol,
+        feas_tol=feas_tol,
+        max_iterations=max_iterations,
+        init_scale=init_scale,
+        debug=debug,
+    )
+
+
+def _ipm(
+    rows: _Rows,
+    objective: Sequence[np.ndarray],
+    a_free: np.ndarray | None,
+    c_free: float,
+    sign: float,
+    *,
+    gap_tol: float,
+    feas_tol: float,
+    max_iterations: int,
+    init_scale: float,
+    debug: bool,
+) -> SdpSolution:
+    """The IPM of :func:`solve` on row groups; a_free None means no free scalar."""
+    dims = rows.dims
+    m = rows.m
+    b = rows.rhs
+    cs = [sign * _herm(np.asarray(c, dtype=complex)) for c in objective]
+    c_free = sign * c_free
+    has_free = a_free is not None
+    if not has_free:
+        a_free = np.zeros(m)
 
     xs = [init_scale * np.eye(d, dtype=complex) for d in dims]
     zs = [np.eye(d, dtype=complex) for d in dims]
+    lxs = [np.linalg.cholesky(x) for x in xs]
+    lzs = [np.linalg.cholesky(z) for z in zs]
     y = np.zeros(m)
     t = 0.0
     n_total = sum(dims)
@@ -219,15 +423,10 @@ def solve(
     pinf = dinf = relgap = np.inf
     primal = dual = 0.0
 
-    def operator(xs_cur: list[np.ndarray]) -> np.ndarray:
-        return sum(a_real[b_] @ xs_cur[b_].ravel().view(float) for b_ in range(nb))
-
-    def adjoint(y_cur: np.ndarray, b_: int) -> np.ndarray:
-        return (y_cur @ a_real[b_]).view(complex).reshape(dims[b_], dims[b_])
-
     # Gram matrix of the rows with their free-scalar coefficients, regularised
     # as the Schur complement is: it projects each step onto the primal equations
-    gram = sum(a @ a.T for a in a_real) + np.outer(a_free, a_free)
+    eyes = [np.eye(d, dtype=complex) for d in dims]
+    gram = rows.schur(eyes, eyes) + np.outer(a_free, a_free)
     try:
         gram_cho = scipy.linalg.cho_factor(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
     except np.linalg.LinAlgError:
@@ -235,28 +434,22 @@ def solve(
         max_iterations, status = 0, NUMERICAL_FAILURE
 
     for it in range(1, max_iterations + 1):
-        try:
-            zinvs = []
-            for z in zs:
-                l = np.linalg.cholesky(z)
-                linv = scipy.linalg.solve_triangular(l, np.eye(z.shape[0]), lower=True)
-                zinvs.append(linv.conj().T @ linv)
-        except np.linalg.LinAlgError:
-            status = NUMERICAL_FAILURE
-            break
+        zinvs = []
+        for l in lzs:
+            linv = scipy.linalg.solve_triangular(l, np.eye(l.shape[0]), lower=True)
+            zinvs.append(linv.conj().T @ linv)
 
         mu = sum(np.vdot(z, x).real for x, z in zip(xs, zs)) / n_total
         target = sigma * mu
-        r_p = b - operator(xs) - a_free * t
-        r_ds = [cs[b_] + zs[b_] - adjoint(y, b_) for b_ in range(nb)]
+        r_p = b - rows(xs) - a_free * t
+        r_ds = [c + z - aty for c, z, aty in zip(cs, zs, rows.adjoint(y))]
         r_f = c_free - float(a_free @ y) if has_free else 0.0
 
         cores = [
-            target * zinvs[b_] - xs[b_] + _herm(zinvs[b_] @ r_ds[b_] @ xs[b_])
-            for b_ in range(nb)
+            target * zinv - x + _herm(zinv @ r_d @ x) for zinv, x, r_d in zip(zinvs, xs, r_ds)
         ]
-        schur, rhs = _schur_rhs(a_flat, zinvs, xs, cores)
-        rhs -= r_p
+        schur = rows.schur(zinvs, xs)
+        rhs = rows(cores) - r_p
 
         try:
             cho = scipy.linalg.cho_factor(schur + 1e-14 * np.trace(schur) / m * np.eye(m))
@@ -276,35 +469,34 @@ def solve(
             status = NUMERICAL_FAILURE
             break
 
-        dzs = [adjoint(dy, b_) - r_ds[b_] for b_ in range(nb)]
+        dzs = [atdy - r_d for atdy, r_d in zip(rows.adjoint(dy), r_ds)]
         dxs = [
-            target * zinvs[b_] - xs[b_] - _herm(zinvs[b_] @ dzs[b_] @ xs[b_])
-            for b_ in range(nb)
+            target * zinv - x - _herm(zinv @ dz @ x) for zinv, x, dz in zip(zinvs, xs, dzs)
         ]
-        correction = scipy.linalg.cho_solve(gram_cho, r_p - operator(dxs) - a_free * dt)
-        dxs = [dx + adjoint(correction, b_) for b_, dx in enumerate(dxs)]
+        correction = scipy.linalg.cho_solve(gram_cho, r_p - rows(dxs) - a_free * dt)
+        dxs = [dx + atc for dx, atc in zip(dxs, rows.adjoint(correction))]
         dt += float(a_free @ correction)
 
         try:
-            alpha_p = min([1.0] + [0.98 * _step_to_boundary(xs[b_], dxs[b_]) for b_ in range(nb)])
-            alpha_d = min([1.0] + [0.98 * _step_to_boundary(zs[b_], dzs[b_]) for b_ in range(nb)])
+            alpha_p = min([1.0] + [0.98 * _step_to_boundary(l, dx) for l, dx in zip(lxs, dxs)])
+            alpha_d = min([1.0] + [0.98 * _step_to_boundary(l, dz) for l, dz in zip(lzs, dzs)])
+            if alpha_p <= 0 or alpha_d <= 0:
+                status = NUMERICAL_FAILURE
+                break
+            moved = _advance(xs, dxs, alpha_p), _advance(zs, dzs, alpha_d)
         except np.linalg.LinAlgError:
             status = NUMERICAL_FAILURE
             break
-        if alpha_p <= 0 or alpha_d <= 0:
-            status = NUMERICAL_FAILURE
-            break
-        xs = [_herm(x + alpha_p * dx) for x, dx in zip(xs, dxs)]
-        zs = [_herm(z + alpha_d * dz) for z, dz in zip(zs, dzs)]
+        (xs, lxs, alpha_p), (zs, lzs, alpha_d) = moved
         y = y + alpha_d * dy
         t = t + alpha_p * dt
 
         primal = sum(np.vdot(c, x).real for c, x in zip(cs, xs)) + c_free * t
         dual = float(b @ y)
-        r_p = b - operator(xs) - a_free * t
+        r_p = b - rows(xs) - a_free * t
         pinf = float(np.linalg.norm(r_p)) / (1.0 + float(np.linalg.norm(b)))
         dinf = max(
-            float(np.max(np.abs(cs[b_] + zs[b_] - adjoint(y, b_)))) for b_ in range(nb)
+            float(np.max(np.abs(c + z - aty))) for c, z, aty in zip(cs, zs, rows.adjoint(y))
         )
         if has_free:
             dinf = max(dinf, abs(c_free - float(a_free @ y)))
@@ -380,17 +572,13 @@ def witness_valid(
     blocks: Sequence[np.ndarray],
     tol: Tolerances,
 ) -> bool:
-    """Independent check of a witness against the rows it must satisfy.
+    """Independent check of a witness: every row holds to ``tol.witness_residual``
+    and every block's minimum eigenvalue is at least ``-tol.witness_psd``.
 
-    True when every row holds to ``tol.witness_residual`` and every block's
-    minimum eigenvalue is at least ``-tol.witness_psd``. Run it after the last
-    change made to a witness.
+    Run it after the last change made to a witness.
     """
-    for mats, rhs in rows:
-        val = sum(float(np.real(np.sum(np.conj(h) * x))) for h, x in zip(mats, blocks))
-        if abs(val - rhs) > tol.witness_residual:
-            return False
-    return all(float(np.linalg.eigvalsh(x)[0]) >= -tol.witness_psd for x in blocks)
+    dims = tuple(np.shape(x)[0] for x in blocks)
+    return _Rows([(d,) for d in dims], [_dense_group(dims, rows)]).holds(blocks, tol)
 
 
 def hermitian_feasibility(
@@ -405,10 +593,39 @@ def hermitian_feasibility(
     """Decide existence of Hermitian PSD blocks with prescribed affine data.
 
     rows: (per-block Hermitian matrices, real rhs) meaning
-    sum_b <H_i^b, X_b> = rhs_i with <A, B> = Tr(A B).
+    sum_b <H_i^b, X_b> = rhs_i with <A, B> = Tr(A B). The matrices are
+    checked to be Hermitian and finite and become one row group
+    (see :func:`_group_feasibility`).
+    """
+    dims = tuple(int(d) for d in block_dims)
+    checked = [(tuple(check_hermitian(h) for h in mats), rhs) for mats, rhs in rows]
+    return _group_feasibility(
+        tuple((d,) for d in dims),
+        (_dense_group(dims, checked),),
+        tol=tol,
+        gap_tol=gap_tol,
+        band=band,
+        max_iterations=max_iterations,
+    )
+
+
+def _group_feasibility(
+    factors: Sequence[Sequence[int]],
+    groups: Sequence[RowGroup],
+    *,
+    tol: Tolerances = DEFAULT,
+    gap_tol: float | None = None,
+    band: float | None = None,
+    max_iterations: int = 200,
+) -> FeasibilityReport:
+    """Decide existence of PSD blocks satisfying row groups.
+
+    factors[b] are the tensor factor dimensions of block b, which the
+    groups' kept sets index. The dual certificate is indexed by the rows in
+    group order.
 
     Precondition: the rows are linearly independent and their span fixes the
-    total block trace. Neither is checked; the rows go to :func:`solve` as
+    total block trace. Neither is checked; the rows go to the solver as
     given. An unbounded slack program (such as a lone traceless row) or an
     inconsistent system does not converge and raises SdpError.
     """
@@ -417,28 +634,20 @@ def hermitian_feasibility(
     # solve tighter than the Marginal band so that slack noise cannot move a
     # boundary problem across the band edge
     gap_tol = min(gap_tol, band / 10.0)
-    dims = tuple(int(d) for d in block_dims)
-    if not rows:
-        raise ValueError("at least one constraint row is required")
-
-    problem = SdpProblem(
-        block_dims=dims,
-        objective=None,
-        constraints=tuple(
-            (tuple(check_hermitian(h) for h in mats), float(rhs)) for mats, rhs in rows
-        ),
-        sense="max",
-        free_objective=1.0,
-        free_coeffs=tuple(sum(float(np.trace(h).real) for h in mats) for mats, _ in rows),
-    )
-    trace_rhs = max(abs(float(r)) for _, r in rows)
-    init_scale = max(trace_rhs / sum(dims), 1e-2)
-    solution = solve(
-        problem,
+    rows = _Rows(factors, groups)
+    dims = rows.dims
+    init_scale = max(float(np.max(np.abs(rows.rhs))) / sum(dims), 1e-2)
+    solution = _ipm(
+        rows,
+        [np.zeros((d, d)) for d in dims],
+        rows.free_coeffs(),
+        1.0,
+        1.0,
         gap_tol=gap_tol,
         feas_tol=1e-9,
         max_iterations=max_iterations,
         init_scale=init_scale,
+        debug=False,
     )
     if solution.status != OPTIMAL:
         raise SdpError(
@@ -452,7 +661,7 @@ def hermitian_feasibility(
     dual = solution.dual
 
     if t_hat >= band:
-        if not witness_valid(rows, blocks, tol):
+        if not rows.holds(blocks, tol):
             raise SdpError("feasible verdict failed independent witness validation")
         return FeasibilityReport(
             status=FEASIBLE, slack=t_hat, witness=blocks[0],
@@ -464,7 +673,7 @@ def hermitian_feasibility(
             dual_certificate=dual, blocks=(), solution=solution,
         )
     clipped = tuple(_clip_psd(x) for x in blocks)
-    if witness_valid(rows, clipped, tol):
+    if rows.holds(clipped, tol):
         return FeasibilityReport(
             status=FEASIBLE, slack=t_hat, witness=clipped[0],
             dual_certificate=dual, blocks=clipped, solution=solution,
@@ -473,4 +682,3 @@ def hermitian_feasibility(
         status=MARGINAL, slack=t_hat, witness=None,
         dual_certificate=dual, blocks=(), solution=solution,
     )
-

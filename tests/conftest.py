@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from choimarg.channels import Channel
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -15,3 +17,9 @@ def rng():
 def random_hermitian(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2
+
+
+def depolarize(c, p):
+    """The channel rho -> (1 - p) Phi(rho) + p Tr(rho) 1/d."""
+    mixed = np.eye(c.choi.shape[0]) / c.out_dim
+    return Channel(in_dim=c.in_dim, out_dims=c.out_dims, choi=(1.0 - p) * c.choi + p * mixed)

@@ -4,6 +4,7 @@ import pytest
 from choimarg import marginals as mg
 from choimarg.channels import (
     Channel,
+    _apply,
     apply,
     depolarizing_channel,
     identity_channel,
@@ -14,9 +15,9 @@ from choimarg.channels import (
     w_state,
 )
 from choimarg.linalg import embed, hermitian_product_basis, kron, partial_trace
-from choimarg.sampling import random_channel, random_density, random_unitary
+from choimarg.sampling import random_channel, random_density, random_separable, random_unitary
 from choimarg.sdp import FEASIBLE, INFEASIBLE
-from conftest import HADAMARD, SX, SZ
+from conftest import HADAMARD, SX, SZ, depolarize
 
 
 def smeared(pauli, s):
@@ -38,6 +39,25 @@ def bisect(indicator, lo, hi, iters=40):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def np_partial_trace(m, dims, keep):
+    """Partial trace onto the 0-based factors ``keep``, with numpy alone."""
+    n = len(dims)
+    t = np.asarray(m).reshape(tuple(dims) * 2)
+    for k in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=k, axis2=k + t.ndim // 2)
+    d = int(np.prod([dims[k] for k in keep]))
+    return t.reshape(d, d)
+
+
+def np_apply_to_second(choi, out_dims, rho, d_c):
+    """(id_C (x) Phi)(rho) from the Choi matrix of Phi on (outputs, input), with numpy alone."""
+    d_out = int(np.prod(out_dims))
+    d_in = choi.shape[0] // d_out
+    c = choi.reshape(d_out, d_in, d_out, d_in)
+    r = rho.reshape(d_c, d_in, d_c, d_in)
+    return np.einsum("caeb,oapb->coep", r, c).reshape(d_c * d_out, d_c * d_out)
 
 
 class TestMarginalSpec:
@@ -201,17 +221,29 @@ class TestTargetRows:
         assert len(specs) == 5
         return specs
 
+    @staticmethod
+    def lifted_rows(spec):
+        """The dense lift of every row of the spec's groups, in row order."""
+        lifted = []
+        for group in mg._target_rows(spec):
+            ((block, kept, coeffs),) = group.parts
+            assert block == 0
+            d = int(np.prod([spec.dims[k] for k in kept]))
+            lifted += [embed(c.reshape(d, d), spec.dims, [k + 1 for k in kept]) for c in coeffs]
+        return lifted
+
     def test_rows_are_an_orthogonal_basis_of_the_naive_span(self, rng, monkeypatch):
         specs = self.specs(rng, monkeypatch)
-        assert [len(mg._target_rows(spec)[0]) for spec in specs] == [28, 153, 48, 48, 49]
+        assert [len(self.lifted_rows(spec)) for spec in specs] == [28, 153, 48, 48, 49]
         for spec in specs:
-            rows, owners = mg._target_rows(spec)
-            assert len(owners) == len(rows)
-            vecs = np.array([h.reshape(-1) for (h,), _ in rows])
+            groups = mg._target_rows(spec)
+            assert len(groups) == len(spec.targets)
+            rows = self.lifted_rows(spec)
+            vecs = np.array([h.reshape(-1) for h in rows])
             gram = vecs.conj() @ vecs.T
             assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-12
             n = spec.total_dim
-            ident = [np.allclose(h, h[0, 0] * np.eye(n)) and abs(h[0, 0]) > 0 for (h,), _ in rows]
+            ident = [np.allclose(h, h[0, 0] * np.eye(n)) and abs(h[0, 0]) > 0 for h in rows]
             assert sum(ident) == 1
             naive = np.array([
                 embed(b, spec.dims, kept).reshape(-1)
@@ -220,6 +252,11 @@ class TestTargetRows:
             ])
             rank = np.linalg.matrix_rank(naive)
             assert len(rows) == rank == np.linalg.matrix_rank(np.vstack([naive, vecs]))
+            # each rhs is the row's inner product with the target it comes from
+            for group, (_, target) in zip(groups, spec.targets):
+                ((_, _, coeffs),) = group.parts
+                expected = [np.trace(c.reshape(target.shape) @ target).real for c in coeffs]
+                np.testing.assert_allclose(group.rhs, expected, atol=1e-14)
 
     def test_rows_built_once_per_decision(self, monkeypatch):
         calls = []
@@ -318,6 +355,32 @@ class TestSteering:
             rep = mg.state_steerable(rho_w, c1, c2)
             assert rep.status == FEASIBLE
 
+    @pytest.mark.parametrize("d, seed", [(2, 31), (3, 32)])
+    def test_compatible_pair_leaves_every_state_unsteerable(self, d, seed):
+        # id (x) J of a joint channel J maps rho to a state with both steering
+        # marginals, so a compatible pair steers no state
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for _ in range(4):
+            c1, c2 = (
+                depolarize(random_channel(d, d, rng, kraus_rank=2), rng.uniform(0.3, 0.7))
+                for _ in range(2)
+            )
+            comp = mg.channels_compatible(c1, c2)
+            if comp.verdict != mg.COMPATIBLE:
+                continue
+            checked += 1
+            rho = random_density(d * d, rng)
+            assert mg.state_steerable(rho, c1, c2).status == FEASIBLE
+            joint = comp.joint_choi
+            sigma = np_apply_to_second(joint.choi, joint.out_dims, rho, d)
+            assert np.linalg.eigvalsh(sigma)[0] >= -1e-8
+            dims = (d, d, d)
+            for keep, c in (((0, 1), c1), ((0, 2), c2)):
+                target = np_apply_to_second(c.choi, c.out_dims, rho, d)
+                assert np.max(np.abs(np_partial_trace(sigma, dims, keep) - target)) <= 1e-6
+        assert checked >= 2
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="multiple"):
             mg.state_steerable(np.eye(3) / 3, identity_channel(2), identity_channel(2))
@@ -353,6 +416,19 @@ class TestBellLocal:
             with_u = mg.bell_local(rho, unitary_channel(u), *others)
             with_id = mg.bell_local(rho, ident, *others)
             assert with_u.status == with_id.status
+
+    def test_qutrit_separable_local(self):
+        # four-group kernel at n = 81, m = 289; the witness is re-checked with numpy alone
+        rng = np.random.default_rng(11)
+        rho = random_separable(3, 3, rng)
+        c11, c21, c12, c22 = (random_channel(3, 3, rng, kraus_rank=2) for _ in range(4))
+        rep = mg.bell_local(rho, c11, c21, c12, c22)
+        assert rep.status == FEASIBLE
+        assert rep.solution.dual.size == 289
+        assert np.linalg.eigvalsh(rep.witness)[0] >= -1e-8
+        for keep, a, b in (((0, 2), c11, c12), ((0, 3), c11, c22), ((1, 2), c21, c12), ((1, 3), c21, c22)):
+            target = _apply(tensor(a, b), rho)
+            assert np.max(np.abs(np_partial_trace(rep.witness, (3, 3, 3, 3), keep) - target)) <= 1e-6
 
     def test_channels_at_the_edge_of_tolerance(self):
         # each channel is trace preserving to 0.9e-9; their tensor products

@@ -17,17 +17,12 @@ from choimarg import marginals as mg
 from choimarg.channels import Channel, depolarizing_channel, identity_channel
 from choimarg.linalg import kron
 from choimarg.sampling import random_channel, random_unitary
+from conftest import depolarize
 
 SLACK_TOL = 1e-7
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 qutrit_pairs = settings(max_examples=3, deadline=None, derandomize=True, database=None)
-
-
-def depolarize(c, p):
-    """The channel rho -> (1 - p) Phi(rho) + p Tr(rho) 1/d."""
-    mixed = np.eye(c.choi.shape[0]) / c.out_dim
-    return Channel(in_dim=c.in_dim, out_dims=c.out_dims, choi=(1.0 - p) * c.choi + p * mixed)
 
 
 def noisy_qutrit_channel(rng):

@@ -3,7 +3,7 @@ import pytest
 
 from choimarg import sdp
 from choimarg.config import DEFAULT
-from choimarg.linalg import hermitian_basis
+from choimarg.linalg import embed, hermitian_basis
 from choimarg import marginals as mg
 from choimarg.channels import depolarizing_channel, identity_channel
 from choimarg.marginals import MarginalSpec
@@ -135,6 +135,21 @@ class TestSolve:
         assert sol.status != "optimal"
         assert sol.primal_residual > 1e-9
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_init_scale_must_be_finite_and_positive(self, scale):
+        p = sdp.SdpProblem((2,), None, (((np.eye(2),), 1.0),))
+        with pytest.raises(ValueError, match="init_scale"):
+            sdp.solve(p, init_scale=scale)
+
+    def test_step_halved_when_rounding_leaves_the_cone(self):
+        x = np.diag([1.0, 1e-16]).astype(complex)
+        past = np.diag([0.0, -1.0000001e-16]).astype(complex)
+        moved, factors, alpha = sdp._advance([x], [past], 1.0)
+        assert alpha == 0.5
+        np.testing.assert_allclose(factors[0] @ factors[0].conj().T, moved[0], atol=1e-30)
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._advance([x], [np.diag([0.0, -1.0]).astype(complex)], 1e12)
+
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="sense"):
             sdp.SdpProblem((2,), None, (((np.eye(2),), 1.0),), sense="most")
@@ -147,48 +162,89 @@ class TestSolve:
 
 
 class TestSchurKernel:
-    def test_matches_kronecker_formula(self):
-        # S_ij = sum_b Re vec(A_i)^H (X_b^T (x) Z_b^-1) vec(A_j), with column-stacking
-        # vec, on real symmetric and on complex Hermitian blocks
-        rng = np.random.default_rng(7)
-        dims, m = (3, 4), 7
+    # S_ij = sum_b Re vec(A_i)^H (X_b^T (x) Z_b^-1) vec(A_j), with column-stacking vec,
+    # on the embed-lifted dense rows of each group
+    LIFTED_CASES = [
+        ((2, 3, 2), ((0, 2), (1, 2))),  # compatibility: targets (1,3) and (2,3)
+        ((2, 2, 3), ((0, 1), (0, 2))),  # steering: targets (1,2) and (1,3)
+        ((2, 2, 2, 2), ((0, 2), (0, 3), (1, 2), (1, 3))),  # Bell: the four pairwise targets
+    ]
 
-        def herm(g):
-            return (g + g.conj().T) / 2
+    @staticmethod
+    def herm(g):
+        return (g + g.conj().T) / 2
 
+    def gauss(self, rng, d, imag):
+        return rng.standard_normal((d, d)) + imag * 1j * rng.standard_normal((d, d))
+
+    def hpd(self, rng, d, imag):
+        g = self.gauss(rng, d, imag)
+        return self.herm(g @ g.conj().T + d * np.eye(d))
+
+    def check(self, rng, factors, groups, imag):
+        """Compare the group kernel, A and A* with the Kronecker formula on lifted rows."""
         def vec(mat):
             return mat.reshape(-1, order="F")
 
-        def gauss(d, imag):
-            return rng.standard_normal((d, d)) + imag * 1j * rng.standard_normal((d, d))
+        dims = [int(np.prod(f)) for f in factors]
+        dense = [[] for _ in dims]  # per block, the lifted matrix of every row
+        for g in groups:
+            touched = {b: (kept, c) for b, kept, c in g.parts}
+            for p in range(len(g.rhs)):
+                for b, f in enumerate(factors):
+                    if b in touched:
+                        kept, c = touched[b]
+                        k = int(np.prod([f[i] for i in kept]))
+                        dense[b].append(embed(c[p].reshape(k, k), f, [i + 1 for i in kept]))
+                    else:
+                        dense[b].append(np.zeros((dims[b], dims[b])))
+        rows = sdp._Rows(factors, groups)
+        xs = [self.hpd(rng, d, imag) for d in dims]
+        zinvs = [self.herm(np.linalg.inv(self.hpd(rng, d, imag))) for d in dims]
+        cores = [self.herm(self.gauss(rng, d, imag)) for d in dims]
+        y = rng.standard_normal(rows.m)
 
-        def hpd(d, imag):
-            g = gauss(d, imag)
-            return herm(g @ g.conj().T + d * np.eye(d))
+        expected = sum(
+            np.array([[vec(ai).conj() @ np.kron(x.T, zinv) @ vec(aj) for aj in ab] for ai in ab])
+            for ab, x, zinv in zip(dense, xs, zinvs)
+        ).real
+        expected_rhs = sum(
+            np.array([np.trace(ai @ core) for ai in ab]) for ab, core in zip(dense, cores)
+        ).real
+        np.testing.assert_allclose(rows.schur(zinvs, xs), expected, rtol=1e-12)
+        np.testing.assert_allclose(rows(cores), expected_rhs, rtol=1e-12)
+        for got, ab in zip(rows.adjoint(y), dense):
+            np.testing.assert_allclose(got, np.tensordot(y, np.array(ab), 1), rtol=1e-12, atol=1e-14)
 
+    def test_matches_kronecker_formula(self):
+        rng = np.random.default_rng(7)
         for imag in (0.0, 1.0):
-            a = [np.array([herm(gauss(d, imag)) for _ in range(m)]) for d in dims]
-            xs = [hpd(d, imag) for d in dims]
-            zinvs = [herm(np.linalg.inv(hpd(d, imag))) for d in dims]
-            cores = [herm(gauss(d, imag)) for d in dims]
-            schur, rhs = sdp._schur_rhs([ab.reshape(m, -1) for ab in a], zinvs, xs, cores)
-
-            expected = sum(
-                np.array([[vec(ai).conj() @ np.kron(x.T, zinv) @ vec(aj) for aj in ab] for ai in ab])
-                for ab, x, zinv in zip(a, xs, zinvs)
-            ).real
-            expected_rhs = sum(
-                np.array([np.trace(ai @ core) for ai in ab]) for ab, core in zip(a, cores)
-            ).real
-            np.testing.assert_allclose(schur, expected, rtol=1e-12)
-            np.testing.assert_allclose(rhs, expected_rhs, rtol=1e-12)
+            # whole-block rows on two blocks
+            coeffs = [
+                np.array([self.herm(self.gauss(rng, d, imag)).ravel() for _ in range(7)])
+                for d in (3, 4)
+            ]
+            whole = sdp.RowGroup(((0, (0,), coeffs[0]), (1, (0,), coeffs[1])), np.zeros(7))
+            self.check(rng, ((3,), (4,)), (whole,), imag)
+            # lifted groups with different kept sets, and a whole-block group beside them
+            for factors, kept_sets in self.LIFTED_CASES:
+                groups = []
+                for g, kept in enumerate(kept_sets):
+                    k = int(np.prod([factors[i] for i in kept]))
+                    c = np.array([self.herm(self.gauss(rng, k, imag)).ravel() for _ in range(3 + g)])
+                    groups.append(sdp.RowGroup(((0, kept, c),), np.zeros(len(c))))
+                self.check(rng, (factors,), groups, imag)
+                n = int(np.prod(factors))
+                c = np.array([self.herm(self.gauss(rng, n, imag)).ravel() for _ in range(2)])
+                groups.append(sdp.RowGroup(((0, tuple(range(len(factors))), c),), np.zeros(2)))
+                self.check(rng, (factors,), groups, imag)
 
 
 class TestFeasibility:
     def test_failure_reports_iterations_residuals_and_gap(self):
         ident = identity_channel(2)
         spec = mg._compat_spec(ident, ident)
-        rows, _ = mg._target_rows(spec)
+        groups = mg._target_rows(spec)
         number = r"[-+.e\d]+|inf"
         with pytest.raises(
             sdp.SdpError,
@@ -197,7 +253,7 @@ class TestFeasibility:
                 rf"dual residual ({number}), gap ({number})\)"
             ),
         ):
-            sdp.hermitian_feasibility((spec.total_dim,), rows, max_iterations=2)
+            sdp._group_feasibility((spec.dims,), groups, max_iterations=2)
 
     def test_scalar_pin(self):
         rep = feasibility(1, herm_rows(1, [(np.array([[1.0]]), 5.0)]))
@@ -251,6 +307,16 @@ class TestFeasibility:
                 dims=(2, 2),
                 targets=(((1, 2), np.eye(4) / 4), ((1,), np.diag([0.7, 0.3]))),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rhs_rejected_at_the_boundary(self, bad):
+        rows = herm_rows(2, [(np.eye(2), 1.0), (SZ, bad)])
+        with pytest.raises(ValueError, match="constraint row 1 has a non-finite rhs"):
+            feasibility(2, rows)
+        with pytest.raises(ValueError, match="constraint row 1 has a non-finite rhs"):
+            sdp.SdpProblem((2,), None, tuple(rows))
+        with pytest.raises(ValueError, match="constraint row 0 has a non-finite free coefficient"):
+            sdp.SdpProblem((2,), None, tuple(rows[:1]), free_objective=1.0, free_coeffs=(bad,))
 
     def test_constraint_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
