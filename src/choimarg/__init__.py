@@ -40,7 +40,7 @@ from .marginals import (
     marginal_feasibility,
     state_steerable,
 )
-from .sdp import FeasibilityReport, SdpProblem, SdpSolution, solve
+from .sdp import FeasibilityReport, SdpSolution
 
 __all__ = [
     "Channel",
@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT",
     "FeasibilityReport",
     "MarginalSpec",
-    "SdpProblem",
     "SdpSolution",
     "Tolerances",
     "adjoint_effect",
@@ -67,7 +66,6 @@ __all__ = [
     "marginal_feasibility",
     "max_entangled",
     "measure_prepare",
-    "solve",
     "state_steerable",
     "tensor",
     "theta_family",

@@ -178,9 +178,10 @@ def chsh_scan(theta_min: float, theta_max: float, steps: int) -> np.ndarray:
     computed through the full channel-application path (tensor the unitary
     channels, apply to the maximally entangled state, trace against the
     observable), not from the closed form; it equals ``chsh_value`` of the
-    four unitary channels on ``max_entangled(2)`` exactly.
+    four unitary channels on ``max_entangled(2)`` exactly. The range must
+    be finite with 0 <= theta_min < theta_max.
     """
-    if not (0 <= theta_min < theta_max):
+    if not (0 <= theta_min < theta_max < np.inf):
         raise ValueError(f"invalid scan range [{theta_min}, {theta_max}]")
     if steps < 2:
         raise ValueError("need at least two grid points")

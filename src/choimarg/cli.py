@@ -14,6 +14,7 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ import numpy as np
 from . import presets
 from .channels import Channel, channel_from_dict, channel_to_dict, state_from_dict, state_to_dict
 from .chsh import chsh_scan, chsh_value, scan_to_csv
+from .config import DEFAULT, Tolerances
 from .marginals import bell_local, channels_compatible, state_steerable
 from .sdp import FEASIBLE, INFEASIBLE, SdpError
 
@@ -77,13 +79,17 @@ def _load_state(path: str) -> np.ndarray:
 
 
 def _need(args: argparse.Namespace, names: list[str]) -> None:
-    if args.eps <= 0 or args.gap <= 0:
-        raise ValueError("--eps and --gap must be strictly positive")
+    if not all(np.isfinite(v) and v > 0 for v in (args.eps, args.gap)):
+        raise ValueError("--eps and --gap must be finite and strictly positive")
     missing = [n for n in names if getattr(args, n) is None]
     if args.preset and any(getattr(args, n) is not None for n in names):
         raise ValueError("give either --preset or explicit input files, not both")
     if not args.preset and missing:
         raise ValueError(f"missing input files: {', '.join(missing)} (or use --preset)")
+
+
+def _tol(args: argparse.Namespace) -> Tolerances:
+    return dataclasses.replace(DEFAULT, solver=args.gap, band=args.eps)
 
 
 def _cmd_compat(args: argparse.Namespace) -> int:
@@ -92,7 +98,7 @@ def _cmd_compat(args: argparse.Namespace) -> int:
         c1, c2 = presets.compat_preset(args.preset)
     else:
         c1, c2 = _load_channel(args.channel1), _load_channel(args.channel2)
-    rep = channels_compatible(c1, c2, gap_tol=args.gap, band=args.eps)
+    rep = channels_compatible(c1, c2, tol=_tol(args))
     payload = {
         "verdict": rep.verdict,
         "slack": rep.slack,
@@ -110,7 +116,7 @@ def _cmd_steer(args: argparse.Namespace) -> int:
     else:
         rho = _load_state(args.state)
         c1, c2 = _load_channel(args.channel1), _load_channel(args.channel2)
-    rep = state_steerable(rho, c1, c2, gap_tol=args.gap, band=args.eps)
+    rep = state_steerable(rho, c1, c2, tol=_tol(args))
     verdict = {FEASIBLE: "unsteerable", INFEASIBLE: "steerable"}.get(rep.status, "marginal")
     d_c = rho.shape[0] // c1.in_dim
     payload = {
@@ -134,7 +140,7 @@ def _cmd_bell(args: argparse.Namespace) -> int:
         rho = _load_state(args.state)
         c11, c21 = _load_channel(args.channel11), _load_channel(args.channel21)
         c12, c22 = _load_channel(args.channel12), _load_channel(args.channel22)
-    rep = bell_local(rho, c11, c21, c12, c22, gap_tol=args.gap, band=args.eps)
+    rep = bell_local(rho, c11, c21, c12, c22, tol=_tol(args))
     verdict = {FEASIBLE: "local", INFEASIBLE: "nonlocal"}.get(rep.status, "marginal")
     outs = (c11.out_dim, c21.out_dim, c12.out_dim, c22.out_dim)
     x = None

@@ -74,10 +74,10 @@ class MarginalSpec:
     """Prescribed partial traces of one multipartite Hermitian variable.
 
     targets: pairs of (kept 1-based factor indices, target matrix). All
-    targets must share the same trace, the required normalization, and every
-    two targets must agree on the marginal of the factors they share, both up
-    to the tolerance :class:`~choimarg.channels.Channel` allows its trace
-    preservation.
+    targets must share the same trace, the required (finite) normalization,
+    and every two targets must agree on the marginal of the factors they
+    share, both up to the tolerance :class:`~choimarg.channels.Channel`
+    allows its trace preservation.
     """
 
     dims: tuple[int, ...]
@@ -105,6 +105,8 @@ class MarginalSpec:
             cleaned.append((kept, frozen(target)))
             traces.append(float(np.trace(target).real))
         norm = self.normalization if self.normalization is not None else traces[0]
+        if not np.isfinite(norm):
+            raise ValueError(f"normalization is non-finite: {norm!r}")
         # a Channel is trace preserving to DEFAULT.psd per entry of its d_in x d_in
         # input marginal: a valid Choi target's trace may drift by d_in * psd =
         # norm * psd, and two valid targets' shared marginals may differ by 2 * psd
@@ -170,16 +172,10 @@ def _target_rows(spec: MarginalSpec) -> list[RowGroup]:
     return groups
 
 
-def _decide(
-    spec: MarginalSpec,
-    groups: list[RowGroup],
-    tol: Tolerances,
-    gap_tol: float | None,
-    band: float | None,
-) -> FeasibilityReport:
+def _decide(spec: MarginalSpec, groups: list[RowGroup], tol: Tolerances) -> FeasibilityReport:
     """Solve the spec's rows; a feasible witness is rescaled to the exact trace."""
     factors = (spec.dims,)
-    report = _group_feasibility(factors, groups, tol=tol, gap_tol=gap_tol, band=band)
+    report = _group_feasibility(factors, groups, tol=tol)
     if report.status == FEASIBLE and spec.normalization > 0:
         # rescale to the exact required trace (preserves positivity, moves the
         # marginal residuals by a relative ~1e-9)
@@ -194,11 +190,9 @@ def marginal_feasibility(
     spec: MarginalSpec,
     *,
     tol: Tolerances = DEFAULT,
-    gap_tol: float | None = None,
-    band: float | None = None,
 ) -> FeasibilityReport:
     """Decide existence of a PSD operator with the prescribed marginals."""
-    return _decide(spec, _target_rows(spec), tol, gap_tol, band)
+    return _decide(spec, _target_rows(spec), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +248,11 @@ def channels_compatible(
     c2: Channel,
     *,
     tol: Tolerances = DEFAULT,
-    gap_tol: float | None = None,
-    band: float | None = None,
 ) -> CompatReport:
     """Decide whether two channels admit a joint channel with both marginals."""
     spec = _compat_spec(c1, c2)
     groups = _target_rows(spec)
-    report = _decide(spec, groups, tol, gap_tol, band)
+    report = _decide(spec, groups, tol)
     pair = _dual_per_target(spec, groups, report)
     dual_value = None
     witness_pair = None
@@ -300,8 +292,6 @@ def state_steerable(
     c2: Channel,
     *,
     tol: Tolerances = DEFAULT,
-    gap_tol: float | None = None,
-    band: float | None = None,
 ) -> FeasibilityReport:
     """Steering test for a bipartite state held between a reference and channels.
 
@@ -325,7 +315,7 @@ def state_steerable(
         targets=(((1, 2), t1), ((1, 3), t2)),
         normalization=1.0,
     )
-    return marginal_feasibility(spec, tol=tol, gap_tol=gap_tol, band=band)
+    return marginal_feasibility(spec, tol=tol)
 
 
 def bell_local(
@@ -336,8 +326,6 @@ def bell_local(
     c22: Channel,
     *,
     tol: Tolerances = DEFAULT,
-    gap_tol: float | None = None,
-    band: float | None = None,
 ) -> FeasibilityReport:
     """Bell locality test for a bipartite state under two channel choices per wing.
 
@@ -364,7 +352,7 @@ def bell_local(
         targets=targets,
         normalization=1.0,
     )
-    return marginal_feasibility(spec, tol=tol, gap_tol=gap_tol, band=band)
+    return marginal_feasibility(spec, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +365,6 @@ def effects_compatible(
     g: np.ndarray,
     *,
     tol: Tolerances = DEFAULT,
-    gap_tol: float | None = None,
-    band: float | None = None,
 ) -> FeasibilityReport:
     """Joint measurability of two effects via the four-block decomposition.
 
@@ -401,4 +387,4 @@ def effects_compatible(
         )
 
     groups = (group((0, 1), f), group((2, 3), np.eye(d) - f), group((0, 2), g))
-    return _group_feasibility(((d,),) * 4, groups, tol=tol, gap_tol=gap_tol, band=band)
+    return _group_feasibility(((d,),) * 4, groups, tol=tol)

@@ -1,11 +1,25 @@
-"""Dense semidefinite feasibility and optimization over Hermitian block-diagonal variables.
+"""Prescribed-marginal feasibility as one slack program over Hermitian PSD blocks.
+
+Every question of this package asks whether PSD blocks X_b satisfy affine
+rows A(X) = b. The one program solved here is its slack program::
+
+    max  t
+    s.t. A(Y) + a * t = b,   Y_b >= 0,   t free
+
+with Y = X - t*1 and a_p the trace of row p's operator. The optimal t is
+the largest smallest eigenvalue of an X that satisfies the rows, so its sign
+decides feasibility; :func:`_group_feasibility` reads the witness back as
+Y + t*1 and re-validates it. Callers pass linearly independent rows that
+fix the total trace; the rows of :mod:`choimarg.marginals` are independent
+by construction, so nothing here prunes or probes them.
 
 The solver is a primal-dual path-following interior-point method with the
 HKM direction (linearize XZ = mu*1, take the Hermitian part of the X step),
 fixed centering sigma = 0.1, step fraction 0.98 to the cone boundary (halved
 while rounding leaves an iterate that is not numerically positive definite),
-and an iteration cap of 200. It works on complex Hermitian blocks directly, as SDPT3
-and SeDuMi do, and is written for the problem sizes of this package (block
+and an iteration cap of 200. The free scalar t is eliminated inside the
+Schur system. It works on complex Hermitian blocks directly, as SDPT3 and
+SeDuMi do, and is written for the problem sizes of this package (block
 dimensions up to ~81, a few hundred constraint rows at most). It is
 deterministic: fixed initialization, no randomized pivoting, no Mehrotra
 correction.
@@ -13,35 +27,21 @@ correction.
 Constraint rows come in row groups (:class:`RowGroup`): row p of a group is
 lift(B_p), a Hermitian element B_p on the kept factors K of a block with the
 identity on the other factors R, and the group stores vec(B_p) as row p of a
-coefficient matrix P. A marginal target is one group; dense rows are one
-group whose K is the whole block. A(X) is P applied to each group's partial
-trace Tr_R X, A*(y) one lift of y_g P per group, and the HKM Schur block of
-groups s and t is Re P_s T_st P_t^T, where T_st contracts Z^-1 and X over the
-factors outside K_s and K_t in one GEMM (see :meth:`_Rows.schur`). A pair
-costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) + m_s m_t d_Kt^2) instead of the
-O(m n^3 + m^2 n^2) of dense rows on a block of dimension n. Dense rows are
-themselves one group whose K is the whole block; their T_st is the outer
-product Z^-1 (x) X of n^4 entries, so dense rows suit small blocks. On one
-core of a 2-vCPU Xeon guest a qutrit compatibility decision (m = 153,
-n = 27) takes ~2.6 ms per iteration and a qutrit Bell decision (m = 289,
-n = 81) ~10 ms, the O(m^3) Cholesky factorization of S included. Each step
-is projected onto the primal equations with the rows' Gram matrix (the
-kernel at Z^-1 = X = 1), factored once per solve, so rounding in the Schur
-solve cannot leave a primal residual that the path no longer reduces.
-
-Problems are stated over Hermitian blocks, real input included::
-
-    max/min  sum_b Re<C_b, X_b> + c_free * t
-    s.t.     sum_b Re<A_i^b, X_b> + a_i * t = b_i        (i = 1..m)
-             X_b >= 0,   t free (optional scalar)
-
-The optional free scalar carries the feasibility slack of the prescribed
-marginal problems: "max t s.t. X - t*1 >= 0, A(X) = b" is solved with
-Y = X - t*1 as the PSD block and t eliminated inside the Schur system.
-:func:`hermitian_feasibility` states that program and reads the witness back
-as Y + t*1. Callers pass linearly independent rows that fix the total trace;
-the rows of :mod:`choimarg.marginals` are independent by construction, so
-nothing here prunes or probes them.
+coefficient matrix P. A marginal target is one group. A(X) is P applied to
+each group's partial trace Tr_R X, A*(y) one lift of y_g P per group, and
+the HKM Schur block of groups s and t is Re P_s T_st P_t^T, where T_st
+contracts Z^-1 and X over the factors outside K_s and K_t in one GEMM (see
+:meth:`_Rows.schur`). A pair costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) +
+m_s m_t d_Kt^2) instead of the O(m n^3 + m^2 n^2) of dense rows on a block
+of dimension n. The groups of :func:`~choimarg.marginals.effects_compatible`
+keep the whole block; their T_st is the outer product Z^-1 (x) X of n^4
+entries, so they suit small blocks. On one core of a 2-vCPU Xeon guest a
+qutrit compatibility decision (m = 153, n = 27) takes ~2.6 ms per iteration
+and a qutrit Bell decision (m = 289, n = 81) ~10 ms, the O(m^3) Cholesky
+factorization of S included. Each step is projected onto the primal
+equations with the rows' Gram matrix (the kernel at Z^-1 = X = 1), factored
+once per solve, so rounding in the Schur solve cannot leave a primal
+residual that the path no longer reduces.
 """
 
 from __future__ import annotations
@@ -55,24 +55,22 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT, Tolerances
-from .linalg import check_hermitian
 
 __all__ = [
-    "SdpProblem",
     "SdpSolution",
     "SdpError",
-    "solve",
     "FeasibilityReport",
     "FEASIBLE",
     "INFEASIBLE",
     "MARGINAL",
-    "hermitian_feasibility",
-    "witness_valid",
 ]
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
 NUMERICAL_FAILURE = "numerical_failure"
+
+FEAS_TOL = 1e-9
+"""Primal and dual residual an optimal iterate must reach."""
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -105,35 +103,6 @@ class RowGroup:
 
     parts: tuple[tuple[int, tuple[int, ...], np.ndarray], ...]
     rhs: np.ndarray
-
-
-def _dense_group(dims: tuple[int, ...], rows: Sequence[tuple[Sequence[np.ndarray], float]]) -> RowGroup:
-    """Rows of per-block matrices as one group whose kept set is each whole block.
-
-    Each matrix is replaced by its Hermitian part. Raises ValueError on a
-    wrong count or shape of matrices, and names the row whose rhs or matrix
-    entries are not finite.
-    """
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"block dimensions must be positive, got {dims}")
-    if not rows:
-        raise ValueError("at least one constraint row is required")
-    coeffs = [np.empty((len(rows), d * d), dtype=complex) for d in dims]
-    rhs = np.empty(len(rows))
-    for i, (mats, value) in enumerate(rows):
-        if len(mats) != len(dims):
-            raise ValueError("each constraint needs one matrix per block")
-        for c, mat, d in zip(coeffs, mats, dims):
-            mat = np.asarray(mat, dtype=complex)
-            if mat.shape != (d, d):
-                raise ValueError(f"constraint block shape {mat.shape} != ({d}, {d})")
-            c[i] = _herm(mat).ravel()
-        rhs[i] = value
-        if not np.isfinite(rhs[i]):
-            raise ValueError(f"constraint row {i} has a non-finite rhs {value!r}")
-        if not all(np.all(np.isfinite(c[i])) for c in coeffs):
-            raise ValueError(f"constraint row {i} has non-finite matrix entries")
-    return RowGroup(tuple((b, (0,), c) for b, c in enumerate(coeffs)), rhs)
 
 
 class _Part(NamedTuple):
@@ -269,48 +238,9 @@ class _Rows:
 
 
 @dataclass(frozen=True)
-class SdpProblem:
-    """Block-diagonal SDP with affine equality constraints.
-
-    constraints: list of (per-block Hermitian matrices, rhs). A problem may
-    carry one free scalar variable; ``free_coeffs`` holds its per-constraint
-    coefficients and ``free_objective`` its objective coefficient. The rows
-    are converted to one row group on construction; a non-finite rhs, matrix
-    entry or free coefficient raises ValueError naming its row.
-    """
-
-    block_dims: tuple[int, ...]
-    objective: tuple[np.ndarray, ...] | None
-    constraints: tuple[tuple[tuple[np.ndarray, ...], float], ...]
-    sense: str = "max"
-    free_objective: float | None = None
-    free_coeffs: tuple[float, ...] | None = None
-    _group: RowGroup = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.sense not in ("max", "min"):
-            raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
-        dims = tuple(int(d) for d in self.block_dims)
-        object.__setattr__(self, "block_dims", dims)
-        object.__setattr__(self, "_group", _dense_group(dims, self.constraints))
-        if self.objective is not None:
-            for m, d in zip(self.objective, dims):
-                if np.asarray(m).shape != (d, d):
-                    raise ValueError(f"objective block shape {np.asarray(m).shape} != ({d}, {d})")
-        if (self.free_objective is None) != (self.free_coeffs is None):
-            raise ValueError("free_objective and free_coeffs must be given together")
-        if self.free_coeffs is not None:
-            if len(self.free_coeffs) != len(self.constraints):
-                raise ValueError("free_coeffs length must match the number of constraints")
-            for i, a in enumerate(self.free_coeffs):
-                if not np.isfinite(a):
-                    raise ValueError(f"constraint row {i} has a non-finite free coefficient {a!r}")
-
-
-@dataclass(frozen=True)
 class SdpSolution:
     blocks: tuple[np.ndarray, ...]
-    free_value: float | None
+    free_value: float
     dual: np.ndarray
     primal_objective: float
     dual_objective: float
@@ -319,7 +249,6 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     status: str
-    history: tuple[dict, ...] = field(default=(), repr=False)
 
 
 def _step_to_boundary(l: np.ndarray, ds: np.ndarray) -> float:
@@ -349,79 +278,33 @@ def _advance(
     raise np.linalg.LinAlgError("no step length keeps the iterate positive definite")
 
 
-def solve(
-    problem: SdpProblem,
-    *,
-    gap_tol: float = DEFAULT.solver,
-    feas_tol: float = 1e-9,
-    max_iterations: int = 200,
-    init_scale: float = 1.0,
-    debug: bool = False,
-) -> SdpSolution:
-    """Run the interior-point method on a problem.
+def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
+    """Run the interior-point method on the slack program of row groups.
 
-    Precondition: the constraint rows (with their free-scalar coefficients)
-    are linearly independent, and for a problem with a free scalar they fix
-    the total block trace. Nothing is pruned, so the returned dual vector is
-    indexed by the rows as given. An inconsistent equality system never
-    reaches the residual test and ends with a non-optimal status. The
-    returned blocks are complex, also for real input. Raises ValueError
-    unless init_scale, the first X = init_scale * 1, is finite and positive.
+    The program is max t s.t. A(Y) + a*t = b, Y >= 0, with a the rows' free
+    coefficients; the free scalar t is eliminated inside the Schur system.
+    Nothing is pruned, so the returned dual vector is indexed by the rows in
+    group order. An inconsistent equality system never reaches the residual
+    test and ends with a non-optimal status.
     """
-    if not (np.isfinite(init_scale) and init_scale > 0):
-        raise ValueError(f"init_scale must be finite and positive, got {init_scale!r}")
-    dims = problem.block_dims
-    has_free = problem.free_coeffs is not None
-    return _ipm(
-        _Rows(tuple((d,) for d in dims), (problem._group,)),
-        problem.objective or [np.zeros((d, d)) for d in dims],
-        np.asarray(problem.free_coeffs, dtype=float) if has_free else None,
-        float(problem.free_objective) if has_free else 0.0,
-        1.0 if problem.sense == "max" else -1.0,
-        gap_tol=gap_tol,
-        feas_tol=feas_tol,
-        max_iterations=max_iterations,
-        init_scale=init_scale,
-        debug=debug,
-    )
-
-
-def _ipm(
-    rows: _Rows,
-    objective: Sequence[np.ndarray],
-    a_free: np.ndarray | None,
-    c_free: float,
-    sign: float,
-    *,
-    gap_tol: float,
-    feas_tol: float,
-    max_iterations: int,
-    init_scale: float,
-    debug: bool,
-) -> SdpSolution:
-    """The IPM of :func:`solve` on row groups; a_free None means no free scalar."""
     dims = rows.dims
     m = rows.m
     b = rows.rhs
-    cs = [sign * _herm(np.asarray(c, dtype=complex)) for c in objective]
-    c_free = sign * c_free
-    has_free = a_free is not None
-    if not has_free:
-        a_free = np.zeros(m)
+    a_free = rows.free_coeffs()
+    n_total = sum(dims)
 
+    init_scale = max(float(np.max(np.abs(b))) / n_total, 1e-2)
     xs = [init_scale * np.eye(d, dtype=complex) for d in dims]
     zs = [np.eye(d, dtype=complex) for d in dims]
     lxs = [np.linalg.cholesky(x) for x in xs]
     lzs = [np.linalg.cholesky(z) for z in zs]
     y = np.zeros(m)
     t = 0.0
-    n_total = sum(dims)
     sigma = 0.1
-    history: list[dict] = []
     status = MAX_ITERATIONS
     it = 0
     pinf = dinf = relgap = np.inf
-    primal = dual = 0.0
+    dual = 0.0
 
     # Gram matrix of the rows with their free-scalar coefficients, regularised
     # as the Schur complement is: it projects each step onto the primal equations
@@ -442,8 +325,8 @@ def _ipm(
         mu = sum(np.vdot(z, x).real for x, z in zip(xs, zs)) / n_total
         target = sigma * mu
         r_p = b - rows(xs) - a_free * t
-        r_ds = [c + z - aty for c, z, aty in zip(cs, zs, rows.adjoint(y))]
-        r_f = c_free - float(a_free @ y) if has_free else 0.0
+        r_ds = [z - aty for z, aty in zip(zs, rows.adjoint(y))]
+        r_f = 1.0 - float(a_free @ y)
 
         cores = [
             target * zinv - x + _herm(zinv @ r_d @ x) for zinv, x, r_d in zip(zinvs, xs, r_ds)
@@ -453,21 +336,17 @@ def _ipm(
 
         try:
             cho = scipy.linalg.cho_factor(schur + 1e-14 * np.trace(schur) / m * np.eye(m))
-            if has_free:
-                u = scipy.linalg.cho_solve(cho, rhs)
-                w = scipy.linalg.cho_solve(cho, a_free)
-                denom = float(a_free @ w)
-                if denom <= 0:
-                    status = NUMERICAL_FAILURE
-                    break
-                dt = (r_f - float(a_free @ u)) / denom
-                dy = u + dt * w
-            else:
-                dt = 0.0
-                dy = scipy.linalg.cho_solve(cho, rhs)
+            u = scipy.linalg.cho_solve(cho, rhs)
+            w = scipy.linalg.cho_solve(cho, a_free)
         except np.linalg.LinAlgError:
             status = NUMERICAL_FAILURE
             break
+        denom = float(a_free @ w)
+        if denom <= 0:
+            status = NUMERICAL_FAILURE
+            break
+        dt = (r_f - float(a_free @ u)) / denom
+        dy = u + dt * w
 
         dzs = [atdy - r_d for atdy, r_d in zip(rows.adjoint(dy), r_ds)]
         dxs = [
@@ -491,44 +370,30 @@ def _ipm(
         y = y + alpha_d * dy
         t = t + alpha_p * dt
 
-        primal = sum(np.vdot(c, x).real for c, x in zip(cs, xs)) + c_free * t
         dual = float(b @ y)
         r_p = b - rows(xs) - a_free * t
         pinf = float(np.linalg.norm(r_p)) / (1.0 + float(np.linalg.norm(b)))
         dinf = max(
-            float(np.max(np.abs(c + z - aty))) for c, z, aty in zip(cs, zs, rows.adjoint(y))
+            max(float(np.max(np.abs(z - aty))) for z, aty in zip(zs, rows.adjoint(y))),
+            abs(1.0 - float(a_free @ y)),
         )
-        if has_free:
-            dinf = max(dinf, abs(c_free - float(a_free @ y)))
-        relgap = abs(dual - primal) / (1.0 + abs(primal))
+        relgap = abs(dual - t) / (1.0 + abs(t))
 
-        if debug:
-            history.append(
-                {"iteration": it, "mu": mu, "primal": primal, "dual": dual,
-                 "primal_residual": pinf, "dual_residual": dinf}
-            )
-            if pinf < 1e-7 and dinf < 1e-7 and primal > dual + 1e-6 * (1.0 + abs(primal)):
-                raise SdpError(
-                    f"weak duality violated at iteration {it}: primal {primal!r} > dual {dual!r}"
-                )
-
-        cmax = max(float(np.max(np.abs(c))) for c in cs)
-        if pinf <= feas_tol and dinf <= feas_tol * (1.0 + cmax) and relgap <= gap_tol:
+        if pinf <= FEAS_TOL and dinf <= FEAS_TOL and relgap <= gap_tol:
             status = OPTIMAL
             break
 
     return SdpSolution(
         blocks=tuple(xs),
-        free_value=(t if has_free else None),
-        dual=sign * y,
-        primal_objective=sign * primal,
-        dual_objective=sign * dual,
+        free_value=t,
+        dual=y,
+        primal_objective=t,
+        dual_objective=dual,
         gap=relgap,
         primal_residual=pinf,
         dual_residual=dinf,
         iterations=it,
         status=status,
-        history=tuple(history),
     )
 
 
@@ -567,55 +432,11 @@ def _clip_psd(x: np.ndarray) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def witness_valid(
-    rows: Sequence[tuple[Sequence[np.ndarray], float]],
-    blocks: Sequence[np.ndarray],
-    tol: Tolerances,
-) -> bool:
-    """Independent check of a witness: every row holds to ``tol.witness_residual``
-    and every block's minimum eigenvalue is at least ``-tol.witness_psd``.
-
-    Run it after the last change made to a witness.
-    """
-    dims = tuple(np.shape(x)[0] for x in blocks)
-    return _Rows([(d,) for d in dims], [_dense_group(dims, rows)]).holds(blocks, tol)
-
-
-def hermitian_feasibility(
-    block_dims: Sequence[int],
-    rows: Sequence[tuple[Sequence[np.ndarray], float]],
-    *,
-    tol: Tolerances = DEFAULT,
-    gap_tol: float | None = None,
-    band: float | None = None,
-    max_iterations: int = 200,
-) -> FeasibilityReport:
-    """Decide existence of Hermitian PSD blocks with prescribed affine data.
-
-    rows: (per-block Hermitian matrices, real rhs) meaning
-    sum_b <H_i^b, X_b> = rhs_i with <A, B> = Tr(A B). The matrices are
-    checked to be Hermitian and finite and become one row group
-    (see :func:`_group_feasibility`).
-    """
-    dims = tuple(int(d) for d in block_dims)
-    checked = [(tuple(check_hermitian(h) for h in mats), rhs) for mats, rhs in rows]
-    return _group_feasibility(
-        tuple((d,) for d in dims),
-        (_dense_group(dims, checked),),
-        tol=tol,
-        gap_tol=gap_tol,
-        band=band,
-        max_iterations=max_iterations,
-    )
-
-
 def _group_feasibility(
     factors: Sequence[Sequence[int]],
     groups: Sequence[RowGroup],
     *,
     tol: Tolerances = DEFAULT,
-    gap_tol: float | None = None,
-    band: float | None = None,
     max_iterations: int = 200,
 ) -> FeasibilityReport:
     """Decide existence of PSD blocks satisfying row groups.
@@ -629,26 +450,13 @@ def _group_feasibility(
     given. An unbounded slack program (such as a lone traceless row) or an
     inconsistent system does not converge and raises SdpError.
     """
-    gap_tol = tol.solver if gap_tol is None else gap_tol
-    band = tol.band if band is None else band
+    band = tol.band
     # solve tighter than the Marginal band so that slack noise cannot move a
     # boundary problem across the band edge
-    gap_tol = min(gap_tol, band / 10.0)
+    gap_tol = min(tol.solver, band / 10.0)
     rows = _Rows(factors, groups)
     dims = rows.dims
-    init_scale = max(float(np.max(np.abs(rows.rhs))) / sum(dims), 1e-2)
-    solution = _ipm(
-        rows,
-        [np.zeros((d, d)) for d in dims],
-        rows.free_coeffs(),
-        1.0,
-        1.0,
-        gap_tol=gap_tol,
-        feas_tol=1e-9,
-        max_iterations=max_iterations,
-        init_scale=init_scale,
-        debug=False,
-    )
+    solution = _ipm(rows, gap_tol=gap_tol, max_iterations=max_iterations)
     if solution.status != OPTIMAL:
         raise SdpError(
             f"feasibility solve did not converge: status {solution.status} after "
@@ -656,7 +464,7 @@ def _group_feasibility(
             f"dual residual {solution.dual_residual:.3e}, gap {solution.gap:.3e})"
         )
 
-    t_hat = float(solution.free_value)
+    t_hat = solution.free_value
     blocks = tuple(yb + t_hat * np.eye(d) for yb, d in zip(solution.blocks, dims))
     dual = solution.dual
 

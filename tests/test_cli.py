@@ -1,6 +1,8 @@
 import json
+import warnings
 
 import numpy as np
+import pytest
 
 from choimarg import cli
 from choimarg.channels import channel_from_dict, state_from_dict, state_to_dict, w_state
@@ -187,9 +189,14 @@ class TestErrors:
         )
         assert code == 1
 
-    def test_nonpositive_eps(self, capsys):
-        code, _, err = run(capsys, ["compat", "--preset", "identity-pair", "--eps", "0"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--eps", "--gap"])
+    def test_nonpositive_eps(self, capsys, flag, value):
+        # a non-finite value is bad input, not a solver failure or a verdict
+        code, out, err = run(capsys, ["compat", "--preset", "identity-pair", flag, value])
         assert code == 1
+        assert out == ""
+        assert err == "choimarg: error: --eps and --gap must be finite and strictly positive\n"
 
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, ["steer", "--preset", "identity-pair"])
@@ -199,6 +206,14 @@ class TestErrors:
     def test_invalid_scan_range(self, capsys):
         code, _, _ = run(capsys, ["chsh-scan", "--theta-min", "1", "--theta-max", "1"])
         assert code == 1
+
+    def test_infinite_scan_bound(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["chsh-scan", "--theta-min", "1", "--theta-max", "inf"])
+        assert code == 1
+        assert out == ""
+        assert err == "choimarg: error: invalid scan range [1.0, inf]\n"
 
     def test_solver_error_exit_code(self, capsys, monkeypatch):
         def fail(*_args, **_kwargs):

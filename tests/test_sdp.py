@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,97 +12,61 @@ from choimarg.marginals import MarginalSpec
 from conftest import SX, SY, SZ, random_hermitian
 
 
-def herm_rows(d, pins):
-    """Rows pinning <H, X> = value for the given Hermitian/value pairs."""
-    return [((np.asarray(h, dtype=complex),), float(v)) for h, v in pins]
+def whole_block(pins, blocks=(0,)):
+    """One row group pinning sum_b <H, X_b> = value on the whole of each given block."""
+    coeffs = np.array([np.asarray(h, dtype=complex).ravel() for h, _ in pins])
+    return sdp.RowGroup(tuple((b, (0,), coeffs) for b in blocks), np.array([float(v) for _, v in pins]))
 
 
-def feasibility(d, rows):
-    """Feasibility of one d x d Hermitian PSD variable under the given rows."""
-    return sdp.hermitian_feasibility((d,), rows)
+def feasibility(d, pins):
+    """Feasibility of one d x d Hermitian PSD variable under the given pins."""
+    return sdp._group_feasibility(((d,),), (whole_block(pins),))
+
+
+def slack_program(dims, group):
+    """The IPM's solution of the slack program of one group on whole blocks."""
+    return sdp._ipm(sdp._Rows([(d,) for d in dims], (group,)), gap_tol=DEFAULT.solver, max_iterations=200)
 
 
 class TestSolve:
     def test_scalar_equality(self):
-        p = sdp.SdpProblem(
-            block_dims=(1,),
-            objective=(np.array([[1.0]]),),
-            constraints=(((np.array([[1.0]]),), 5.0),),
-            sense="max",
-        )
-        sol = sdp.solve(p)
+        # max t s.t. x = 5, x - t >= 0 is 5, at the dual y = 1
+        sol = slack_program((1,), whole_block([(np.array([[1.0]]), 5.0)]))
         assert sol.status == "optimal"
         assert abs(sol.primal_objective - 5.0) < 1e-6
         assert abs(sol.dual_objective - 5.0) < 1e-6
-
-    def test_min_sense(self):
-        # min x00 + x11 subject to Tr X = 1, X >= 0 -> 1
-        p = sdp.SdpProblem(
-            block_dims=(2,),
-            objective=(np.eye(2),),
-            constraints=(((np.eye(2),), 1.0),),
-            sense="min",
-        )
-        sol = sdp.solve(p)
-        assert sol.status == "optimal"
-        assert abs(sol.primal_objective - 1.0) < 1e-6
+        assert abs(sol.free_value - 5.0) < 1e-6
 
     def test_two_blocks(self):
-        # max x + 2y with x + y = 1 on two 1x1 blocks -> 2 at (0, 1)
-        p = sdp.SdpProblem(
-            block_dims=(1, 1),
-            objective=(np.array([[1.0]]), np.array([[2.0]])),
-            constraints=(((np.array([[1.0]]), np.array([[1.0]])), 1.0),),
-            sense="max",
-        )
-        sol = sdp.solve(p)
-        assert abs(sol.primal_objective - 2.0) < 1e-6
-        assert abs(sol.blocks[1][0, 0] - 1.0) < 1e-5
+        # max t with x + y = 1 and x, y >= t on two 1x1 blocks -> 1/2 at (0, 0)
+        sol = slack_program((1, 1), whole_block([(np.array([[1.0]]), 1.0)], blocks=(0, 1)))
+        assert sol.status == "optimal"
+        assert abs(sol.primal_objective - 0.5) < 1e-6
+        # the PSD blocks are Y = X - t*1
+        for y in sol.blocks:
+            assert abs(y[0, 0] + sol.free_value - 0.5) < 1e-5
 
     def test_solution_invariants(self):
-        # dual feasibility and gap of a small random-ish instance
+        # dual feasibility and gap of a small random-ish instance: the dual of
+        # max t s.t. A(Y) + a*t = b, Y >= 0 is min b.y s.t. A*(y) >= 0, a.y = 1
         a1 = np.diag([1.0, 1.0])
         a2 = np.array([[1.0, 0.5], [0.5, -1.0]])
-        p = sdp.SdpProblem(
-            block_dims=(2,),
-            objective=(np.array([[1.0, 0.2], [0.2, -0.3]]),),
-            constraints=(((a1,), 1.0), ((a2,), 0.1)),
-            sense="max",
-        )
-        sol = sdp.solve(p)
+        group = whole_block([(a1, 1.0), (a2, 0.1)])
+        rows = sdp._Rows(((2,),), (group,))
+        sol = slack_program((2,), group)
         assert sol.status == "optimal"
         assert abs(sol.primal_objective - sol.dual_objective) <= 1e-6 * (1 + abs(sol.primal_objective))
         assert sol.primal_residual <= 1e-7
         assert np.linalg.eigvalsh(sol.blocks[0])[0] >= -1e-8
-        z = sol.dual[0] * a1 + sol.dual[1] * a2 - p.objective[0]
-        assert np.linalg.eigvalsh(z)[0] >= -1e-7
-
-    def test_complex_objective(self):
-        # max <sigma_y, X> s.t. Tr X = 1 is the top eigenvalue 1, at X = (1 + sigma_y) / 2
-        p = sdp.SdpProblem(
-            block_dims=(2,),
-            objective=(SY,),
-            constraints=(((np.eye(2),), 1.0),),
-            sense="max",
-        )
-        sol = sdp.solve(p)
-        assert sol.status == "optimal"
-        assert abs(sol.primal_objective - 1.0) < 1e-6
-        assert abs(sol.dual_objective - 1.0) < 1e-6
-        assert np.max(np.abs(sol.blocks[0] - (np.eye(2) + SY) / 2)) < 1e-5
+        assert np.linalg.eigvalsh(rows.adjoint(sol.dual)[0])[0] >= -1e-7
+        assert abs(rows.free_coeffs() @ sol.dual - 1.0) <= 1e-7
 
     def test_determinism(self):
-        p = sdp.SdpProblem(
-            block_dims=(2,),
-            objective=(np.array([[1.0, 0.2], [0.2, -0.3]]),),
-            constraints=(((np.eye(2),), 1.0),),
-            sense="max",
-        )
-        s1 = sdp.solve(p, debug=True)
-        s2 = sdp.solve(p, debug=True)
-        assert len(s1.history) == len(s2.history)
-        for h1, h2 in zip(s1.history, s2.history):
-            assert h1 == h2
+        group = whole_block([(np.eye(2), 1.0), (np.array([[1.0, 0.2], [0.2, -0.3]]), 0.1)])
+        s1, s2 = slack_program((2,), group), slack_program((2,), group)
+        assert (s1.status, s1.iterations, s1.free_value) == (s2.status, s2.iterations, s2.free_value)
+        np.testing.assert_array_equal(s1.dual, s2.dual)
+        np.testing.assert_array_equal(s1.blocks[0], s2.blocks[0])
 
     def test_determinism_qutrit_compatibility(self):
         c1, c2 = depolarizing_channel(3, 0.5), depolarizing_channel(3, 0.6)
@@ -111,35 +77,17 @@ class TestSolve:
         np.testing.assert_array_equal(r1.report.dual_certificate, r2.report.dual_certificate)
         np.testing.assert_array_equal(r1.joint_choi.choi, r2.joint_choi.choi)
 
-    def test_weak_duality_checked_in_debug(self):
-        p = sdp.SdpProblem(
-            block_dims=(3,),
-            objective=(np.diag([1.0, 0.5, -1.0]),),
-            constraints=(((np.eye(3),), 1.0),),
-            sense="max",
-        )
-        sol = sdp.solve(p, debug=True)
-        assert sol.status == "optimal"
-        assert len(sol.history) == sol.iterations
-
     def test_inconsistent_rows_raise(self):
         # rows are not pruned: the residual test alone keeps an inconsistent
         # system from being reported optimal
-        p = sdp.SdpProblem(
-            block_dims=(2,),
-            objective=None,
-            constraints=(((np.eye(2),), 1.0), ((np.eye(2),), 2.0)),
-            sense="max",
-        )
-        sol = sdp.solve(p)
-        assert sol.status != "optimal"
-        assert sol.primal_residual > 1e-9
-
-    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
-    def test_init_scale_must_be_finite_and_positive(self, scale):
-        p = sdp.SdpProblem((2,), None, (((np.eye(2),), 1.0),))
-        with pytest.raises(ValueError, match="init_scale"):
-            sdp.solve(p, init_scale=scale)
+        with pytest.raises(sdp.SdpError) as raised:
+            feasibility(2, [(np.eye(2), 1.0), (np.eye(2), 2.0)])
+        status, residual = re.search(
+            r"status (\w+) after \d+ iterations \(primal residual ([-+.e\d]+|inf|nan)",
+            str(raised.value),
+        ).groups()
+        assert status != "optimal"
+        assert float(residual) > 1e-9
 
     def test_step_halved_when_rounding_leaves_the_cone(self):
         x = np.diag([1.0, 1e-16]).astype(complex)
@@ -149,16 +97,6 @@ class TestSolve:
         np.testing.assert_allclose(factors[0] @ factors[0].conj().T, moved[0], atol=1e-30)
         with pytest.raises(np.linalg.LinAlgError):
             sdp._advance([x], [np.diag([0.0, -1.0]).astype(complex)], 1e12)
-
-    def test_validation_errors(self):
-        with pytest.raises(ValueError, match="sense"):
-            sdp.SdpProblem((2,), None, (((np.eye(2),), 1.0),), sense="most")
-        with pytest.raises(ValueError, match="block"):
-            sdp.SdpProblem((2,), None, (((np.eye(3),), 1.0),))
-        with pytest.raises(ValueError, match="free"):
-            sdp.SdpProblem((2,), None, (((np.eye(2),), 1.0),), free_objective=1.0)
-        with pytest.raises(ValueError, match="constraint"):
-            sdp.SdpProblem((2,), None, ())
 
 
 class TestSchurKernel:
@@ -256,32 +194,31 @@ class TestFeasibility:
             sdp._group_feasibility((spec.dims,), groups, max_iterations=2)
 
     def test_scalar_pin(self):
-        rep = feasibility(1, herm_rows(1, [(np.array([[1.0]]), 5.0)]))
+        rep = feasibility(1, [(np.array([[1.0]]), 5.0)])
         assert rep.status == sdp.FEASIBLE
         assert abs(rep.slack - 5.0) < 1e-6
         assert abs(rep.witness[0, 0] - 5.0) < 1e-6
 
     def test_two_by_two_min_eigenvalue(self):
         b = hermitian_basis(2)
-        rows = herm_rows(2, [
+        rows = [
             (np.eye(2), 1.0),
             (np.diag([1.0, -1.0]), 0.0),
             (b[2], 0.7 * np.sqrt(2.0)),
             (b[3], 0.0),
-        ])
+        ]
         rep = feasibility(2, rows)
         assert rep.status == sdp.INFEASIBLE
         assert abs(rep.slack - (-0.2)) < 1e-6
 
     def test_trace_only_gives_maximally_mixed(self):
-        rep = feasibility(2, herm_rows(2, [(np.eye(2), 1.0)]))
+        rep = feasibility(2, [(np.eye(2), 1.0)])
         assert rep.status == sdp.FEASIBLE
         assert abs(rep.slack - 0.5) < 1e-6
         assert np.max(np.abs(rep.witness - np.eye(2) / 2)) < 1e-5
 
     def test_impossible_diagonal(self):
-        rows = herm_rows(2, [(np.eye(2), 1.0), (np.diag([1.0, 0.0]), 2.0)])
-        rep = feasibility(2, rows)
+        rep = feasibility(2, [(np.eye(2), 1.0), (np.diag([1.0, 0.0]), 2.0)])
         assert rep.status == sdp.INFEASIBLE
         assert rep.slack <= -0.9
 
@@ -292,13 +229,13 @@ class TestFeasibility:
                 h = random_hermitian(rng, d)
                 h -= np.trace(h) * np.eye(d) / d
                 rows.append((h, 0.05))
-            rep = feasibility(d, herm_rows(d, rows))
+            rep = feasibility(d, rows)
             assert rep.slack <= 1.0 / d + 1e-7
 
     def test_missing_normalization_raises(self):
         # without a trace-fixing row the slack program is unbounded
         with pytest.raises(sdp.SdpError):
-            feasibility(2, herm_rows(2, [(np.diag([1.0, -1.0]), 0.0)]))
+            feasibility(2, [(np.diag([1.0, -1.0]), 0.0)])
 
     def test_inconsistent_targets_infeasible(self):
         # overlapping targets that disagree on factor 1 are rejected up front
@@ -310,27 +247,30 @@ class TestFeasibility:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_rhs_rejected_at_the_boundary(self, bad):
-        rows = herm_rows(2, [(np.eye(2), 1.0), (SZ, bad)])
-        with pytest.raises(ValueError, match="constraint row 1 has a non-finite rhs"):
-            feasibility(2, rows)
-        with pytest.raises(ValueError, match="constraint row 1 has a non-finite rhs"):
-            sdp.SdpProblem((2,), None, tuple(rows))
-        with pytest.raises(ValueError, match="constraint row 0 has a non-finite free coefficient"):
-            sdp.SdpProblem((2,), None, tuple(rows[:1]), free_objective=1.0, free_coeffs=(bad,))
-
-    def test_constraint_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            feasibility(2, herm_rows(3, [(np.eye(3), 1.0)]))
+        # the rows' rhs are the target's (or effect's) basis coefficients: a
+        # non-finite entry, or a non-finite required trace, is rejected before
+        # any row is built
+        target = np.diag([0.5, 0.5]).astype(complex)
+        target[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            MarginalSpec(dims=(2, 2), targets=(((1,), target),))
+        with pytest.raises(ValueError, match="non-finite"):
+            MarginalSpec(dims=(2, 2), targets=(((1,), np.eye(2) / 2),), normalization=bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            mg.effects_compatible(target, np.eye(2) / 2)
 
     def test_boundary_recovers_witness(self):
         # pin X to a rank-deficient PSD matrix: slack is exactly 0
         target = np.diag([1.0, 0.0])
         b = hermitian_basis(2)
-        rows = [(bb, float(np.trace(bb @ target).real)) for bb in b]
-        rep = feasibility(2, herm_rows(2, rows))
+        rep = feasibility(2, [(bb, float(np.trace(bb @ target).real)) for bb in b])
         assert rep.status == sdp.FEASIBLE
         assert abs(rep.slack) < 1e-7
         assert np.max(np.abs(rep.witness - target)) < 1e-6
+
+
+def assert_weak_duality(sol):
+    assert sol.primal_objective <= sol.dual_objective + 1e-6 * (1 + abs(sol.primal_objective))
 
 
 class TestRealificationConsistency:
@@ -353,15 +293,15 @@ class TestRealificationConsistency:
 
     @pytest.mark.parametrize("rows", FEASIBLE_CASES)
     def test_feasible(self, rows):
-        d = rows[0][0].shape[0]
-        rep = feasibility(d, herm_rows(d, rows))
+        rep = feasibility(rows[0][0].shape[0], rows)
         assert rep.status == sdp.FEASIBLE
+        assert_weak_duality(rep.solution)
 
     @pytest.mark.parametrize("rows", INFEASIBLE_CASES)
     def test_infeasible(self, rows):
-        d = rows[0][0].shape[0]
-        rep = feasibility(d, herm_rows(d, rows))
+        rep = feasibility(rows[0][0].shape[0], rows)
         assert rep.status == sdp.INFEASIBLE
+        assert_weak_duality(rep.solution)
 
 
 class TestWitnessAudit:
@@ -373,7 +313,7 @@ class TestWitnessAudit:
         target /= np.trace(target).real
         for h in hermitian_basis(3)[:4]:
             rows.append((h, float(np.trace(h @ target).real)))
-        rep = feasibility(3, herm_rows(3, rows))
+        rep = feasibility(3, rows)
         assert rep.status == sdp.FEASIBLE
         assert np.linalg.eigvalsh(rep.witness)[0] >= -1e-8
         for h, v in rows:
@@ -383,10 +323,11 @@ class TestWitnessAudit:
 
     def test_rejects_witness_perturbed_past_residual(self):
         target = np.diag([0.6, 0.4]).astype(complex)
-        rows = herm_rows(2, [(b, float(np.trace(b @ target).real)) for b in hermitian_basis(2)])
-        assert sdp.witness_valid(rows, (target,), DEFAULT)
+        rows = sdp._Rows(((2,),), (whole_block([(b, np.trace(b @ target).real) for b in hermitian_basis(2)]),))
+        assert rows.holds((target,), DEFAULT)
         nudge = np.diag([1.0, 0.0]) * 1.5 * DEFAULT.witness_residual
-        assert not sdp.witness_valid(rows, (target + nudge,), DEFAULT)
-        assert sdp.witness_valid(rows, (target + nudge / 3,), DEFAULT)
+        assert not rows.holds((target + nudge,), DEFAULT)
+        assert rows.holds((target + nudge / 3,), DEFAULT)
         # a witness that satisfies every row but is not PSD is rejected too
-        assert not sdp.witness_valid(herm_rows(2, [(np.eye(2), 1.0)]), (np.diag([1.5, -0.5]),), DEFAULT)
+        trace_only = sdp._Rows(((2,),), (whole_block([(np.eye(2), 1.0)]),))
+        assert not trace_only.holds((np.diag([1.5, -0.5]),), DEFAULT)
