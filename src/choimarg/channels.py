@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -164,6 +164,8 @@ def measure_prepare(
         effect_list = [m, np.eye(m.shape[0]) - m]
     else:
         effect_list = [check_effect(np.asarray(m, dtype=complex)) for m in effects]
+    if not effect_list:
+        raise ValueError("at least one effect is required")
     d_in = effect_list[0].shape[0]
     total = sum(effect_list)
     if np.max(np.abs(total - np.eye(d_in))) > DEFAULT.psd:
@@ -281,45 +283,69 @@ def channel_to_dict(c: Channel) -> dict:
     return out
 
 
+_REQUIRED = object()
+
+
+def _field(d: dict, key: str, convert: Callable = lambda v: v, default: object = _REQUIRED):
+    """convert(d[key]), or default when the key is absent or null. A required
+    key that is absent, or a value that convert rejects, raises a ValueError
+    naming it."""
+    value = d.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"JSON field {key!r} is missing")
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"JSON field {key!r} is malformed: {exc}") from None
+
+
+def _ints(value: object) -> tuple[int, ...]:
+    return tuple(int(x) for x in value)
+
+
+def _matrices(value: object) -> list[np.ndarray]:
+    return [_matrix_from_json(m) for m in value]
+
+
 def channel_from_dict(d: dict) -> Channel:
     try:
         kind = d["kind"]
     except (TypeError, KeyError):
         raise ValueError("channel JSON must be an object with a 'kind' key") from None
-    in_dim = int(d.get("in_dim", 2))
-    out_dim = int(d.get("out_dim", in_dim))
-    data = d.get("data")
+    in_dim = _field(d, "in_dim", int, 2)
+    out_dim = _field(d, "out_dim", int, in_dim)
     if kind == "identity":
         if in_dim != out_dim:
             raise ValueError("identity channel needs in_dim == out_dim")
         return identity_channel(in_dim)
     if kind == "depolarizing":
-        p = 1.0 if data is None else float(data)
+        p = _field(d, "data", float, 1.0)
         if in_dim != out_dim:
             raise ValueError("depolarizing channel needs in_dim == out_dim")
         return depolarizing_channel(in_dim, p)
     if kind == "unitary":
-        u = _matrix_from_json(data)
+        u = _field(d, "data", _matrix_from_json)
         if u.shape != (out_dim, in_dim):
             raise ValueError(f"unitary shape {u.shape} does not match dims")
         return unitary_channel(u)
     if kind == "kraus":
-        ops = [_matrix_from_json(k) for k in data]
-        return choi_from_kraus(ops, in_dim=in_dim, out_dim=out_dim)
+        return choi_from_kraus(_field(d, "data", _matrices), in_dim=in_dim, out_dim=out_dim)
     if kind == "choi":
-        choi = _matrix_from_json(data)
-        out_dims = tuple(d.get("out_dims", (out_dim,)))
+        choi = _field(d, "data", _matrix_from_json)
+        out_dims = _field(d, "out_dims", _ints, (out_dim,))
         if int(np.prod(out_dims)) != out_dim:
             raise ValueError("out_dims do not multiply to out_dim")
         return Channel(in_dim=in_dim, out_dims=out_dims, choi=choi)
     if kind == "measure_prepare":
+        data = _field(d, "data")
         if isinstance(data, dict):
-            effects = [_matrix_from_json(m) for m in data["effects"]]
-            preps = data.get("preparations")
-            if preps is not None:
-                preps = [np.asarray(v, dtype=float)[:, 0] + 1j * np.asarray(v, dtype=float)[:, 1] for v in preps]
-            return measure_prepare(effects, preps)
-        return measure_prepare(_matrix_from_json(data))
+            # a list of [re, im] vectors reads as the matrix whose rows they are
+            return measure_prepare(
+                _field(data, "effects", _matrices), _field(data, "preparations", _matrix_from_json, None)
+            )
+        return measure_prepare(_field(d, "data", _matrix_from_json))
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
@@ -337,7 +363,7 @@ def state_from_dict(d: dict) -> tuple[np.ndarray, tuple[int, ...]]:
         raise ValueError("state JSON must be an object with a 'kind' key") from None
     if kind != "density":
         raise ValueError(f"unknown state kind {kind!r}")
-    rho = check_density(_matrix_from_json(d["data"]))
-    dims = tuple(int(x) for x in d.get("dims", (rho.shape[0],)))
+    rho = check_density(_field(d, "data", _matrix_from_json))
+    dims = _field(d, "dims", _ints, (rho.shape[0],))
     check_shape(dims, rho.shape[0])
     return rho, dims

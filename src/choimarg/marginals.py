@@ -1,6 +1,6 @@
 """Channel compatibility, steering and Bell locality as prescribed-marginal SDPs.
 
-All three questions ask for a multipartite PSD operator with given partial
+All these questions ask for a multipartite PSD operator with given partial
 traces:
 
 * compatibility of (Phi_1, Phi_2): a joint Choi matrix C on
@@ -8,7 +8,9 @@ traces:
 * steering of rho on C (x) A by (Phi_1, Phi_2): a tripartite state sigma with
   Tr_3 sigma = (id (x) Phi_1)(rho) and Tr_2 sigma = (id (x) Phi_2)(rho);
 * Bell locality of rho under four channels: a four-partite state reproducing
-  the four pairwise output marginals.
+  the four pairwise output marginals;
+* joint measurability of two effects: compatibility of their two-outcome
+  measure-prepare channels.
 
 Factor numbering is 1-based, matching :mod:`choimarg.linalg`. Each target
 equation is expanded in the identity-first Hermitian product basis of its
@@ -36,7 +38,6 @@ from .linalg import (
     check_effect,
     check_hermitian,
     frozen,
-    hermitian_basis,
     hermitian_product_basis,
     kron,
     partial_trace,
@@ -168,21 +169,20 @@ def _target_rows(spec: MarginalSpec) -> list[RowGroup]:
                 fresh.append(pos)
         coeffs = hermitian_product_basis(kept_dims).reshape(-1, target.size)[fresh]
         rhs = coeffs.view(float) @ target.reshape(-1).view(float)
-        groups.append(RowGroup(((0, tuple(k - 1 for k in kept), coeffs),), rhs))
+        groups.append(RowGroup(tuple(k - 1 for k in kept), coeffs, rhs))
     return groups
 
 
 def _decide(spec: MarginalSpec, groups: list[RowGroup], tol: Tolerances) -> FeasibilityReport:
     """Solve the spec's rows; a feasible witness is rescaled to the exact trace."""
-    factors = (spec.dims,)
-    report = _group_feasibility(factors, groups, tol=tol)
+    report = _group_feasibility(spec.dims, groups, tol=tol)
     if report.status == FEASIBLE and spec.normalization > 0:
         # rescale to the exact required trace (preserves positivity, moves the
         # marginal residuals by a relative ~1e-9)
         witness = report.witness * (spec.normalization / float(np.trace(report.witness).real))
-        if not _Rows(factors, groups).holds((witness,), tol):
+        if not _Rows(spec.dims, groups).holds(witness, tol):
             raise SdpError("rescaled witness failed independent validation")
-        report = replace(report, witness=witness, blocks=(witness,))
+        report = replace(report, witness=witness)
     return report
 
 
@@ -237,7 +237,7 @@ def _dual_per_target(
         return None
     ends = np.cumsum([len(g.rhs) for g in groups])
     return [
-        (report.dual_certificate[end - len(g.rhs):end] @ g.parts[0][2].view(float))
+        (report.dual_certificate[end - len(g.rhs):end] @ g.coeffs.view(float))
         .view(complex).reshape(target.shape)
         for g, end, (_, target) in zip(groups, ends, spec.targets)
     ]
@@ -272,7 +272,7 @@ def channels_compatible(
         dims = (c1.out_dim, c2.out_dim, c1.in_dim)
         defect = partial_trace(choi, dims, {1, 2}) - np.eye(c1.in_dim)
         choi = choi - kron(np.eye(c1.out_dim * c2.out_dim), defect) / (c1.out_dim * c2.out_dim)
-        if not _Rows((dims,), groups).holds((choi,), tol):
+        if not _Rows(dims, groups).holds(choi, tol):
             raise SdpError("trace-preserving joint channel failed independent validation")
         joint = Channel(in_dim=c1.in_dim, out_dims=(c1.out_dim, c2.out_dim), choi=choi)
         return CompatReport(COMPATIBLE, report.slack, joint, witness_pair, dual_value, report)
@@ -366,25 +366,30 @@ def effects_compatible(
     *,
     tol: Tolerances = DEFAULT,
 ) -> FeasibilityReport:
-    """Joint measurability of two effects via the four-block decomposition.
+    """Joint measurability of two effects: compatibility of their channels
+    rho -> Tr(rho e)|0><0| + Tr(rho (1-e))|1><1|, with Choi matrices
+    diag(1,0) (x) e^T + diag(0,1) (x) (1-e)^T.
 
-    Decides existence of h_11, h_12, h_21, h_22 >= 0 with h_11 + h_12 = f,
-    h_21 + h_22 = 1 - f and h_11 + h_21 = g; equivalently of G = h_11 with
-    G >= 0, f - G >= 0, g - G >= 0 and 1 - f - g + G >= 0. The report witness
-    is G.
+    The report witness is G = h_00, where h_ab^T is the principal block
+    X[a,b,:,a,b,:] of the joint Choi matrix X on (2, 2, d); G, f - G, g - G
+    and 1 - f - g + G are h_00, h_01, h_10 and h_11, all PSD.
     """
     f = check_effect(np.asarray(f, dtype=complex), tol)
     g = check_effect(np.asarray(g, dtype=complex), tol)
     if f.shape != g.shape:
         raise ValueError(f"effects have different dimensions {f.shape} != {g.shape}")
     d = f.shape[0]
-    basis = np.array(hermitian_basis(d)).reshape(d * d, d * d)
 
-    def group(blocks: tuple[int, int], target: np.ndarray) -> RowGroup:
-        return RowGroup(
-            tuple((b, (0,), basis) for b in blocks),
-            basis.view(float) @ np.ascontiguousarray(target).reshape(-1).view(float),
-        )
+    def choi(e: np.ndarray) -> np.ndarray:
+        # built from the effect as checked at tol, not through measure_prepare,
+        # which would re-check it at the default tolerances
+        return kron(np.diag([1.0, 0.0]), e.T) + kron(np.diag([0.0, 1.0]), np.eye(d) - e.T)
 
-    groups = (group((0, 1), f), group((2, 3), np.eye(d) - f), group((0, 2), g))
-    return _group_feasibility(((d,),) * 4, groups, tol=tol)
+    spec = MarginalSpec(
+        dims=(2, 2, d), targets=(((1, 3), choi(f)), ((2, 3), choi(g))), normalization=float(d)
+    )
+    report = marginal_feasibility(spec, tol=tol)
+    if report.witness is None:
+        return report
+    # a principal block of the validated joint Choi matrix, so PSD whenever it is
+    return replace(report, witness=report.witness.reshape(2, 2, d, 2, 2, d)[0, 0, :, 0, 0, :].T)

@@ -1,47 +1,45 @@
-"""Prescribed-marginal feasibility as one slack program over Hermitian PSD blocks.
+"""Prescribed-marginal feasibility as one slack program over a Hermitian PSD block.
 
-Every question of this package asks whether PSD blocks X_b satisfy affine
-rows A(X) = b. The one program solved here is its slack program::
+Every question of this package asks whether a PSD operator X satisfies
+affine rows A(X) = b. The one program solved here is its slack program::
 
     max  t
-    s.t. A(Y) + a * t = b,   Y_b >= 0,   t free
+    s.t. A(Y) + a * t = b,   Y >= 0,   t free
 
 with Y = X - t*1 and a_p the trace of row p's operator. The optimal t is
 the largest smallest eigenvalue of an X that satisfies the rows, so its sign
 decides feasibility; :func:`_group_feasibility` reads the witness back as
 Y + t*1 and re-validates it. Callers pass linearly independent rows that
-fix the total trace; the rows of :mod:`choimarg.marginals` are independent
-by construction, so nothing here prunes or probes them.
+fix the trace; the rows of :mod:`choimarg.marginals` are independent by
+construction, so nothing here prunes or probes them.
 
 The solver is a primal-dual path-following interior-point method with the
 HKM direction (linearize XZ = mu*1, take the Hermitian part of the X step),
 fixed centering sigma = 0.1, step fraction 0.98 to the cone boundary (halved
 while rounding leaves an iterate that is not numerically positive definite),
 and an iteration cap of 200. The free scalar t is eliminated inside the
-Schur system. It works on complex Hermitian blocks directly, as SDPT3 and
-SeDuMi do, and is written for the problem sizes of this package (block
+Schur system. It works on one complex Hermitian block directly, as SDPT3
+and SeDuMi do, and is written for the problem sizes of this package (block
 dimensions up to ~81, a few hundred constraint rows at most). It is
 deterministic: fixed initialization, no randomized pivoting, no Mehrotra
 correction.
 
 Constraint rows come in row groups (:class:`RowGroup`): row p of a group is
-lift(B_p), a Hermitian element B_p on the kept factors K of a block with the
-identity on the other factors R, and the group stores vec(B_p) as row p of a
-coefficient matrix P. A marginal target is one group. A(X) is P applied to
-each group's partial trace Tr_R X, A*(y) one lift of y_g P per group, and
-the HKM Schur block of groups s and t is Re P_s T_st P_t^T, where T_st
+lift(B_p), a Hermitian element B_p on the kept factors K of the block with
+the identity on the other factors R, and the group stores vec(B_p) as row p
+of a coefficient matrix P. A marginal target is one group. A(X) is P applied
+to each group's partial trace Tr_R X, A*(y) the sum of the lifts of y_g P,
+and the HKM Schur block of groups s and t is Re P_s T_st P_t^T, where T_st
 contracts Z^-1 and X over the factors outside K_s and K_t in one GEMM (see
 :meth:`_Rows.schur`). A pair costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) +
 m_s m_t d_Kt^2) instead of the O(m n^3 + m^2 n^2) of dense rows on a block
-of dimension n. The groups of :func:`~choimarg.marginals.effects_compatible`
-keep the whole block; their T_st is the outer product Z^-1 (x) X of n^4
-entries, so they suit small blocks. On one core of a 2-vCPU Xeon guest a
-qutrit compatibility decision (m = 153, n = 27) takes ~2.6 ms per iteration
-and a qutrit Bell decision (m = 289, n = 81) ~10 ms, the O(m^3) Cholesky
-factorization of S included. Each step is projected onto the primal
-equations with the rows' Gram matrix (the kernel at Z^-1 = X = 1), factored
-once per solve, so rounding in the Schur solve cannot leave a primal
-residual that the path no longer reduces.
+of dimension n. On one core of a 2-vCPU Xeon guest a qutrit compatibility
+decision (m = 153, n = 27) takes ~2.6 ms per iteration and a qutrit Bell
+decision (m = 289, n = 81) ~10 ms, the O(m^3) Cholesky factorization of S
+included. Each step is projected onto the primal equations with the rows'
+Gram matrix (the kernel at Z^-1 = X = 1), factored once per solve, so
+rounding in the Schur solve cannot leave a primal residual that the path no
+longer reduces.
 """
 
 from __future__ import annotations
@@ -92,26 +90,25 @@ def _herm(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RowGroup:
-    """Constraint rows that lift basis elements from the kept factors of blocks.
+    """Constraint rows that lift basis elements from kept factors of the block.
 
-    Row p reads sum over parts of Re<lift(B_p), X_b> = rhs[p]. A part
-    (b, kept, coeffs) touches block b: row p of the complex array coeffs is
-    vec(B_p), row-major, on the block's 0-based ``kept`` factors (ascending),
-    and lift places the identity on the block's other factors. A group has
-    at most one part per block.
+    Row p reads Re<lift(B_p), X> = rhs[p]: row p of the complex array coeffs
+    is vec(B_p), row-major, on the 0-based ``kept`` factors (ascending), and
+    lift places the identity on the other factors.
     """
 
-    parts: tuple[tuple[int, tuple[int, ...], np.ndarray], ...]
+    kept: tuple[int, ...]
+    coeffs: np.ndarray
     rhs: np.ndarray
 
 
 class _Part(NamedTuple):
-    """One group's rows on one block; perm orders the block's axes as (kept
-    rows, kept columns, rest rows, rest columns), lift_perm is its inverse."""
+    """One group's rows; perm orders the block's axes as (kept rows, kept
+    columns, rest rows, rest columns), lift_perm is its inverse."""
 
-    block: int
     rows: slice
-    split: tuple[int, ...]
+    kept: tuple[int, ...]
+    rest: tuple[int, ...]
     perm: tuple[int, ...]
     lift_split: tuple[int, ...]
     lift_perm: tuple[int, ...]
@@ -121,33 +118,29 @@ class _Part(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _structure(
-    factors: tuple[tuple[int, ...], ...],
-    layout: tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...],
+    dims: tuple[int, ...], layout: tuple[tuple[int, tuple[int, ...]], ...]
 ) -> tuple[int, tuple[_Part, ...], tuple[tuple, ...]]:
-    """Row count, parts, and pairs (i, j, zperm, xperm) of parts on one block.
+    """Row count, parts, and pairs (i, j, zperm, xperm) of parts.
 
-    layout holds, per group, its row count and its (block, kept) parts.
+    dims are the block's factor dimensions; layout holds, per group, its row
+    count and its kept factors.
     """
-    parts, sets, start = [], [], 0
-    for m_g, touched in layout:
-        for block, kept in touched if m_g else ():
-            dims = factors[block]
-            nf = len(dims)
+    nf = len(dims)
+    split = dims + dims
+    parts, start = [], 0
+    for m_g, kept in layout:
+        if m_g:
             rest = tuple(f for f in range(nf) if f not in kept)
             perm = kept + tuple(nf + k for k in kept) + rest + tuple(nf + r for r in rest)
-            split = dims + dims
             parts.append(_Part(
-                block, slice(start, start + m_g), split, perm, tuple(split[p] for p in perm),
+                slice(start, start + m_g), kept, rest, perm, tuple(split[p] for p in perm),
                 tuple(int(p) for p in np.argsort(perm)),
                 prod(dims[k] for k in kept), prod(dims[r] for r in rest),
             ))
-            sets.append((nf, kept, rest))
         start += m_g
     pairs = []
     for i, j in ((i, j) for i in range(len(parts)) for j in range(i, len(parts))):
-        if parts[i].block != parts[j].block:
-            continue
-        (nf, ks, rs), (_, kt, rt) = sets[i], sets[j]
+        ks, rs, kt, rt = parts[i].kept, parts[i].rest, parts[j].kept, parts[j].rest
         # Z^-1 rows (b), columns (c); X rows (d), columns (a). lift(B_i) ties
         # a = b outside K_s and lift(B_j) ties c = d outside K_t.
         zperm = ks + tuple(nf + k for k in kt) + rs + tuple(nf + r for r in rt)
@@ -159,63 +152,61 @@ def _structure(
 class _Rows:
     """The equality operator of a problem, applied through its row groups."""
 
-    def __init__(self, factors: Sequence[Sequence[int]], groups: Sequence[RowGroup]):
-        factors = tuple(tuple(int(d) for d in f) for f in factors)
-        layout = tuple(
-            (len(g.rhs), tuple((int(b), tuple(int(k) for k in kept)) for b, kept, _ in g.parts))
-            for g in groups
-        )
-        self.m, self.parts, self.pairs = _structure(factors, layout)
-        self.dims = tuple(prod(f) for f in factors)
-        self.coeffs = [
-            np.ascontiguousarray(c, dtype=complex) for g in groups if len(g.rhs) for _, _, c in g.parts
-        ]
+    def __init__(self, dims: Sequence[int], groups: Sequence[RowGroup]):
+        dims = tuple(int(d) for d in dims)
+        layout = tuple((len(g.rhs), tuple(int(k) for k in g.kept)) for g in groups)
+        self.m, self.parts, self.pairs = _structure(dims, layout)
+        self.split = dims + dims
+        self.n = prod(dims)
+        self.coeffs = [np.ascontiguousarray(g.coeffs, dtype=complex) for g in groups if len(g.rhs)]
         self.rhs = np.concatenate([np.asarray(g.rhs, dtype=float) for g in groups])
 
-    def __call__(self, xs: Sequence[np.ndarray]) -> np.ndarray:
-        """A(X): each group's coefficients of its partial traces."""
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """A(X): each group's coefficients of its partial trace."""
         out = np.zeros(self.m)
+        x = np.asarray(x, dtype=complex).reshape(self.split)
         for part, c in zip(self.parts, self.coeffs):
             kept = (
-                np.asarray(xs[part.block], dtype=complex).reshape(part.split).transpose(part.perm)
+                x.transpose(part.perm)
                 .reshape(part.d_kept ** 2, part.d_rest ** 2)[:, :: part.d_rest + 1].sum(axis=1)
             )
             # Re<B, Tr_R X> as a real dot product over interleaved real and imaginary parts
             out[part.rows] += c.view(float) @ kept.view(float)
         return out
 
-    def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
-        """A*(y): per block, the lifts of y_g P over the groups touching it."""
-        out = [np.zeros((d, d), dtype=complex) for d in self.dims]
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A*(y): the sum of the lifts of y_g P over the groups."""
+        out = np.zeros((self.n, self.n), dtype=complex)
         for part, c in zip(self.parts, self.coeffs):
             mat = (y[part.rows] @ c.view(float)).view(complex).reshape(part.d_kept, part.d_kept)
             lifted = np.multiply.outer(mat, np.eye(part.d_rest)).reshape(part.lift_split)
-            out[part.block] += lifted.transpose(part.lift_perm).reshape(out[part.block].shape)
+            out += lifted.transpose(part.lift_perm).reshape(out.shape)
         return out
 
     def free_coeffs(self) -> np.ndarray:
-        """Tr lift(B_p) = d_rest Tr B_p, summed over a row's parts."""
+        """Tr lift(B_p) = d_rest Tr B_p."""
         out = np.zeros(self.m)
         for part, c in zip(self.parts, self.coeffs):
             out[part.rows] += part.d_rest * c[:, :: part.d_kept + 1].sum(axis=1).real
         return out
 
-    def schur(self, zinvs: Sequence[np.ndarray], xs: Sequence[np.ndarray]) -> np.ndarray:
-        """HKM Schur complement S_ij = sum_b Re Tr(A_i Z_b^-1 A_j X_b).
+    def schur(self, zinv: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """HKM Schur complement S_ij = Re Tr(A_i Z^-1 A_j X).
 
-        For parts s, t on one block, T_st[(a,b),(c,d)] = sum Z^-1[b,c] X[d,a]
-        over the factors outside K_s (where a = b) and outside K_t (where
-        c = d) is one GEMM, and the block is Re P_s T_st P_t^T. On whole
-        blocks the sum is empty and T_st is the outer product Z^-1 (x) X.
+        For parts s and t, T_st[(a,b),(c,d)] = sum Z^-1[b,c] X[d,a] over the
+        factors outside K_s (where a = b) and outside K_t (where c = d) is one
+        GEMM, and the block is Re P_s T_st P_t^T. When both groups keep every
+        factor the sum is empty and T_st is the outer product Z^-1 (x) X.
         """
         schur = np.zeros((self.m, self.m))
+        zinv, x = zinv.reshape(self.split), x.reshape(self.split)
         for i, j, zperm, xperm in self.pairs:
             s, t = self.parts[i], self.parts[j]
             p, q = self.coeffs[i], self.coeffs[j]
             ks, kt, inner = s.d_kept, t.d_kept, s.d_rest * t.d_rest
             g = (
-                zinvs[s.block].reshape(s.split).transpose(zperm).reshape(ks * kt, inner)
-                @ xs[s.block].reshape(s.split).transpose(xperm).reshape(inner, kt * ks)
+                zinv.transpose(zperm).reshape(ks * kt, inner)
+                @ x.transpose(xperm).reshape(inner, kt * ks)
             )
             tst = g.reshape(ks, kt, kt, ks).transpose(3, 0, 1, 2).reshape(ks * ks, kt * kt)
             # Re(u . v) = Re<conj u, v>, a real dot product over interleaved parts
@@ -225,11 +216,11 @@ class _Rows:
                 schur[t.rows, s.rows] += block.T
         return (schur + schur.T) / 2
 
-    def holds(self, blocks: Sequence[np.ndarray], tol: Tolerances) -> bool:
-        """Every row holds to tol.witness_residual and every block is PSD to -tol.witness_psd."""
-        if float(np.max(np.abs(self(blocks) - self.rhs))) > tol.witness_residual:
+    def holds(self, x: np.ndarray, tol: Tolerances) -> bool:
+        """Every row holds to tol.witness_residual and X is PSD to -tol.witness_psd."""
+        if float(np.max(np.abs(self(x) - self.rhs))) > tol.witness_residual:
             return False
-        return all(float(np.linalg.eigvalsh(x)[0]) >= -tol.witness_psd for x in blocks)
+        return float(np.linalg.eigvalsh(x)[0]) >= -tol.witness_psd
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +230,7 @@ class _Rows:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    blocks: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]  # (Y,), the one PSD block
     free_value: float
     dual: np.ndarray
     primal_objective: float
@@ -261,18 +252,18 @@ def _step_to_boundary(l: np.ndarray, ds: np.ndarray) -> float:
 
 
 def _advance(
-    blocks: list[np.ndarray], steps: list[np.ndarray], alpha: float
-) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """The blocks moved by alpha * steps, their Cholesky factors and the alpha taken.
+    x: np.ndarray, step: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The block moved by alpha * step, its Cholesky factor and the alpha taken.
 
     Near the cone boundary, rounding can leave a block that is not numerically
     positive definite after a step that stays inside in exact arithmetic; alpha
     is then halved. Raises LinAlgError when 30 halvings do not suffice.
     """
     for _ in range(30):
-        moved = [_herm(b + alpha * d) for b, d in zip(blocks, steps)]
+        moved = _herm(x + alpha * step)
         try:
-            return moved, [np.linalg.cholesky(x) for x in moved], alpha
+            return moved, np.linalg.cholesky(moved), alpha
         except np.linalg.LinAlgError:
             alpha /= 2
     raise np.linalg.LinAlgError("no step length keeps the iterate positive definite")
@@ -287,17 +278,17 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
     group order. An inconsistent equality system never reaches the residual
     test and ends with a non-optimal status.
     """
-    dims = rows.dims
+    n = rows.n
     m = rows.m
     b = rows.rhs
     a_free = rows.free_coeffs()
-    n_total = sum(dims)
+    eye = np.eye(n, dtype=complex)
 
-    init_scale = max(float(np.max(np.abs(b))) / n_total, 1e-2)
-    xs = [init_scale * np.eye(d, dtype=complex) for d in dims]
-    zs = [np.eye(d, dtype=complex) for d in dims]
-    lxs = [np.linalg.cholesky(x) for x in xs]
-    lzs = [np.linalg.cholesky(z) for z in zs]
+    init_scale = max(float(np.max(np.abs(b))) / n, 1e-2)
+    x = init_scale * eye
+    z = eye
+    lx = np.linalg.cholesky(x)
+    lz = np.linalg.cholesky(z)
     y = np.zeros(m)
     t = 0.0
     sigma = 0.1
@@ -308,8 +299,7 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
 
     # Gram matrix of the rows with their free-scalar coefficients, regularised
     # as the Schur complement is: it projects each step onto the primal equations
-    eyes = [np.eye(d, dtype=complex) for d in dims]
-    gram = rows.schur(eyes, eyes) + np.outer(a_free, a_free)
+    gram = rows.schur(eye, eye) + np.outer(a_free, a_free)
     try:
         gram_cho = scipy.linalg.cho_factor(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
     except np.linalg.LinAlgError:
@@ -317,22 +307,18 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
         max_iterations, status = 0, NUMERICAL_FAILURE
 
     for it in range(1, max_iterations + 1):
-        zinvs = []
-        for l in lzs:
-            linv = scipy.linalg.solve_triangular(l, np.eye(l.shape[0]), lower=True)
-            zinvs.append(linv.conj().T @ linv)
+        linv = scipy.linalg.solve_triangular(lz, np.eye(n), lower=True)
+        zinv = linv.conj().T @ linv
 
-        mu = sum(np.vdot(z, x).real for x, z in zip(xs, zs)) / n_total
+        mu = np.vdot(z, x).real / n
         target = sigma * mu
-        r_p = b - rows(xs) - a_free * t
-        r_ds = [z - aty for z, aty in zip(zs, rows.adjoint(y))]
+        r_p = b - rows(x) - a_free * t
+        r_d = z - rows.adjoint(y)
         r_f = 1.0 - float(a_free @ y)
 
-        cores = [
-            target * zinv - x + _herm(zinv @ r_d @ x) for zinv, x, r_d in zip(zinvs, xs, r_ds)
-        ]
-        schur = rows.schur(zinvs, xs)
-        rhs = rows(cores) - r_p
+        core = target * zinv - x + _herm(zinv @ r_d @ x)
+        schur = rows.schur(zinv, x)
+        rhs = rows(core) - r_p
 
         try:
             cho = scipy.linalg.cho_factor(schur + 1e-14 * np.trace(schur) / m * np.eye(m))
@@ -348,35 +334,30 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
         dt = (r_f - float(a_free @ u)) / denom
         dy = u + dt * w
 
-        dzs = [atdy - r_d for atdy, r_d in zip(rows.adjoint(dy), r_ds)]
-        dxs = [
-            target * zinv - x - _herm(zinv @ dz @ x) for zinv, x, dz in zip(zinvs, xs, dzs)
-        ]
-        correction = scipy.linalg.cho_solve(gram_cho, r_p - rows(dxs) - a_free * dt)
-        dxs = [dx + atc for dx, atc in zip(dxs, rows.adjoint(correction))]
+        dz = rows.adjoint(dy) - r_d
+        dx = target * zinv - x - _herm(zinv @ dz @ x)
+        correction = scipy.linalg.cho_solve(gram_cho, r_p - rows(dx) - a_free * dt)
+        dx = dx + rows.adjoint(correction)
         dt += float(a_free @ correction)
 
         try:
-            alpha_p = min([1.0] + [0.98 * _step_to_boundary(l, dx) for l, dx in zip(lxs, dxs)])
-            alpha_d = min([1.0] + [0.98 * _step_to_boundary(l, dz) for l, dz in zip(lzs, dzs)])
+            alpha_p = min(1.0, 0.98 * _step_to_boundary(lx, dx))
+            alpha_d = min(1.0, 0.98 * _step_to_boundary(lz, dz))
             if alpha_p <= 0 or alpha_d <= 0:
                 status = NUMERICAL_FAILURE
                 break
-            moved = _advance(xs, dxs, alpha_p), _advance(zs, dzs, alpha_d)
+            moved = _advance(x, dx, alpha_p), _advance(z, dz, alpha_d)
         except np.linalg.LinAlgError:
             status = NUMERICAL_FAILURE
             break
-        (xs, lxs, alpha_p), (zs, lzs, alpha_d) = moved
+        (x, lx, alpha_p), (z, lz, alpha_d) = moved
         y = y + alpha_d * dy
         t = t + alpha_p * dt
 
         dual = float(b @ y)
-        r_p = b - rows(xs) - a_free * t
+        r_p = b - rows(x) - a_free * t
         pinf = float(np.linalg.norm(r_p)) / (1.0 + float(np.linalg.norm(b)))
-        dinf = max(
-            max(float(np.max(np.abs(z - aty))) for z, aty in zip(zs, rows.adjoint(y))),
-            abs(1.0 - float(a_free @ y)),
-        )
+        dinf = max(float(np.max(np.abs(z - rows.adjoint(y)))), abs(1.0 - float(a_free @ y)))
         relgap = abs(dual - t) / (1.0 + abs(t))
 
         if pinf <= FEAS_TOL and dinf <= FEAS_TOL and relgap <= gap_tol:
@@ -384,7 +365,7 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
             break
 
     return SdpSolution(
-        blocks=tuple(xs),
+        blocks=(x,),
         free_value=t,
         dual=y,
         primal_objective=t,
@@ -410,15 +391,14 @@ class FeasibilityReport:
     decides feasibility outside the band |t| < eps. An in-band slack is
     reported feasible only when an eigenvalue-clipped witness independently
     re-validates (PSD to -1e-8, residuals <= 1e-6); otherwise Marginal.
-    witness is the primal matrix (first block for multi-block problems),
-    dual_certificate the dual vector on the original constraint rows.
+    witness is the primal matrix, dual_certificate the dual vector on the
+    original constraint rows.
     """
 
     status: str
     slack: float
     witness: np.ndarray | None
     dual_certificate: np.ndarray | None
-    blocks: tuple[np.ndarray, ...] = field(default=(), repr=False)
     solution: SdpSolution | None = field(default=None, repr=False)
 
     @property
@@ -433,29 +413,27 @@ def _clip_psd(x: np.ndarray) -> np.ndarray:
 
 
 def _group_feasibility(
-    factors: Sequence[Sequence[int]],
+    dims: Sequence[int],
     groups: Sequence[RowGroup],
     *,
     tol: Tolerances = DEFAULT,
     max_iterations: int = 200,
 ) -> FeasibilityReport:
-    """Decide existence of PSD blocks satisfying row groups.
+    """Decide existence of a PSD operator satisfying row groups.
 
-    factors[b] are the tensor factor dimensions of block b, which the
-    groups' kept sets index. The dual certificate is indexed by the rows in
-    group order.
+    dims are the operator's tensor factor dimensions, which the groups' kept
+    sets index. The dual certificate is indexed by the rows in group order.
 
     Precondition: the rows are linearly independent and their span fixes the
-    total block trace. Neither is checked; the rows go to the solver as
-    given. An unbounded slack program (such as a lone traceless row) or an
+    trace. Neither is checked; the rows go to the solver as given. An
+    unbounded slack program (such as a lone traceless row) or an
     inconsistent system does not converge and raises SdpError.
     """
     band = tol.band
     # solve tighter than the Marginal band so that slack noise cannot move a
     # boundary problem across the band edge
     gap_tol = min(tol.solver, band / 10.0)
-    rows = _Rows(factors, groups)
-    dims = rows.dims
+    rows = _Rows(dims, groups)
     solution = _ipm(rows, gap_tol=gap_tol, max_iterations=max_iterations)
     if solution.status != OPTIMAL:
         raise SdpError(
@@ -465,28 +443,16 @@ def _group_feasibility(
         )
 
     t_hat = solution.free_value
-    blocks = tuple(yb + t_hat * np.eye(d) for yb, d in zip(solution.blocks, dims))
+    x = solution.blocks[0] + t_hat * np.eye(rows.n)
     dual = solution.dual
 
     if t_hat >= band:
-        if not rows.holds(blocks, tol):
+        if not rows.holds(x, tol):
             raise SdpError("feasible verdict failed independent witness validation")
-        return FeasibilityReport(
-            status=FEASIBLE, slack=t_hat, witness=blocks[0],
-            dual_certificate=dual, blocks=blocks, solution=solution,
-        )
+        return FeasibilityReport(FEASIBLE, t_hat, x, dual, solution)
     if t_hat <= -band:
-        return FeasibilityReport(
-            status=INFEASIBLE, slack=t_hat, witness=None,
-            dual_certificate=dual, blocks=(), solution=solution,
-        )
-    clipped = tuple(_clip_psd(x) for x in blocks)
+        return FeasibilityReport(INFEASIBLE, t_hat, None, dual, solution)
+    clipped = _clip_psd(x)
     if rows.holds(clipped, tol):
-        return FeasibilityReport(
-            status=FEASIBLE, slack=t_hat, witness=clipped[0],
-            dual_certificate=dual, blocks=clipped, solution=solution,
-        )
-    return FeasibilityReport(
-        status=MARGINAL, slack=t_hat, witness=None,
-        dual_certificate=dual, blocks=(), solution=solution,
-    )
+        return FeasibilityReport(FEASIBLE, t_hat, clipped, dual, solution)
+    return FeasibilityReport(MARGINAL, t_hat, None, dual, solution)

@@ -133,6 +133,8 @@ class TestMeasurePrepare:
     def test_rejects_bad_effects(self):
         with pytest.raises(ValueError, match="sum"):
             ch.measure_prepare([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
+        with pytest.raises(ValueError, match="at least one effect"):
+            ch.measure_prepare([])
 
 
 class TestApply:

@@ -173,6 +173,28 @@ class TestErrors:
         assert code == 1
         assert "trace preserving" in err
 
+    @pytest.mark.parametrize("channel, state, field", [
+        ({"kind": "kraus", "in_dim": 2, "out_dim": 2}, None, "data"),
+        ({"kind": "choi", "in_dim": 2, "out_dim": 2, "out_dims": ["x"],
+          "data": [[[0.5 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]}, None, "out_dims"),
+        ({"kind": "measure_prepare", "data": {"preparations": None}}, None, "effects"),
+        ({"kind": "identity"}, {"kind": "density", "dims": [2, 2]}, "data"),
+    ], ids=["kraus-without-data", "choi-bad-out-dims", "measure-prepare-without-effects",
+            "density-without-data"])
+    def test_malformed_field_named(self, capsys, tmp_path, channel, state, field):
+        # a missing or malformed field is an input error that names the field
+        chan = tmp_path / "channel.json"
+        chan.write_text(json.dumps(channel))
+        argv = ["compat", str(chan), str(chan)]
+        if state is not None:
+            rho = tmp_path / "state.json"
+            rho.write_text(json.dumps(state))
+            argv = ["steer", str(rho), str(chan), str(chan)]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("choimarg: error: ") and repr(field) in err
+
     def test_dimension_mismatch(self, capsys, tmp_path):
         state = tmp_path / "state3.json"
         state.write_text(json.dumps(state_to_dict(np.eye(3) / 3, dims=(3,))))

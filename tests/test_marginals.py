@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from choimarg import marginals as mg
+from choimarg.config import DEFAULT
 from choimarg.channels import (
     Channel,
     _apply,
@@ -15,7 +18,13 @@ from choimarg.channels import (
     w_state,
 )
 from choimarg.linalg import embed, hermitian_product_basis, kron, partial_trace
-from choimarg.sampling import random_channel, random_density, random_separable, random_unitary
+from choimarg.sampling import (
+    random_channel,
+    random_density,
+    random_effect,
+    random_separable,
+    random_unitary,
+)
 from choimarg.sdp import FEASIBLE, INFEASIBLE
 from conftest import HADAMARD, SX, SZ, depolarize
 
@@ -226,10 +235,8 @@ class TestTargetRows:
         """The dense lift of every row of the spec's groups, in row order."""
         lifted = []
         for group in mg._target_rows(spec):
-            ((block, kept, coeffs),) = group.parts
-            assert block == 0
-            d = int(np.prod([spec.dims[k] for k in kept]))
-            lifted += [embed(c.reshape(d, d), spec.dims, [k + 1 for k in kept]) for c in coeffs]
+            d = int(np.prod([spec.dims[k] for k in group.kept]))
+            lifted += [embed(c.reshape(d, d), spec.dims, [k + 1 for k in group.kept]) for c in group.coeffs]
         return lifted
 
     def test_rows_are_an_orthogonal_basis_of_the_naive_span(self, rng, monkeypatch):
@@ -254,8 +261,7 @@ class TestTargetRows:
             assert len(rows) == rank == np.linalg.matrix_rank(np.vstack([naive, vecs]))
             # each rhs is the row's inner product with the target it comes from
             for group, (_, target) in zip(groups, spec.targets):
-                ((_, _, coeffs),) = group.parts
-                expected = [np.trace(c.reshape(target.shape) @ target).real for c in coeffs]
+                expected = [np.trace(c.reshape(target.shape) @ target).real for c in group.coeffs]
                 np.testing.assert_allclose(group.rhs, expected, atol=1e-14)
 
     def test_rows_built_once_per_decision(self, monkeypatch):
@@ -495,6 +501,52 @@ class TestEffectsCompatible:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             mg.effects_compatible(np.eye(2) / 2, np.eye(3) / 2)
+
+    @staticmethod
+    def assert_decomposes(f, g, G):
+        """G, f - G, g - G and 1 - f - g + G are PSD: a joint measurement."""
+        for block in (G, f - G, g - G, np.eye(len(f)) - f - g + G):
+            assert np.linalg.eigvalsh(block)[0] >= -1e-7
+
+    def test_qutrit_commuting_effects_compatible(self, rng):
+        # commuting effects are jointly measured by G = fg
+        for _ in range(3):
+            u = random_unitary(3, rng)
+            f = (u * rng.uniform(0, 1, 3)) @ u.conj().T
+            g = (u * rng.uniform(0, 1, 3)) @ u.conj().T
+            self.assert_decomposes(f, g, f @ g)
+            rep = mg.effects_compatible(f, g)
+            assert rep.status == FEASIBLE
+            self.assert_decomposes(f, g, rep.witness)
+
+    def test_qutrit_effect_with_its_complement_compatible(self, rng):
+        # f and 1 - f are the two outcomes of one measurement, jointly measured by G = 0
+        f = random_effect(3, rng)
+        rep = mg.effects_compatible(f, np.eye(3) - f)
+        assert rep.status == FEASIBLE
+        self.assert_decomposes(f, np.eye(3) - f, rep.witness)
+
+    def test_qutrit_noncommuting_projectors_incompatible(self, rng):
+        # sharp effects are jointly measurable only if they commute; rank-1
+        # projectors with an overlap strictly between 0 and 1 do not
+        for _ in range(3):
+            u = random_unitary(3, rng)
+            p, q = u[:, 0], u[:, 0] + rng.uniform(0.2, 2.0) * u[:, 1]
+            q = q / np.linalg.norm(q)
+            assert 0.0 < abs(np.vdot(p, q)) ** 2 < 1.0
+            rep = mg.effects_compatible(np.outer(p, p.conj()), np.outer(q, q.conj()))
+            assert rep.status == INFEASIBLE
+
+    def test_caller_tolerance_reaches_the_targets(self):
+        # f's eigenvalue -5e-9 is an effect at psd = 1e-8 but not at the
+        # default 1e-9; the channel targets are built from f as checked at tol
+        f = np.diag([1.0, -5e-9])
+        g = 0.3 * np.ones((2, 2)) + 0.2 * np.eye(2)
+        with pytest.raises(ValueError, match="effect"):
+            mg.effects_compatible(f, g)
+        rep = mg.effects_compatible(f, g, tol=replace(DEFAULT, psd=1e-8))
+        assert rep.status == INFEASIBLE
+        assert abs(rep.slack - (-0.04155)) <= 1e-5
 
 
 class TestCompatWitnessRevalidation:
