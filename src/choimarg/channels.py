@@ -18,12 +18,13 @@ in the same computational basis the Choi matrix is built in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .linalg import (
     check_density,
     check_effect,
@@ -60,7 +61,8 @@ __all__ = [
 class Channel:
     """A completely positive trace-preserving map stored as its Choi matrix.
 
-    ``Channel(...)`` validates the Choi matrix in full; ``choi_from_kraus`` and
+    ``Channel(...)`` validates the dimensions (each at least 1) and the Choi
+    matrix in full, at the default tolerances; ``choi_from_kraus`` and
     ``tensor`` skip that check, their results being CPTP by construction.
     Immutable; safe to share between threads.
     """
@@ -68,21 +70,24 @@ class Channel:
     in_dim: int
     out_dims: tuple[int, ...]
     choi: np.ndarray
-    tol: Tolerances = field(default=DEFAULT, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         out_dims = tuple(int(d) for d in self.out_dims)
+        if self.in_dim < 1 or not out_dims or min(out_dims) < 1:
+            raise ValueError(
+                f"channel dimensions must be at least 1: in_dim {self.in_dim}, out_dims {out_dims}"
+            )
         object.__setattr__(self, "out_dims", out_dims)
         d = self.out_dim * self.in_dim
-        choi = check_hermitian(self.choi, self.tol.construction)
+        choi = check_hermitian(self.choi, DEFAULT.construction)
         if choi.shape != (d, d):
             raise ValueError(f"Choi matrix shape {choi.shape} does not match dims {d}")
         lam = min_eigenvalue(choi)
-        if lam < -self.tol.psd * d:
+        if lam < -DEFAULT.psd * d:
             raise ValueError(f"Choi matrix is not CP: min eigenvalue {lam:.3e}")
         marg = partial_trace(choi, out_dims + (self.in_dim,), range(1, len(out_dims) + 1))
         dev = np.max(np.abs(marg - np.eye(self.in_dim)))
-        if dev > self.tol.psd:
+        if dev > DEFAULT.psd:
             raise ValueError(f"channel is not trace preserving: output marginal deviates by {dev:.3e}")
         object.__setattr__(self, "choi", frozen(choi))
 
@@ -98,7 +103,6 @@ class Channel:
         object.__setattr__(c, "in_dim", in_dim)
         object.__setattr__(c, "out_dims", out_dims)
         object.__setattr__(c, "choi", choi)
-        object.__setattr__(c, "tol", DEFAULT)
         return c
 
     @property
@@ -301,8 +305,16 @@ def _field(d: dict, key: str, convert: Callable = lambda v: v, default: object =
         raise ValueError(f"JSON field {key!r} is malformed: {exc}") from None
 
 
-def _ints(value: object) -> tuple[int, ...]:
-    return tuple(int(x) for x in value)
+def _dim(value: object) -> int:
+    """A dimension: an integral JSON number of at least 1."""
+    integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral or value < 1:
+        raise ValueError(f"{value!r} is not an integer of at least 1")
+    return int(value)
+
+
+def _dims(value: object) -> tuple[int, ...]:
+    return tuple(_dim(x) for x in value)
 
 
 def _matrices(value: object) -> list[np.ndarray]:
@@ -314,8 +326,8 @@ def channel_from_dict(d: dict) -> Channel:
         kind = d["kind"]
     except (TypeError, KeyError):
         raise ValueError("channel JSON must be an object with a 'kind' key") from None
-    in_dim = _field(d, "in_dim", int, 2)
-    out_dim = _field(d, "out_dim", int, in_dim)
+    in_dim = _field(d, "in_dim", _dim, 2)
+    out_dim = _field(d, "out_dim", _dim, in_dim)
     if kind == "identity":
         if in_dim != out_dim:
             raise ValueError("identity channel needs in_dim == out_dim")
@@ -334,7 +346,7 @@ def channel_from_dict(d: dict) -> Channel:
         return choi_from_kraus(_field(d, "data", _matrices), in_dim=in_dim, out_dim=out_dim)
     if kind == "choi":
         choi = _field(d, "data", _matrix_from_json)
-        out_dims = _field(d, "out_dims", _ints, (out_dim,))
+        out_dims = _field(d, "out_dims", _dims, (out_dim,))
         if int(np.prod(out_dims)) != out_dim:
             raise ValueError("out_dims do not multiply to out_dim")
         return Channel(in_dim=in_dim, out_dims=out_dims, choi=choi)
@@ -364,6 +376,6 @@ def state_from_dict(d: dict) -> tuple[np.ndarray, tuple[int, ...]]:
     if kind != "density":
         raise ValueError(f"unknown state kind {kind!r}")
     rho = check_density(_field(d, "data", _matrix_from_json))
-    dims = _field(d, "dims", _ints, (rho.shape[0],))
+    dims = _field(d, "dims", _dims, (rho.shape[0],))
     check_shape(dims, rho.shape[0])
     return rho, dims

@@ -151,10 +151,10 @@ def theta_family(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     """The scanned unitary 4-tuple (U1, U2, V1, V2).
 
     U1 is the Hadamard-like rotation, U2 the identity, and V1, V2 interpolate
-    with the parameter theta >= 0.
+    with the parameter theta, finite and >= 0.
     """
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    if not 0 <= theta < np.inf:
+        raise ValueError(f"theta must be finite and nonnegative, got {theta!r}")
     rt = np.sqrt(theta)
     norm = 1.0 / np.sqrt(1.0 + theta)
     u1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -166,8 +166,8 @@ def theta_family(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 
 def closed_form_chsh(theta: float) -> float:
     """X(theta) = (4*sqrt(theta) + 2*theta - 2)/(1 + theta), the scan oracle."""
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    if not 0 <= theta < np.inf:
+        raise ValueError(f"theta must be finite and nonnegative, got {theta!r}")
     return (4.0 * np.sqrt(theta) + 2.0 * theta - 2.0) / (1.0 + theta)
 
 

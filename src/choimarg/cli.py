@@ -56,7 +56,14 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
     text = json.dumps(payload, indent=None if args.json else 2, sort_keys=True)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _write_text(args.out, text + "\n")
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -164,7 +171,7 @@ def _cmd_chsh_scan(args: argparse.Namespace) -> int:
     best = max(range(len(rows)), key=lambda i: rows[i][1])
     summary = f"max X = {rows[best][1]:.12g} at theta = {rows[best][0]:.12g}"
     if args.out:
-        Path(args.out).write_text(csv, encoding="utf-8")
+        _write_text(args.out, csv)
         print(summary)
     else:
         sys.stdout.write(csv)

@@ -2,7 +2,11 @@
 
 Cone membership (PSD, trace preservation, unitarity) is exact mathematics;
 floating point needs explicit slack. Every tolerance used by the package is
-collected here so that a single override propagates consistently.
+collected here. An override passed as ``tol=`` does not reach every check:
+it sets the solver gap, the Marginal band, the one validation of the
+witness and the effect checks of ``effects_compatible``. ``Channel``,
+``MarginalSpec`` and the state checks of ``state_steerable`` and
+``bell_local`` always use ``DEFAULT``.
 """
 
 from __future__ import annotations

@@ -20,6 +20,9 @@ the same element more than once; the rows are built once from the marginal
 structure, keeping each element a single time. They are then pairwise
 orthogonal and include exactly one normalization row.
 
+A witness is rescaled to the exact normalization (a joint channel is also
+projected onto exact trace preservation) and validated once, after that.
+
 Infeasibility of the steering problem means the state IS steerable, and
 infeasibility of the locality problem means the state IS Bell nonlocal.
 """
@@ -27,6 +30,7 @@ infeasibility of the locality problem means the state IS Bell nonlocal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -47,9 +51,7 @@ from .sdp import (
     INFEASIBLE,
     FeasibilityReport,
     RowGroup,
-    SdpError,
     _group_feasibility,
-    _Rows,
 )
 
 __all__ = [
@@ -173,17 +175,13 @@ def _target_rows(spec: MarginalSpec) -> list[RowGroup]:
     return groups
 
 
-def _decide(spec: MarginalSpec, groups: list[RowGroup], tol: Tolerances) -> FeasibilityReport:
-    """Solve the spec's rows; a feasible witness is rescaled to the exact trace."""
-    report = _group_feasibility(spec.dims, groups, tol=tol)
-    if report.status == FEASIBLE and spec.normalization > 0:
-        # rescale to the exact required trace (preserves positivity, moves the
-        # marginal residuals by a relative ~1e-9)
-        witness = report.witness * (spec.normalization / float(np.trace(report.witness).real))
-        if not _Rows(spec.dims, groups).holds(witness, tol):
-            raise SdpError("rescaled witness failed independent validation")
-        report = replace(report, witness=witness)
-    return report
+def _exact_trace(spec: MarginalSpec, x: np.ndarray) -> np.ndarray:
+    """The finishing map of a spec's witness: rescaled to the exact required
+    trace (preserves positivity, moves the marginal residuals by a relative
+    ~1e-9)."""
+    if spec.normalization <= 0:
+        return x
+    return x * (spec.normalization / float(np.trace(x).real))
 
 
 def marginal_feasibility(
@@ -192,7 +190,9 @@ def marginal_feasibility(
     tol: Tolerances = DEFAULT,
 ) -> FeasibilityReport:
     """Decide existence of a PSD operator with the prescribed marginals."""
-    return _decide(spec, _target_rows(spec), tol)
+    return _group_feasibility(
+        spec.dims, _target_rows(spec), tol=tol, finish=partial(_exact_trace, spec)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +251,17 @@ def channels_compatible(
 ) -> CompatReport:
     """Decide whether two channels admit a joint channel with both marginals."""
     spec = _compat_spec(c1, c2)
+    d_out = c1.out_dim * c2.out_dim
+
+    def finish(x: np.ndarray) -> np.ndarray:
+        # rescale, then project onto exact trace preservation so the witness
+        # revalidates as a Channel at the default tolerances
+        x = _exact_trace(spec, x)
+        defect = partial_trace(x, spec.dims, {1, 2}) - np.eye(c1.in_dim)
+        return x - kron(np.eye(d_out), defect) / d_out
+
     groups = _target_rows(spec)
-    report = _decide(spec, groups, tol)
+    report = _group_feasibility(spec.dims, groups, tol=tol, finish=finish)
     pair = _dual_per_target(spec, groups, report)
     dual_value = None
     witness_pair = None
@@ -266,15 +275,7 @@ def channels_compatible(
             )
             witness_pair = (a, b)
     if report.status == FEASIBLE:
-        # project the witness onto exact trace preservation so it revalidates
-        # as a Channel at the default tolerances
-        choi = report.witness
-        dims = (c1.out_dim, c2.out_dim, c1.in_dim)
-        defect = partial_trace(choi, dims, {1, 2}) - np.eye(c1.in_dim)
-        choi = choi - kron(np.eye(c1.out_dim * c2.out_dim), defect) / (c1.out_dim * c2.out_dim)
-        if not _Rows(dims, groups).holds(choi, tol):
-            raise SdpError("trace-preserving joint channel failed independent validation")
-        joint = Channel(in_dim=c1.in_dim, out_dims=(c1.out_dim, c2.out_dim), choi=choi)
+        joint = Channel(in_dim=c1.in_dim, out_dims=(c1.out_dim, c2.out_dim), choi=report.witness)
         return CompatReport(COMPATIBLE, report.slack, joint, witness_pair, dual_value, report)
     if report.status == INFEASIBLE:
         return CompatReport(INCOMPATIBLE, report.slack, None, witness_pair, dual_value, report)

@@ -65,8 +65,8 @@ def _theta_of(name: str) -> float | None:
         theta = float(name.split(":", 1)[1])
     except ValueError:
         raise ValueError(f"preset {name!r}: theta is not a number") from None
-    if theta < 0:
-        raise ValueError(f"preset {name!r}: theta must be nonnegative")
+    if not 0 <= theta < np.inf:
+        raise ValueError(f"preset {name!r}: theta must be finite and nonnegative")
     return theta
 
 

@@ -9,9 +9,10 @@ affine rows A(X) = b. The one program solved here is its slack program::
 with Y = X - t*1 and a_p the trace of row p's operator. The optimal t is
 the largest smallest eigenvalue of an X that satisfies the rows, so its sign
 decides feasibility; :func:`_group_feasibility` reads the witness back as
-Y + t*1 and re-validates it. Callers pass linearly independent rows that
-fix the trace; the rows of :mod:`choimarg.marginals` are independent by
-construction, so nothing here prunes or probes them.
+Y + t*1, applies the caller's last change to it and only then validates it,
+once. Callers pass linearly independent rows that fix the trace; the rows of
+:mod:`choimarg.marginals` are independent by construction, so nothing here
+prunes or probes them.
 
 The solver is a primal-dual path-following interior-point method with the
 HKM direction (linearize XZ = mu*1, take the Hermitian part of the X step),
@@ -47,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -233,7 +234,6 @@ class SdpSolution:
     blocks: tuple[np.ndarray, ...]  # (Y,), the one PSD block
     free_value: float
     dual: np.ndarray
-    primal_objective: float
     dual_objective: float
     gap: float
     primal_residual: float
@@ -368,7 +368,6 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
         blocks=(x,),
         free_value=t,
         dual=y,
-        primal_objective=t,
         dual_objective=dual,
         gap=relgap,
         primal_residual=pinf,
@@ -388,11 +387,11 @@ class FeasibilityReport:
     """Verdict of a prescribed-marginal feasibility question.
 
     slack is the optimal t of "max t s.t. X - t*1 >= 0, A(X) = b". Its sign
-    decides feasibility outside the band |t| < eps. An in-band slack is
-    reported feasible only when an eigenvalue-clipped witness independently
-    re-validates (PSD to -1e-8, residuals <= 1e-6); otherwise Marginal.
-    witness is the primal matrix, dual_certificate the dual vector on the
-    original constraint rows.
+    decides feasibility outside the band |t| < eps. witness is the primal
+    matrix after the caller's last change to it, validated once (PSD to
+    -tol.witness_psd, residuals <= tol.witness_residual); an in-band slack
+    whose eigenvalue-clipped witness fails that check is Marginal.
+    dual_certificate is the dual vector on the original constraint rows.
     """
 
     status: str
@@ -400,10 +399,6 @@ class FeasibilityReport:
     witness: np.ndarray | None
     dual_certificate: np.ndarray | None
     solution: SdpSolution | None = field(default=None, repr=False)
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == FEASIBLE
 
 
 def _clip_psd(x: np.ndarray) -> np.ndarray:
@@ -417,12 +412,18 @@ def _group_feasibility(
     groups: Sequence[RowGroup],
     *,
     tol: Tolerances = DEFAULT,
+    finish: Callable[[np.ndarray], np.ndarray] = lambda x: x,
     max_iterations: int = 200,
 ) -> FeasibilityReport:
     """Decide existence of a PSD operator satisfying row groups.
 
     dims are the operator's tensor factor dimensions, which the groups' kept
     sets index. The dual certificate is indexed by the rows in group order.
+
+    Unless t <= -band, the witness X = Y + t*1 (eigenvalue-clipped when
+    |t| < band) goes through finish, the caller's last change to it, and is
+    validated once: feasible if it holds, else SdpError when t >= band and
+    Marginal in band.
 
     Precondition: the rows are linearly independent and their span fixes the
     trace. Neither is checked; the rows go to the solver as given. An
@@ -443,16 +444,13 @@ def _group_feasibility(
         )
 
     t_hat = solution.free_value
-    x = solution.blocks[0] + t_hat * np.eye(rows.n)
     dual = solution.dual
-
-    if t_hat >= band:
-        if not rows.holds(x, tol):
-            raise SdpError("feasible verdict failed independent witness validation")
-        return FeasibilityReport(FEASIBLE, t_hat, x, dual, solution)
     if t_hat <= -band:
         return FeasibilityReport(INFEASIBLE, t_hat, None, dual, solution)
-    clipped = _clip_psd(x)
-    if rows.holds(clipped, tol):
-        return FeasibilityReport(FEASIBLE, t_hat, clipped, dual, solution)
+    x = solution.blocks[0] + t_hat * np.eye(rows.n)
+    x = finish(x if t_hat >= band else _clip_psd(x))
+    if rows.holds(x, tol):
+        return FeasibilityReport(FEASIBLE, t_hat, x, dual, solution)
+    if t_hat >= band:
+        raise SdpError("feasible verdict failed independent witness validation")
     return FeasibilityReport(MARGINAL, t_hat, None, dual, solution)

@@ -191,8 +191,8 @@ def test_criterion_10_solver_self_audit():
     def audit_gap(report):
         sol = report.solution
         assert sol is not None
-        assert abs(sol.primal_objective - sol.dual_objective) <= 1e-6 * (
-            1 + abs(sol.primal_objective)
+        assert abs(sol.free_value - sol.dual_objective) <= 1e-6 * (
+            1 + abs(sol.free_value)
         )
 
     # compatibility witness, audited against the original Choi matrices

@@ -67,6 +67,11 @@ class TestChannelValidation:
         with pytest.raises(ValueError, match="trace preserving"):
             ch.Channel(in_dim=2, out_dims=(2,), choi=np.eye(4))
 
+    @pytest.mark.parametrize("in_dim, out_dims", [(0, (2,)), (2, (0,)), (2, ())])
+    def test_rejects_dimensions_below_one(self, in_dim, out_dims):
+        with pytest.raises(ValueError, match="dimensions must be at least 1"):
+            ch.Channel(in_dim=in_dim, out_dims=out_dims, choi=np.zeros((0, 0)))
+
     def test_choi_is_immutable(self):
         c = ch.identity_channel(2)
         with pytest.raises(ValueError):

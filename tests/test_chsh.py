@@ -132,6 +132,12 @@ class TestThetaFamily:
         with pytest.raises(ValueError):
             chsh.theta_family(-0.1)
 
+    @pytest.mark.parametrize("theta", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite(self, theta):
+        for f in (chsh.theta_family, chsh.closed_form_chsh):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                f(theta)
+
 
 class TestScan:
     def test_rows_match_closed_form(self):

@@ -179,8 +179,14 @@ class TestErrors:
           "data": [[[0.5 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]}, None, "out_dims"),
         ({"kind": "measure_prepare", "data": {"preparations": None}}, None, "effects"),
         ({"kind": "identity"}, {"kind": "density", "dims": [2, 2]}, "data"),
+        ({"kind": "identity", "in_dim": 0}, None, "in_dim"),
+        ({"kind": "identity", "in_dim": -2}, None, "in_dim"),
+        ({"kind": "identity", "in_dim": 2.7}, None, "in_dim"),
+        ({"kind": "identity", "in_dim": True}, None, "in_dim"),
+        ({"kind": "identity"}, state_to_dict(np.eye(4) / 4) | {"dims": [2.5, 2]}, "dims"),
     ], ids=["kraus-without-data", "choi-bad-out-dims", "measure-prepare-without-effects",
-            "density-without-data"])
+            "density-without-data", "in-dim-zero", "in-dim-negative", "in-dim-fractional",
+            "in-dim-boolean", "dims-fractional"])
     def test_malformed_field_named(self, capsys, tmp_path, channel, state, field):
         # a missing or malformed field is an input error that names the field
         chan = tmp_path / "channel.json"
@@ -194,6 +200,25 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("choimarg: error: ") and repr(field) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compat", "--preset", "identity-pair"],
+        ["chsh-scan", "--steps", "3"],
+    ], ids=["compat", "chsh-scan"])
+    def test_unwritable_out(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code, _, err = run(capsys, argv + ["--out", str(path)])
+        assert code == 1
+        assert err.startswith(f"choimarg: error: cannot write {path}: ")
+
+    @pytest.mark.parametrize("theta", ["inf", "nan", "1e400"])
+    def test_non_finite_theta(self, capsys, theta):
+        code, out, err = run(capsys, ["bell", "--preset", f"theta-family:{theta}"])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"choimarg: error: preset 'theta-family:{theta}': theta must be finite and nonnegative\n"
+        )
 
     def test_dimension_mismatch(self, capsys, tmp_path):
         state = tmp_path / "state3.json"

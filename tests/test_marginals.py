@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from choimarg import marginals as mg
+from choimarg import sdp
 from choimarg.config import DEFAULT
 from choimarg.channels import (
     Channel,
@@ -272,6 +273,42 @@ class TestTargetRows:
         rep = mg.channels_compatible(ident, ident)
         assert rep.verdict == mg.INCOMPATIBLE and rep.dual_witness is not None
         assert len(calls) == 1
+
+    def test_witness_validated_once_after_its_last_change(self, monkeypatch):
+        calls = {"init": 0, "holds": 0}
+        init, holds = sdp._Rows.__init__, sdp._Rows.holds
+
+        def counted_init(self, *args, **kwargs):
+            calls["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_holds(self, *args, **kwargs):
+            calls["holds"] += 1
+            return holds(self, *args, **kwargs)
+
+        monkeypatch.setattr(sdp._Rows, "__init__", counted_init)
+        monkeypatch.setattr(sdp._Rows, "holds", counted_holds)
+        ident = identity_channel(2)
+        dep = depolarizing_channel(2)
+        rho_w = partial_trace(w_state(), (2, 2, 2), {2})
+        half = np.eye(2) / 2
+        spec = mg.MarginalSpec(dims=(2, 2), targets=(((1,), half), ((2,), half)), normalization=1.0)
+        decisions = {
+            "compat": lambda: mg.channels_compatible(dep, dep),
+            "steer": lambda: mg.state_steerable(rho_w, ident, ident),
+            "bell": lambda: mg.bell_local(np.eye(4) / 4, ident, ident, ident, ident),
+            "effects": lambda: mg.effects_compatible(smeared(SX, 0.5), smeared(SZ, 0.5)),
+            "marginal": lambda: mg.marginal_feasibility(spec),
+        }
+        for name, decide in decisions.items():
+            calls.update(init=0, holds=0)
+            rep = decide()
+            status = rep.verdict if name == "compat" else rep.status
+            assert status in (mg.COMPATIBLE, FEASIBLE), name
+            assert calls == {"init": 1, "holds": 1}, name
+        # the reported witness is the matrix that was validated: the joint channel's
+        rep = mg.channels_compatible(dep, dep)
+        assert np.array_equal(rep.report.witness, rep.joint_choi.choi)
 
 
 def cone_matrix(c1, c2, a, b):
