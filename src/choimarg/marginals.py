@@ -276,6 +276,8 @@ def channels_compatible(
             witness_pair = (a, b)
     if report.status == FEASIBLE:
         joint = Channel(in_dim=c1.in_dim, out_dims=(c1.out_dim, c2.out_dim), choi=report.witness)
+        # the report shares the joint channel's read-only Choi matrix: one copy
+        report = replace(report, witness=joint.choi)
         return CompatReport(COMPATIBLE, report.slack, joint, witness_pair, dual_value, report)
     if report.status == INFEASIBLE:
         return CompatReport(INCOMPATIBLE, report.slack, None, witness_pair, dual_value, report)

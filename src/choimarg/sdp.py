@@ -15,15 +15,22 @@ once. Callers pass linearly independent rows that fix the trace; the rows of
 prunes or probes them.
 
 The solver is a primal-dual path-following interior-point method with the
-HKM direction (linearize XZ = mu*1, take the Hermitian part of the X step),
-fixed centering sigma = 0.1, step fraction 0.98 to the cone boundary (halved
-while rounding leaves an iterate that is not numerically positive definite),
-and an iteration cap of 200. The free scalar t is eliminated inside the
-Schur system. It works on one complex Hermitian block directly, as SDPT3
-and SeDuMi do, and is written for the problem sizes of this package (block
-dimensions up to ~81, a few hundred constraint rows at most). It is
-deterministic: fixed initialization, no randomized pivoting, no Mehrotra
-correction.
+HKM direction (linearize XZ = mu*1, take the Hermitian part of the X step)
+and Mehrotra's predictor-corrector (Mehrotra 1992) with the SDPT3
+safeguards (Toh, Todd and Tutuncu 1999). Each iteration factors the Schur
+complement once and solves with it twice. The predictor is the affine
+direction (target 0); its step lengths give mu_aff and the centering
+sigma = clamp(mu_aff/mu, 0, 1)^3. The corrector targets sigma*mu and
+subtracts the second-order term herm(Z^-1 dZ_aff dX_aff). It goes a fraction
+gamma = 0.9 + 0.09*min(alpha_p_aff, alpha_d_aff) of the way to the cone
+boundary, halved while rounding leaves an iterate that is not numerically
+positive definite. A non-finite mu, mu_aff, Schur complement or step length
+ends the solve with status numerical_failure, and the iteration cap is 200.
+The free scalar t is eliminated inside the Schur system. It works on one
+complex Hermitian block directly, as SDPT3 and SeDuMi do, and is written for
+the problem sizes of this package (block dimensions up to ~81, a few hundred
+constraint rows at most). It is deterministic: fixed initialization and no
+randomized pivoting.
 
 Constraint rows come in row groups (:class:`RowGroup`): row p of a group is
 lift(B_p), a Hermitian element B_p on the kept factors K of the block with
@@ -35,12 +42,13 @@ contracts Z^-1 and X over the factors outside K_s and K_t in one GEMM (see
 :meth:`_Rows.schur`). A pair costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) +
 m_s m_t d_Kt^2) instead of the O(m n^3 + m^2 n^2) of dense rows on a block
 of dimension n. On one core of a 2-vCPU Xeon guest a qutrit compatibility
-decision (m = 153, n = 27) takes ~2.6 ms per iteration and a qutrit Bell
-decision (m = 289, n = 81) ~10 ms, the O(m^3) Cholesky factorization of S
-included. Each step is projected onto the primal equations with the rows'
-Gram matrix (the kernel at Z^-1 = X = 1), factored once per solve, so
-rounding in the Schur solve cannot leave a primal residual that the path no
-longer reduces.
+decision (m = 153, n = 27) takes ~4 ms per iteration and a qutrit Bell
+decision (m = 289, n = 81) ~20 ms, the O(m^3) Cholesky factorization of S
+included. The corrector step is projected onto the primal equations with
+the rows' Gram matrix (the kernel at Z^-1 = X = 1), factored once per
+solve, so rounding in the Schur solve cannot leave a primal residual that
+the path no longer reduces; the predictor, along which no step is taken,
+is not.
 """
 
 from __future__ import annotations
@@ -242,10 +250,14 @@ class SdpSolution:
     status: str
 
 
-def _step_to_boundary(l: np.ndarray, ds: np.ndarray) -> float:
-    """sup { a >= 0 : s + a*ds >= 0 } for s = l l^H > 0 Hermitian."""
-    w = np.linalg.solve(l, np.linalg.solve(l, ds).conj().T)
-    lam = np.linalg.eigvalsh(_herm(w))[0]
+def _step_to_boundary(linv: np.ndarray, ds: np.ndarray) -> float:
+    """sup { a >= 0 : s + a*ds >= 0 } for s = l l^H > 0 Hermitian, given linv = l^-1.
+
+    Raises LinAlgError when the bound is not a number.
+    """
+    lam = np.linalg.eigvalsh(_herm(linv @ ds @ linv.conj().T))[0]
+    if np.isnan(lam):
+        raise np.linalg.LinAlgError("step length is not a number")
     if lam >= 0:
         return np.inf
     return -1.0 / lam
@@ -269,6 +281,30 @@ def _advance(
     raise np.linalg.LinAlgError("no step length keeps the iterate positive definite")
 
 
+def _newton(
+    rows: _Rows,
+    a_free: np.ndarray,
+    cho: tuple,
+    w: np.ndarray,
+    zinv: np.ndarray,
+    x: np.ndarray,
+    core: np.ndarray,
+    residuals: tuple[np.ndarray, np.ndarray, float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The HKM direction (dX, dy, dZ, dt) whose linearized complementarity is core.
+
+    core is the dX the direction would take at dy = 0. cho factors the Schur
+    complement, a_free holds the rows' free coefficients a and w = S^-1 a;
+    residuals are (r_p, r_d, r_f).
+    """
+    r_p, r_d, r_f = residuals
+    u = scipy.linalg.cho_solve(cho, rows(core) - r_p, check_finite=False)
+    dt = (r_f - float(a_free @ u)) / float(a_free @ w)
+    dy = u + dt * w
+    lifted = rows.adjoint(dy)
+    return core - _herm(zinv @ lifted @ x), dy, lifted - r_d, dt
+
+
 def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
     """Run the interior-point method on the slack program of row groups.
 
@@ -276,7 +312,8 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
     coefficients; the free scalar t is eliminated inside the Schur system.
     Nothing is pruned, so the returned dual vector is indexed by the rows in
     group order. An inconsistent equality system never reaches the residual
-    test and ends with a non-optimal status.
+    test and ends with a non-optimal status; so does a non-finite mu, Schur
+    matrix or step length.
     """
     n = rows.n
     m = rows.m
@@ -291,11 +328,13 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
     lz = np.linalg.cholesky(z)
     y = np.zeros(m)
     t = 0.0
-    sigma = 0.1
     status = MAX_ITERATIONS
     it = 0
     pinf = dinf = relgap = np.inf
     dual = 0.0
+    r_p = b - rows(x)
+    r_d = z - rows.adjoint(y)
+    r_f = 1.0
 
     # Gram matrix of the rows with their free-scalar coefficients, regularised
     # as the Schur complement is: it projects each step onto the primal equations
@@ -307,57 +346,61 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
         max_iterations, status = 0, NUMERICAL_FAILURE
 
     for it in range(1, max_iterations + 1):
-        linv = scipy.linalg.solve_triangular(lz, np.eye(n), lower=True)
-        zinv = linv.conj().T @ linv
-
+        # inverse Cholesky factors: Z^-1 and the four step lengths use them
+        lzinv = scipy.linalg.solve_triangular(lz, eye, lower=True, check_finite=False)
+        lxinv = scipy.linalg.solve_triangular(lx, eye, lower=True, check_finite=False)
+        zinv = lzinv.conj().T @ lzinv
         mu = np.vdot(z, x).real / n
-        target = sigma * mu
-        r_p = b - rows(x) - a_free * t
-        r_d = z - rows.adjoint(y)
-        r_f = 1.0 - float(a_free @ y)
-
-        core = target * zinv - x + _herm(zinv @ r_d @ x)
         schur = rows.schur(zinv, x)
-        rhs = rows(core) - r_p
-
+        residuals = (r_p, r_d, r_f)
         try:
-            cho = scipy.linalg.cho_factor(schur + 1e-14 * np.trace(schur) / m * np.eye(m))
-            u = scipy.linalg.cho_solve(cho, rhs)
-            w = scipy.linalg.cho_solve(cho, a_free)
-        except np.linalg.LinAlgError:
-            status = NUMERICAL_FAILURE
-            break
-        denom = float(a_free @ w)
-        if denom <= 0:
-            status = NUMERICAL_FAILURE
-            break
-        dt = (r_f - float(a_free @ u)) / denom
-        dy = u + dt * w
+            if not (0.0 < mu < np.inf and np.isfinite(schur).all()):
+                raise np.linalg.LinAlgError("mu or the Schur complement is not finite")
+            cho = scipy.linalg.cho_factor(
+                schur + 1e-14 * np.trace(schur) / m * np.eye(m), check_finite=False
+            )
+            w = scipy.linalg.cho_solve(cho, a_free, check_finite=False)
+            if not float(a_free @ w) > 0:
+                raise np.linalg.LinAlgError("the Schur complement is not positive definite")
 
-        dz = rows.adjoint(dy) - r_d
-        dx = target * zinv - x - _herm(zinv @ dz @ x)
-        correction = scipy.linalg.cho_solve(gram_cho, r_p - rows(dx) - a_free * dt)
-        dx = dx + rows.adjoint(correction)
-        dt += float(a_free @ correction)
+            # predictor: the affine direction (target 0) sets the centering and
+            # the second-order term; it is not projected, as no step is taken
+            base = _herm(zinv @ r_d @ x) - x
+            dx_aff, _, dz_aff, _ = _newton(rows, a_free, cho, w, zinv, x, base, residuals)
+            alpha_p = min(1.0, _step_to_boundary(lxinv, dx_aff))
+            alpha_d = min(1.0, _step_to_boundary(lzinv, dz_aff))
+            mu_aff = np.vdot(z + alpha_d * dz_aff, x + alpha_p * dx_aff).real / n
+            if not np.isfinite(mu_aff):
+                raise np.linalg.LinAlgError("the predicted mu is not finite")
+            sigma = min(max(mu_aff / mu, 0.0), 1.0) ** 3
+            gamma = 0.9 + 0.09 * min(alpha_p, alpha_d)
 
-        try:
-            alpha_p = min(1.0, 0.98 * _step_to_boundary(lx, dx))
-            alpha_d = min(1.0, 0.98 * _step_to_boundary(lz, dz))
+            # corrector: centering sigma*mu and the second-order term
+            core = base + sigma * mu * zinv - _herm(zinv @ dz_aff @ dx_aff)
+            dx, dy, dz, dt = _newton(rows, a_free, cho, w, zinv, x, core, residuals)
+            correction = scipy.linalg.cho_solve(
+                gram_cho, r_p - rows(dx) - a_free * dt, check_finite=False
+            )
+            dx = dx + rows.adjoint(correction)
+            dt += float(a_free @ correction)
+
+            alpha_p = min(1.0, gamma * _step_to_boundary(lxinv, dx))
+            alpha_d = min(1.0, gamma * _step_to_boundary(lzinv, dz))
             if alpha_p <= 0 or alpha_d <= 0:
-                status = NUMERICAL_FAILURE
-                break
-            moved = _advance(x, dx, alpha_p), _advance(z, dz, alpha_d)
+                raise np.linalg.LinAlgError("no step length is positive")
+            (x, lx, alpha_p), (z, lz, alpha_d) = _advance(x, dx, alpha_p), _advance(z, dz, alpha_d)
         except np.linalg.LinAlgError:
             status = NUMERICAL_FAILURE
             break
-        (x, lx, alpha_p), (z, lz, alpha_d) = moved
         y = y + alpha_d * dy
         t = t + alpha_p * dt
 
         dual = float(b @ y)
         r_p = b - rows(x) - a_free * t
+        r_d = z - rows.adjoint(y)
+        r_f = 1.0 - float(a_free @ y)
         pinf = float(np.linalg.norm(r_p)) / (1.0 + float(np.linalg.norm(b)))
-        dinf = max(float(np.max(np.abs(z - rows.adjoint(y)))), abs(1.0 - float(a_free @ y)))
+        dinf = max(float(np.max(np.abs(r_d))), abs(r_f))
         relgap = abs(dual - t) / (1.0 + abs(t))
 
         if pinf <= FEAS_TOL and dinf <= FEAS_TOL and relgap <= gap_tol:

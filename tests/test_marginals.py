@@ -198,10 +198,9 @@ class TestChannelsCompatible:
         assert verdict(threshold - 1e-3) == mg.INCOMPATIBLE
         assert verdict(threshold + 1e-3) == mg.COMPATIBLE
 
-    def test_full_kraus_rank_qutrit_pair_converges(self):
-        # the primal residual of this pair used to stall just above the solver's
-        # feasibility tolerance, and the decision raised SdpError
-        rng = np.random.default_rng(7000 + 18)
+    @staticmethod
+    def assert_full_kraus_rank_pair_compatible(seed):
+        rng = np.random.default_rng(seed)
         c1 = random_channel(3, 3, rng, kraus_rank=9)
         c2 = random_channel(3, 3, rng, kraus_rank=9)
         rep = mg.channels_compatible(c1, c2)
@@ -210,6 +209,16 @@ class TestChannelsCompatible:
         assert np.linalg.eigvalsh(witness)[0] >= -1e-8
         assert np.max(np.abs(partial_trace(witness, (3, 3, 3), {2}) - c1.choi)) <= 1e-6
         assert np.max(np.abs(partial_trace(witness, (3, 3, 3), {1}) - c2.choi)) <= 1e-6
+
+    def test_full_kraus_rank_qutrit_pair_converges(self):
+        # the primal residual of this pair used to stall just above the solver's
+        # feasibility tolerance, and the decision raised SdpError
+        self.assert_full_kraus_rank_pair_compatible(7000 + 18)
+
+    def test_full_kraus_rank_qutrit_pair_converges_near_the_boundary(self):
+        # with a fixed centering the step lengths of this pair fell to zero
+        # near the cone boundary and the solve ran out of iterations
+        self.assert_full_kraus_rank_pair_compatible(7000 + 4)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="input"):
@@ -306,9 +315,12 @@ class TestTargetRows:
             status = rep.verdict if name == "compat" else rep.status
             assert status in (mg.COMPATIBLE, FEASIBLE), name
             assert calls == {"init": 1, "holds": 1}, name
-        # the reported witness is the matrix that was validated: the joint channel's
+        # the reported witness is the matrix that was validated: the joint
+        # channel's, stored once and read-only
         rep = mg.channels_compatible(dep, dep)
         assert np.array_equal(rep.report.witness, rep.joint_choi.choi)
+        assert rep.report.witness is rep.joint_choi.choi
+        assert not rep.report.witness.flags.writeable
 
 
 def cone_matrix(c1, c2, a, b):
