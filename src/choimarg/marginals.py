@@ -30,7 +30,7 @@ infeasibility of the locality problem means the state IS Bell nonlocal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -149,30 +149,49 @@ def _reduced(
     return partial_trace(target, [dims[k - 1] for k in kept], traced)
 
 
-def _target_rows(spec: MarginalSpec) -> list[RowGroup]:
-    """One row group per target: the identity-first product basis of its kept
-    factors, each lifted element once, with rhs P vec(target).
+@lru_cache(maxsize=64)
+def _row_layout(
+    dims: tuple[int, ...], kept_sets: tuple[tuple[int, ...], ...]
+) -> tuple[np.ndarray, ...]:
+    """Per target, the read-only coefficient matrix of its fresh rows: the
+    identity-first product basis of its kept factors, each lifted element once.
 
     A lifted element is keyed by its non-identity factors and their element
     indices; a key already produced by an earlier target is the same operator
     up to scale (the targets agree on shared marginals), so it is skipped.
-    The rows are pairwise orthogonal and the all-identity element is the
-    single normalization row (in the first target's group).
     """
     seen: set[tuple[tuple[int, int], ...]] = set()
-    groups = []
-    for kept, target in spec.targets:
-        kept_dims = [spec.dims[k - 1] for k in kept]
+    layout = []
+    for kept in kept_sets:
+        kept_dims = [dims[k - 1] for k in kept]
         fresh = []
         for pos, idx in enumerate(product(*(range(d * d) for d in kept_dims))):
             key = tuple((k, i) for k, i in zip(kept, idx) if i)
             if key not in seen:
                 seen.add(key)
                 fresh.append(pos)
-        coeffs = hermitian_product_basis(kept_dims).reshape(-1, target.size)[fresh]
-        rhs = coeffs.view(float) @ target.reshape(-1).view(float)
-        groups.append(RowGroup(tuple(k - 1 for k in kept), coeffs, rhs))
-    return groups
+        d_kept = int(np.prod(kept_dims))
+        coeffs = hermitian_product_basis(kept_dims).reshape(-1, d_kept * d_kept)[fresh]
+        coeffs.setflags(write=False)
+        layout.append(coeffs)
+    return tuple(layout)
+
+
+def _target_rows(spec: MarginalSpec) -> list[RowGroup]:
+    """One row group per target, with rhs P vec(target).
+
+    The coefficient matrices P come from :func:`_row_layout`, cached on the
+    dims and kept sets and shared, read-only, by every call. The rows are
+    pairwise orthogonal and the all-identity element is the single
+    normalization row (in the first target's group).
+    """
+    layout = _row_layout(spec.dims, tuple(kept for kept, _ in spec.targets))
+    return [
+        RowGroup(
+            tuple(k - 1 for k in kept), coeffs, coeffs.view(float) @ target.reshape(-1).view(float)
+        )
+        for (kept, target), coeffs in zip(spec.targets, layout)
+    ]
 
 
 def _exact_trace(spec: MarginalSpec, x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,10 @@ decides feasibility; :func:`_group_feasibility` reads the witness back as
 Y + t*1, applies the caller's last change to it and only then validates it,
 once. Callers pass linearly independent rows that fix the trace; the rows of
 :mod:`choimarg.marginals` are independent by construction, so nothing here
-prunes or probes them.
+prunes or probes them. Dependent rows, which every inconsistent system has,
+show as a collapsed pivot when the rows' Gram matrix is factored, once per
+solve, and end the solve before its first iteration with status
+dependent_rows.
 
 The solver is a primal-dual path-following interior-point method with the
 HKM direction (linearize XZ = mu*1, take the Hermitian part of the X step)
@@ -24,8 +27,13 @@ sigma = clamp(mu_aff/mu, 0, 1)^3. The corrector targets sigma*mu and
 subtracts the second-order term herm(Z^-1 dZ_aff dX_aff). It goes a fraction
 gamma = 0.9 + 0.09*min(alpha_p_aff, alpha_d_aff) of the way to the cone
 boundary, halved while rounding leaves an iterate that is not numerically
-positive definite. A non-finite mu, mu_aff, Schur complement or step length
-ends the solve with status numerical_failure, and the iteration cap is 200.
+positive definite. A step length takes only the smallest eigenvalue of
+L^-1 dS L^-H (LAPACK zheevr over one index), with L the Cholesky factor of
+the current X or Z. The factorizations, solves and that eigenvalue call
+LAPACK directly, and every info is checked. A non-finite mu, mu_aff, Schur
+complement or step length, or a Schur complement that is not positive
+definite, ends the solve with status numerical_failure, and the iteration
+cap is 200.
 The free scalar t is eliminated inside the Schur system. It works on one
 complex Hermitian block directly, as SDPT3 and SeDuMi do, and is written for
 the problem sizes of this package (block dimensions up to ~81, a few hundred
@@ -36,30 +44,32 @@ Constraint rows come in row groups (:class:`RowGroup`): row p of a group is
 lift(B_p), a Hermitian element B_p on the kept factors K of the block with
 the identity on the other factors R, and the group stores vec(B_p) as row p
 of a coefficient matrix P. A marginal target is one group. A(X) is P applied
-to each group's partial trace Tr_R X, A*(y) the sum of the lifts of y_g P,
-and the HKM Schur block of groups s and t is Re P_s T_st P_t^T, where T_st
-contracts Z^-1 and X over the factors outside K_s and K_t in one GEMM (see
+to each group's partial trace Tr_R X and A*(y) the sum of the lifts of
+y_g P, both through one flat gather (scatter) index per group. The HKM
+Schur block of groups s and t is Re P_s T_st P_t^T, where T_st contracts
+Z^-1 and X over the factors outside K_s and K_t in one GEMM (see
 :meth:`_Rows.schur`). A pair costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) +
 m_s m_t d_Kt^2) instead of the O(m n^3 + m^2 n^2) of dense rows on a block
-of dimension n. On one core of a 2-vCPU Xeon guest a qutrit compatibility
-decision (m = 153, n = 27) takes ~4 ms per iteration and a qutrit Bell
-decision (m = 289, n = 81) ~20 ms, the O(m^3) Cholesky factorization of S
-included. The corrector step is projected onto the primal equations with
-the rows' Gram matrix (the kernel at Z^-1 = X = 1), factored once per
-solve, so rounding in the Schur solve cannot leave a primal residual that
-the path no longer reduces; the predictor, along which no step is taken,
-is not.
+of dimension n. At one BLAS thread on a 2-vCPU Xeon guest an iteration
+takes ~0.31 ms on a qubit compatibility decision (m = 28, n = 8), ~1.4 ms
+on a qutrit one (m = 153, n = 27) and ~7.3 ms on the qutrit Bell decision
+of ``default_rng(11)`` (m = 289, n = 81), the O(m^3) Cholesky
+factorization of S included. The corrector step is projected onto the
+primal equations with the rows' Gram matrix (the kernel at Z^-1 = X = 1),
+factored once per solve, so rounding in the Schur solve cannot leave a
+primal residual that the path no longer reduces; the predictor, along which
+no step is taken, is not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
+from math import prod, sqrt
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .config import DEFAULT, Tolerances
 
@@ -75,9 +85,14 @@ __all__ = [
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
 NUMERICAL_FAILURE = "numerical_failure"
+DEPENDENT_ROWS = "dependent_rows"
 
 FEAS_TOL = 1e-9
 """Primal and dual residual an optimal iterate must reach."""
+
+DEPENDENT_PIVOT = 1e-10
+"""Squared Gram pivot, relative to the mean squared row norm, at or below which
+a row counts as a combination of the rows before it."""
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -112,49 +127,70 @@ class RowGroup:
 
 
 class _Part(NamedTuple):
-    """One group's rows; perm orders the block's axes as (kept rows, kept
-    columns, rest rows, rest columns), lift_perm is its inverse."""
+    """One group's rows; take[r, (a, b)] is the flat index of X[(a, r), (b, r)]
+    for kept row a, kept column b and rest r."""
 
     rows: slice
-    kept: tuple[int, ...]
-    rest: tuple[int, ...]
-    perm: tuple[int, ...]
-    lift_split: tuple[int, ...]
-    lift_perm: tuple[int, ...]
+    take: np.ndarray
     d_kept: int
     d_rest: int
+
+
+class _Pair(NamedTuple):
+    """Flat gather indices of the Schur block of parts i <= j (see :meth:`_Rows.schur`)."""
+
+    i: int
+    j: int
+    zinv: np.ndarray
+    x: np.ndarray
+    t: np.ndarray
+
+
+def _frozen_index(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=64)
 def _structure(
     dims: tuple[int, ...], layout: tuple[tuple[int, tuple[int, ...]], ...]
-) -> tuple[int, tuple[_Part, ...], tuple[tuple, ...]]:
-    """Row count, parts, and pairs (i, j, zperm, xperm) of parts.
+) -> tuple[int, tuple[_Part, ...], tuple[_Pair, ...]]:
+    """Row count, parts, and pairs of parts.
 
     dims are the block's factor dimensions; layout holds, per group, its row
     count and its kept factors.
     """
     nf = len(dims)
-    split = dims + dims
-    parts, start = [], 0
+    n = prod(dims)
+    index = np.arange(n).reshape(dims)
+    parts, full, start = [], [], 0
     for m_g, kept in layout:
         if m_g:
             rest = tuple(f for f in range(nf) if f not in kept)
-            perm = kept + tuple(nf + k for k in kept) + rest + tuple(nf + r for r in rest)
+            d_kept, d_rest = prod(dims[k] for k in kept), prod(dims[r] for r in rest)
+            # full[a, r]: the block index of kept index a and rest index r
+            full.append(index.transpose(kept + rest).reshape(d_kept, d_rest))
+            take = full[-1].T[:, :, None] * n + full[-1].T[:, None, :]
             parts.append(_Part(
-                slice(start, start + m_g), kept, rest, perm, tuple(split[p] for p in perm),
-                tuple(int(p) for p in np.argsort(perm)),
-                prod(dims[k] for k in kept), prod(dims[r] for r in rest),
+                slice(start, start + m_g), _frozen_index(take.reshape(d_rest, -1)), d_kept, d_rest
             ))
         start += m_g
     pairs = []
     for i, j in ((i, j) for i in range(len(parts)) for j in range(i, len(parts))):
-        ks, rs, kt, rt = parts[i].kept, parts[i].rest, parts[j].kept, parts[j].rest
-        # Z^-1 rows (b), columns (c); X rows (d), columns (a). lift(B_i) ties
-        # a = b outside K_s and lift(B_j) ties c = d outside K_t.
-        zperm = ks + tuple(nf + k for k in kt) + rs + tuple(nf + r for r in rt)
-        xperm = tuple(nf + r for r in rs) + rt + kt + tuple(nf + k for k in ks)
-        pairs.append((i, j, zperm, xperm))
+        fs, ft = full[i], full[j]
+        ks, rs, kt, rt = fs.shape + ft.shape
+        # Z^-1[(b, r_s), (c, r_t)] at [(b, c), (r_s, r_t)] and X[(d, r_t), (a, r_s)]
+        # at [(r_s, r_t), (d, a)]: lift(B_i) ties a = b outside K_s and lift(B_j)
+        # ties c = d outside K_t. Their product G[(b, c), (d, a)] is gathered
+        # into T_st[(a, b), (c, d)].
+        zinv = fs[:, None, :, None] * n + ft[None, :, None, :]
+        x = ft.T[None, :, :, None] * n + fs.T[:, None, None, :]
+        t = np.arange(ks * kt * kt * ks).reshape(ks, kt, kt, ks).transpose(3, 0, 1, 2)
+        pairs.append(_Pair(
+            i, j, _frozen_index(zinv.reshape(ks * kt, rs * rt)),
+            _frozen_index(x.reshape(rs * rt, kt * ks)), _frozen_index(t.reshape(ks * ks, kt * kt)),
+        ))
     return start, tuple(parts), tuple(pairs)
 
 
@@ -165,32 +201,27 @@ class _Rows:
         dims = tuple(int(d) for d in dims)
         layout = tuple((len(g.rhs), tuple(int(k) for k in g.kept)) for g in groups)
         self.m, self.parts, self.pairs = _structure(dims, layout)
-        self.split = dims + dims
         self.n = prod(dims)
         self.coeffs = [np.ascontiguousarray(g.coeffs, dtype=complex) for g in groups if len(g.rhs)]
         self.rhs = np.concatenate([np.asarray(g.rhs, dtype=float) for g in groups])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """A(X): each group's coefficients of its partial trace."""
-        out = np.zeros(self.m)
-        x = np.asarray(x, dtype=complex).reshape(self.split)
+        out = np.empty(self.m)
+        x = np.asarray(x, dtype=complex).reshape(-1)
         for part, c in zip(self.parts, self.coeffs):
-            kept = (
-                x.transpose(part.perm)
-                .reshape(part.d_kept ** 2, part.d_rest ** 2)[:, :: part.d_rest + 1].sum(axis=1)
-            )
+            kept = x.take(part.take).sum(axis=0)
             # Re<B, Tr_R X> as a real dot product over interleaved real and imaginary parts
-            out[part.rows] += c.view(float) @ kept.view(float)
+            out[part.rows] = c.view(float) @ kept.view(float)
         return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A*(y): the sum of the lifts of y_g P over the groups."""
-        out = np.zeros((self.n, self.n), dtype=complex)
+        out = np.zeros(self.n * self.n, dtype=complex)
         for part, c in zip(self.parts, self.coeffs):
-            mat = (y[part.rows] @ c.view(float)).view(complex).reshape(part.d_kept, part.d_kept)
-            lifted = np.multiply.outer(mat, np.eye(part.d_rest)).reshape(part.lift_split)
-            out += lifted.transpose(part.lift_perm).reshape(out.shape)
-        return out
+            # the entries of one lift are distinct, so += adds each once
+            out[part.take] += (y[part.rows] @ c.view(float)).view(complex)
+        return out.reshape(self.n, self.n)
 
     def free_coeffs(self) -> np.ndarray:
         """Tr lift(B_p) = d_rest Tr B_p."""
@@ -204,25 +235,21 @@ class _Rows:
 
         For parts s and t, T_st[(a,b),(c,d)] = sum Z^-1[b,c] X[d,a] over the
         factors outside K_s (where a = b) and outside K_t (where c = d) is one
-        GEMM, and the block is Re P_s T_st P_t^T. When both groups keep every
+        GEMM; its operands and T_st are gathered through the flat indices of
+        the :class:`_Pair`. The block is Re P_s T_st P_t^T. When both groups keep every
         factor the sum is empty and T_st is the outer product Z^-1 (x) X.
         """
-        schur = np.zeros((self.m, self.m))
-        zinv, x = zinv.reshape(self.split), x.reshape(self.split)
-        for i, j, zperm, xperm in self.pairs:
-            s, t = self.parts[i], self.parts[j]
-            p, q = self.coeffs[i], self.coeffs[j]
-            ks, kt, inner = s.d_kept, t.d_kept, s.d_rest * t.d_rest
-            g = (
-                zinv.transpose(zperm).reshape(ks * kt, inner)
-                @ x.transpose(xperm).reshape(inner, kt * ks)
-            )
-            tst = g.reshape(ks, kt, kt, ks).transpose(3, 0, 1, 2).reshape(ks * ks, kt * kt)
+        schur = np.empty((self.m, self.m))
+        zinv, x = np.asarray(zinv).reshape(-1), np.asarray(x).reshape(-1)
+        for pair in self.pairs:
+            s, t = self.parts[pair.i], self.parts[pair.j]
+            p, q = self.coeffs[pair.i], self.coeffs[pair.j]
+            tst = (zinv.take(pair.zinv) @ x.take(pair.x)).reshape(-1).take(pair.t)
             # Re(u . v) = Re<conj u, v>, a real dot product over interleaved parts
             block = (p @ tst).conj().view(float) @ q.view(float).T
-            schur[s.rows, t.rows] += block
-            if i != j:
-                schur[t.rows, s.rows] += block.T
+            schur[s.rows, t.rows] = block
+            if pair.i != pair.j:
+                schur[t.rows, s.rows] = block.T
         return (schur + schur.T) / 2
 
     def holds(self, x: np.ndarray, tol: Tolerances) -> bool:
@@ -250,17 +277,51 @@ class SdpSolution:
     status: str
 
 
+def _checked(info: int, failure: str = "LAPACK reported a failure") -> None:
+    """Raise for a LAPACK info as scipy's wrappers do: LinAlgError(failure) when
+    the matrix is at fault (info > 0), ValueError for an illegal argument."""
+    if info > 0:
+        raise np.linalg.LinAlgError(failure)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of an internal LAPACK call")
+
+
+def _cholesky(s: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of an exactly symmetric positive definite s, in s's storage."""
+    # s.T is s itself in Fortran order, so LAPACK factors it without a copy
+    factor, info = lapack.dpotrf(s.T, clean=0, overwrite_a=1)
+    _checked(info, "matrix is not positive definite")
+    return factor
+
+
+def _cho_solve(factor: np.ndarray, r: np.ndarray) -> np.ndarray:
+    u, info = lapack.dpotrs(factor, r)
+    _checked(info)
+    return u
+
+
+def _inverse_factor(l: np.ndarray) -> np.ndarray:
+    """l^-1 of a lower triangular Cholesky factor l."""
+    inv, info = lapack.ztrtri(l, lower=1)
+    _checked(info, "a Cholesky factor is singular")
+    return inv
+
+
 def _step_to_boundary(linv: np.ndarray, ds: np.ndarray) -> float:
     """sup { a >= 0 : s + a*ds >= 0 } for s = l l^H > 0 Hermitian, given linv = l^-1.
 
-    Raises LinAlgError when the bound is not a number.
+    Only the smallest eigenvalue of l^-1 ds l^-H is computed. Raises
+    LinAlgError when the bound is not a number.
     """
-    lam = np.linalg.eigvalsh(_herm(linv @ ds @ linv.conj().T))[0]
-    if np.isnan(lam):
+    m = linv @ ds @ linv.conj().T
+    if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("step length is not a number")
-    if lam >= 0:
+    # m.T is the conjugate of m, with the same eigenvalues, in Fortran order
+    w, _, _, _, info = lapack.zheevr(m.T, compute_v=0, range="I", il=1, iu=1, overwrite_a=1)
+    _checked(info, "the eigenvalue solver did not converge")
+    if w[0] >= 0:
         return np.inf
-    return -1.0 / lam
+    return -1.0 / w[0]
 
 
 def _advance(
@@ -274,17 +335,19 @@ def _advance(
     """
     for _ in range(30):
         moved = _herm(x + alpha * step)
-        try:
-            return moved, np.linalg.cholesky(moved), alpha
-        except np.linalg.LinAlgError:
+        factor, info = lapack.zpotrf(moved, lower=1)
+        if info > 0:  # not numerically positive definite
             alpha /= 2
+            continue
+        _checked(info)
+        return moved, factor, alpha
     raise np.linalg.LinAlgError("no step length keeps the iterate positive definite")
 
 
 def _newton(
     rows: _Rows,
     a_free: np.ndarray,
-    cho: tuple,
+    cho: np.ndarray,
     w: np.ndarray,
     zinv: np.ndarray,
     x: np.ndarray,
@@ -293,12 +356,12 @@ def _newton(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """The HKM direction (dX, dy, dZ, dt) whose linearized complementarity is core.
 
-    core is the dX the direction would take at dy = 0. cho factors the Schur
-    complement, a_free holds the rows' free coefficients a and w = S^-1 a;
-    residuals are (r_p, r_d, r_f).
+    core is the dX the direction would take at dy = 0. cho is the Cholesky
+    factor of the Schur complement, a_free holds the rows' free coefficients a
+    and w = S^-1 a; residuals are (r_p, r_d, r_f).
     """
     r_p, r_d, r_f = residuals
-    u = scipy.linalg.cho_solve(cho, rows(core) - r_p, check_finite=False)
+    u = _cho_solve(cho, rows(core) - r_p)
     dt = (r_f - float(a_free @ u)) / float(a_free @ w)
     dy = u + dt * w
     lifted = rows.adjoint(dy)
@@ -311,21 +374,24 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
     The program is max t s.t. A(Y) + a*t = b, Y >= 0, with a the rows' free
     coefficients; the free scalar t is eliminated inside the Schur system.
     Nothing is pruned, so the returned dual vector is indexed by the rows in
-    group order. An inconsistent equality system never reaches the residual
-    test and ends with a non-optimal status; so does a non-finite mu, Schur
-    matrix or step length.
+    group order. Linearly dependent rows, which an inconsistent equality
+    system always has, end the solve before the first iteration with status
+    dependent_rows; a non-finite mu, Schur matrix or step length ends it with
+    numerical_failure.
     """
     n = rows.n
     m = rows.m
     b = rows.rhs
     a_free = rows.free_coeffs()
+    b_scale = 1.0 + sqrt(float(b @ b))
     eye = np.eye(n, dtype=complex)
 
     init_scale = max(float(np.max(np.abs(b))) / n, 1e-2)
     x = init_scale * eye
     z = eye
-    lx = np.linalg.cholesky(x)
-    lz = np.linalg.cholesky(z)
+    # the Cholesky factors of the two scaled identities
+    lx = np.sqrt(init_scale) * eye
+    lz = eye
     y = np.zeros(m)
     t = 0.0
     status = MAX_ITERATIONS
@@ -339,27 +405,35 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
     # Gram matrix of the rows with their free-scalar coefficients, regularised
     # as the Schur complement is: it projects each step onto the primal equations
     gram = rows.schur(eye, eye) + np.outer(a_free, a_free)
+    if not np.isfinite(gram).all():
+        raise ValueError("array must not contain infs or NaNs")
+    trace = np.trace(gram)
+    gram.flat[:: m + 1] += 1e-14 * trace / m
     try:
-        gram_cho = scipy.linalg.cho_factor(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
+        gram_cho = _cholesky(gram)
     except np.linalg.LinAlgError:
         # every row is zero: there are no equations to iterate on
         max_iterations, status = 0, NUMERICAL_FAILURE
+    else:
+        # a collapsed pivot means a row lies in the span of the rows before
+        # it: the system is dependent, and inconsistent unless the right-hand
+        # sides happen to agree
+        if float(np.min(np.diagonal(gram_cho))) ** 2 <= DEPENDENT_PIVOT * trace / m:
+            max_iterations, status = 0, DEPENDENT_ROWS
 
     for it in range(1, max_iterations + 1):
-        # inverse Cholesky factors: Z^-1 and the four step lengths use them
-        lzinv = scipy.linalg.solve_triangular(lz, eye, lower=True, check_finite=False)
-        lxinv = scipy.linalg.solve_triangular(lx, eye, lower=True, check_finite=False)
-        zinv = lzinv.conj().T @ lzinv
-        mu = np.vdot(z, x).real / n
-        schur = rows.schur(zinv, x)
         residuals = (r_p, r_d, r_f)
         try:
+            # inverse Cholesky factors: Z^-1 and the four step lengths use them
+            lzinv, lxinv = _inverse_factor(lz), _inverse_factor(lx)
+            zinv = lzinv.conj().T @ lzinv
+            mu = np.vdot(z, x).real / n
+            schur = rows.schur(zinv, x)
             if not (0.0 < mu < np.inf and np.isfinite(schur).all()):
                 raise np.linalg.LinAlgError("mu or the Schur complement is not finite")
-            cho = scipy.linalg.cho_factor(
-                schur + 1e-14 * np.trace(schur) / m * np.eye(m), check_finite=False
-            )
-            w = scipy.linalg.cho_solve(cho, a_free, check_finite=False)
+            schur.flat[:: m + 1] += 1e-14 * np.trace(schur) / m
+            cho = _cholesky(schur)
+            w = _cho_solve(cho, a_free)
             if not float(a_free @ w) > 0:
                 raise np.linalg.LinAlgError("the Schur complement is not positive definite")
 
@@ -378,9 +452,7 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
             # corrector: centering sigma*mu and the second-order term
             core = base + sigma * mu * zinv - _herm(zinv @ dz_aff @ dx_aff)
             dx, dy, dz, dt = _newton(rows, a_free, cho, w, zinv, x, core, residuals)
-            correction = scipy.linalg.cho_solve(
-                gram_cho, r_p - rows(dx) - a_free * dt, check_finite=False
-            )
+            correction = _cho_solve(gram_cho, r_p - rows(dx) - a_free * dt)
             dx = dx + rows.adjoint(correction)
             dt += float(a_free @ correction)
 
@@ -399,7 +471,7 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
         r_p = b - rows(x) - a_free * t
         r_d = z - rows.adjoint(y)
         r_f = 1.0 - float(a_free @ y)
-        pinf = float(np.linalg.norm(r_p)) / (1.0 + float(np.linalg.norm(b)))
+        pinf = sqrt(float(r_p @ r_p)) / b_scale
         dinf = max(float(np.max(np.abs(r_d))), abs(r_f))
         relgap = abs(dual - t) / (1.0 + abs(t))
 
@@ -469,9 +541,10 @@ def _group_feasibility(
     Marginal in band.
 
     Precondition: the rows are linearly independent and their span fixes the
-    trace. Neither is checked; the rows go to the solver as given. An
-    unbounded slack program (such as a lone traceless row) or an
-    inconsistent system does not converge and raises SdpError.
+    trace. Dependent rows, and so every inconsistent system, raise SdpError
+    with status dependent_rows before the first iteration. The span is not
+    checked: an unbounded slack program (such as a lone traceless row) does
+    not converge and raises SdpError.
     """
     band = tol.band
     # solve tighter than the Marginal band so that slack noise cannot move a
@@ -480,8 +553,13 @@ def _group_feasibility(
     rows = _Rows(dims, groups)
     solution = _ipm(rows, gap_tol=gap_tol, max_iterations=max_iterations)
     if solution.status != OPTIMAL:
+        reason = (
+            "the constraint rows are linearly dependent"
+            if solution.status == DEPENDENT_ROWS
+            else "feasibility solve did not converge"
+        )
         raise SdpError(
-            f"feasibility solve did not converge: status {solution.status} after "
+            f"{reason}: status {solution.status} after "
             f"{solution.iterations} iterations (primal residual {solution.primal_residual:.3e}, "
             f"dual residual {solution.dual_residual:.3e}, gap {solution.gap:.3e})"
         )

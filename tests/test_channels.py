@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from choimarg import channels as ch
-from choimarg.linalg import kron, partial_trace, permute_factors
+from choimarg.linalg import kron, partial_trace
 from choimarg.sampling import random_channel, random_density, random_effect, random_unitary
 from conftest import HADAMARD, SX, SY, SZ
+from kron_oracles import permute_factors
 
 
 def kraus_apply(kraus, rho):

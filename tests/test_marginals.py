@@ -18,7 +18,7 @@ from choimarg.channels import (
     unitary_channel,
     w_state,
 )
-from choimarg.linalg import embed, hermitian_product_basis, kron, partial_trace
+from choimarg.linalg import hermitian_product_basis, kron, partial_trace
 from choimarg.sampling import (
     random_channel,
     random_density,
@@ -28,6 +28,7 @@ from choimarg.sampling import (
 )
 from choimarg.sdp import FEASIBLE, INFEASIBLE
 from conftest import HADAMARD, SX, SZ, depolarize
+from kron_oracles import embed
 
 
 def smeared(pauli, s):
@@ -282,6 +283,21 @@ class TestTargetRows:
         rep = mg.channels_compatible(ident, ident)
         assert rep.verdict == mg.INCOMPATIBLE and rep.dual_witness is not None
         assert len(calls) == 1
+
+    def test_row_layout_shared_read_only_across_calls(self, rng):
+        # two specs on the same factors share their coefficient matrices; only
+        # the rhs is computed per call
+        s1 = mg._compat_spec(random_channel(2, 3, rng), random_channel(2, 2, rng))
+        s2 = mg._compat_spec(random_channel(2, 3, rng), random_channel(2, 2, rng))
+        g1, g2 = mg._target_rows(s1), mg._target_rows(s2)
+        for a, b, (_, target) in zip(g1, g2, s2.targets):
+            assert a.coeffs is b.coeffs
+            assert not a.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                a.coeffs[0, 0] = 1.0
+            expected = [np.trace(c.reshape(target.shape) @ target).real for c in b.coeffs]
+            np.testing.assert_allclose(b.rhs, expected, atol=1e-14)
+        assert not np.allclose(g1[0].rhs, g2[0].rhs)
 
     def test_witness_validated_once_after_its_last_change(self, monkeypatch):
         calls = {"init": 0, "holds": 0}

@@ -5,12 +5,13 @@ import pytest
 
 from choimarg import cli, sdp
 from choimarg.config import DEFAULT
-from choimarg.linalg import embed, hermitian_basis
+from choimarg.linalg import hermitian_basis
 from choimarg import marginals as mg
 from choimarg.channels import depolarizing_channel, identity_channel
 from choimarg.marginals import MarginalSpec
 from choimarg.sampling import random_channel
 from conftest import SX, SY, SZ, random_hermitian
+from kron_oracles import embed
 
 
 def whole_block(pins):
@@ -80,30 +81,69 @@ class TestSolve:
         assert status != "optimal"
         assert float(residual) > 1e-9
 
-    def test_non_finite_value_is_a_numerical_failure(self, monkeypatch, capsys):
-        # a NaN inside the iteration is the solver's failure, not bad input:
-        # SdpError naming numerical_failure from the API, exit 3 from the CLI
+    def test_dependent_rows_end_before_the_first_iteration(self):
+        # a row in the span of earlier rows is found when the Gram matrix is
+        # factored, once per solve, and no iteration runs
+        half = np.diag([1.0, 0.0])
+        cases = [
+            [(np.eye(2), 1.0), (np.eye(2), 2.0)],  # inconsistent
+            [(np.eye(2), 1.0), (np.eye(2), 1.0)],  # a repeated row
+            [(np.eye(2), 1.0), (SZ, 0.2), (np.eye(2) + SZ, 1.2)],  # a combination
+            [(np.eye(2), 1.0), (np.zeros((2, 2)), 0.0)],  # a zero row
+            [(np.eye(2), 1.0), (half, 0.5), (np.eye(2) - half, 0.5)],
+        ]
+        for pins in cases:
+            sol = slack_program(2, whole_block(pins))
+            assert (sol.status, sol.iterations) == (sdp.DEPENDENT_ROWS, 0)
+            with pytest.raises(
+                sdp.SdpError, match="linearly dependent: status dependent_rows after 0 iterations"
+            ):
+                feasibility(2, pins)
+        # independent rows that are far from orthogonal still iterate
+        sol = slack_program(2, whole_block([(np.eye(2), 1.0), (half, 0.5)]))
+        assert sol.status == "optimal" and sol.iterations > 0
+
+    def test_all_zero_rows_are_a_numerical_failure(self):
+        sol = slack_program(2, whole_block([(np.zeros((2, 2)), 0.0)]))
+        assert (sol.status, sol.iterations) == (sdp.NUMERICAL_FAILURE, 0)
+
+    @staticmethod
+    def assert_numerical_failure(monkeypatch, capsys, corrupt):
+        """Corrupt the Schur matrix of iteration 2: SdpError naming
+        numerical_failure from the API, exit 3 from the CLI."""
         schur = sdp._Rows.schur
 
-        def nan_in_iteration_two():
+        def corrupt_iteration_two():
             calls = []
 
             def patched(self, zinv, x):
                 calls.append(None)
                 out = schur(self, zinv, x)
                 if len(calls) == 3:  # the Gram matrix, then iterations 1 and 2
-                    out[0, 0] = np.nan
+                    corrupt(out)
                 return out
 
             monkeypatch.setattr(sdp._Rows, "schur", patched)
 
         dep = depolarizing_channel(2)
-        nan_in_iteration_two()
+        corrupt_iteration_two()
         with pytest.raises(sdp.SdpError, match="status numerical_failure after 2 iterations"):
             mg.channels_compatible(dep, dep)
-        nan_in_iteration_two()
+        corrupt_iteration_two()
         assert cli.main(["compat", "--preset", "depolarizing-pair"]) == cli.EXIT_SOLVER_ERROR == 3
         assert "numerical_failure" in capsys.readouterr().err
+
+    def test_non_finite_value_is_a_numerical_failure(self, monkeypatch, capsys):
+        # a NaN inside the iteration is the solver's failure, not bad input
+        self.assert_numerical_failure(
+            monkeypatch, capsys, lambda schur: schur.__setitem__((0, 0), np.nan)
+        )
+
+    def test_indefinite_schur_complement_is_a_numerical_failure(self, monkeypatch, capsys):
+        # finite, with a negative leading pivot: the Cholesky factorization fails
+        self.assert_numerical_failure(
+            monkeypatch, capsys, lambda schur: schur.__setitem__((0, 0), -schur[0, 0])
+        )
 
     def test_step_halved_when_rounding_leaves_the_cone(self):
         x = np.diag([1.0, 1e-16]).astype(complex)
@@ -113,6 +153,45 @@ class TestSolve:
         np.testing.assert_allclose(factor @ factor.conj().T, moved, atol=1e-30)
         with pytest.raises(np.linalg.LinAlgError):
             sdp._advance(x, np.diag([0.0, -1.0]).astype(complex), 1e12)
+
+
+class TestStepLength:
+    """_step_to_boundary computes only the smallest eigenvalue; numpy's full
+    eigvalsh of l^-1 ds l^-H is the oracle."""
+
+    @staticmethod
+    def inverse_factor(rng, n):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.linalg.inv(np.linalg.cholesky(g @ g.conj().T + n * np.eye(n)))
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 27])
+    def test_matches_the_smallest_eigenvalue(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(6):
+            linv = self.inverse_factor(rng, n)
+            ds = random_hermitian(rng, n)
+            lam = np.linalg.eigvalsh(linv @ ds @ linv.conj().T)[0]
+            if lam >= 0:  # step towards the boundary instead
+                ds = -ds
+                lam = np.linalg.eigvalsh(linv @ ds @ linv.conj().T)[0]
+            assert lam < 0
+            assert sdp._step_to_boundary(linv, ds) == pytest.approx(-1.0 / lam, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 27])
+    def test_unbounded_along_a_psd_direction(self, n):
+        rng = np.random.default_rng(400 + n)
+        linv = self.inverse_factor(rng, n)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert sdp._step_to_boundary(linv, g @ g.conj().T) == np.inf
+        assert sdp._step_to_boundary(linv, np.zeros((n, n), dtype=complex)) == np.inf
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_direction_raises(self, bad):
+        ds = np.eye(4, dtype=complex)
+        ds[1, 2] = bad
+        # inf * 0 in the congruence warns before the check sees the NaN it makes
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            sdp._step_to_boundary(np.eye(4, dtype=complex), ds)
 
 
 class TestIterationBudget:
