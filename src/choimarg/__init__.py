@@ -10,7 +10,6 @@ classical bound 2 and Tsirelson bound 2*sqrt(2).
 
 from .channels import (
     Channel,
-    adjoint_effect,
     apply,
     choi_from_kraus,
     depolarizing_channel,
@@ -28,7 +27,6 @@ from .chsh import (
     closed_form_chsh,
     correlation,
     theta_family,
-    unitary_me_correlation,
 )
 from .config import DEFAULT, Tolerances
 from .marginals import (
@@ -51,7 +49,6 @@ __all__ = [
     "MarginalSpec",
     "SdpSolution",
     "Tolerances",
-    "adjoint_effect",
     "apply",
     "bell_local",
     "channels_compatible",
@@ -70,7 +67,6 @@ __all__ = [
     "tensor",
     "theta_family",
     "unitary_channel",
-    "unitary_me_correlation",
     "w_state",
 ]
 

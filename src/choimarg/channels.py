@@ -34,7 +34,6 @@ from .linalg import (
     check_unitary,
     frozen,
     kron,
-    min_eigenvalue,
     partial_trace,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "measure_prepare",
     "apply",
     "tensor",
-    "adjoint_effect",
     "max_entangled",
     "w_state",
     "channel_to_dict",
@@ -82,7 +80,7 @@ class Channel:
         choi = check_hermitian(self.choi, DEFAULT.construction)
         if choi.shape != (d, d):
             raise ValueError(f"Choi matrix shape {choi.shape} does not match dims {d}")
-        lam = min_eigenvalue(choi)
+        lam = np.linalg.eigvalsh(choi)[0]
         if lam < -DEFAULT.psd * d:
             raise ValueError(f"Choi matrix is not CP: min eigenvalue {lam:.3e}")
         marg = partial_trace(choi, out_dims + (self.in_dim,), range(1, len(out_dims) + 1))
@@ -220,18 +218,6 @@ def tensor(c1: Channel, c2: Channel) -> Channel:
     d = o1 * o2 * i1 * i2
     choi = t.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(d, d)
     return Channel._trusted(i1 * i2, c1.out_dims + c2.out_dims, choi)
-
-
-def adjoint_effect(c: Channel, e: np.ndarray) -> np.ndarray:
-    """Heisenberg adjoint on effects: Tr(Phi(sigma) E) = Tr(sigma Phi^*(E))."""
-    e = check_effect(np.asarray(e, dtype=complex))
-    if e.shape[0] != c.out_dim:
-        raise ValueError(f"effect dimension {e.shape[0]} != channel output {c.out_dim}")
-    d_out, d_in = c.out_dim, c.in_dim
-    c4 = c.choi.reshape(d_out, d_in, d_out, d_in)
-    m = np.einsum("aibj,ba->ij", c4, e)
-    m = m.T
-    return (m + m.conj().T) / 2
 
 
 def max_entangled(d: int) -> np.ndarray:

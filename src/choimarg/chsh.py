@@ -5,8 +5,8 @@ Tr((Phi_1 (x) Phi_2)(rho) A) with the default observable
 
     A = |00><00| - |01><01| - |10><10| + |11><11|,
 
-optionally generalized to an effect pair (M, N) via
-A = (2M - 1) (x) (2N - 1). The CHSH combination
+or any observable -1 <= A <= 1 on the joint output passed as ``obs``; an
+effect pair (M, N) gives A = (2M - 1) (x) (2N - 1). The CHSH combination
 
     X = E(c11, c12) + E(c11, c22) + E(c21, c12) - E(c21, c22)
 
@@ -28,15 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from .channels import Channel, _apply, max_entangled, tensor, unitary_channel
-from .linalg import check_density, check_effect, check_hermitian, check_unitary, frozen
+from .linalg import check_density, check_hermitian, frozen
 
 __all__ = [
     "CorrelationReport",
-    "default_observable",
-    "observable_from_effects",
     "correlation",
     "chsh_value",
-    "unitary_me_correlation",
     "theta_family",
     "closed_form_chsh",
     "chsh_scan",
@@ -46,6 +43,9 @@ __all__ = [
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 _FLAG_TOL = 1e-9
+
+_PARITY = frozen(np.diag([1.0, -1.0, -1.0, 1.0]))
+"""Default observable: parity on two qubits, diag(+1, -1, -1, +1) in the computational basis."""
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,6 @@ class CorrelationReport:
         object.__setattr__(self, "correlations", frozen(self.correlations).real)
 
 
-def default_observable() -> np.ndarray:
-    """Parity observable on two qubits, diag(+1, -1, -1, +1) in the computational basis."""
-    return np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-
-
-def observable_from_effects(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Correlation observable (2M - 1) (x) (2N - 1) for an effect pair."""
-    m = check_effect(np.asarray(m, dtype=complex))
-    n = check_effect(np.asarray(n, dtype=complex))
-    return np.kron(2 * m - np.eye(m.shape[0]), 2 * n - np.eye(n.shape[0]))
-
-
 def _check_observable(a: np.ndarray, dim: int) -> np.ndarray:
     a = check_hermitian(a, 1e-9)
     if a.shape != (dim, dim):
@@ -86,7 +74,7 @@ def _check_observable(a: np.ndarray, dim: int) -> np.ndarray:
 def _validated(rho: np.ndarray, obs: np.ndarray | None, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """rho and A (default parity) checked once, for joint output dimension ``dim``."""
     rho = check_density(rho)
-    a = default_observable() if obs is None else obs
+    a = _PARITY if obs is None else obs
     return rho, _check_observable(a, dim)
 
 
@@ -131,20 +119,6 @@ def chsh_value(
         exceeds_classical=bool(x > CLASSICAL_BOUND + _FLAG_TOL or x < -CLASSICAL_BOUND - _FLAG_TOL),
         within_tsirelson=bool(abs(x) <= TSIRELSON_BOUND + _FLAG_TOL),
     )
-
-
-def unitary_me_correlation(u: np.ndarray, v: np.ndarray) -> float:
-    """Closed-form correlation of two unitary channels on the maximally entangled state.
-
-    With W = V U^T this is (|W_00|^2 + |W_11|^2 - |W_01|^2 - |W_10|^2) / 2.
-    """
-    u = check_unitary(np.asarray(u, dtype=complex))
-    v = check_unitary(np.asarray(v, dtype=complex))
-    if u.shape != (2, 2) or v.shape != (2, 2):
-        raise ValueError("closed form requires 2x2 unitaries")
-    w = v @ u.T
-    p = np.abs(w) ** 2
-    return float((p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]) / 2)
 
 
 def theta_family(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

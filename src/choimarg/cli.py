@@ -188,7 +188,10 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=1e-7, help="feasibility band half-width")
-    p.add_argument("--gap", type=float, default=1e-7, help="solver duality-gap target")
+    p.add_argument(
+        "--gap", type=float, default=1e-7,
+        help="solver duality-gap target; the solver uses min(gap, eps/10), so the default does not bind",
+    )
     p.add_argument("--out", help="also write the JSON verdict to this path")
     p.add_argument("--json", action="store_true", help="compact single-line JSON output")
     p.add_argument("--preset", help="use a named preset instead of input files")

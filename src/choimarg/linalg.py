@@ -26,7 +26,6 @@ from .config import DEFAULT, Tolerances
 __all__ = [
     "kron",
     "partial_trace",
-    "min_eigenvalue",
     "hermitian_basis",
     "hermitian_product_basis",
     "check_finite",
@@ -140,15 +139,6 @@ def partial_trace(a: np.ndarray, dims: Sequence[int], traced: Iterable[int]) -> 
         t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
     return t.reshape(d_keep, d_keep)
-
-
-# ---------------------------------------------------------------------------
-# spectral operations
-# ---------------------------------------------------------------------------
-
-
-def min_eigenvalue(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ __all__ = [
 COMPATIBLE = "compatible"
 INCOMPATIBLE = "incompatible"
 MARGINAL = "marginal"
+_VERDICTS = {FEASIBLE: COMPATIBLE, INFEASIBLE: INCOMPATIBLE}
 
 
 @dataclass(frozen=True)
@@ -135,10 +136,6 @@ class MarginalSpec:
                     )
         object.__setattr__(self, "targets", tuple(cleaned))
         object.__setattr__(self, "normalization", float(norm))
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
 
 
 def _reduced(
@@ -293,14 +290,13 @@ def channels_compatible(
                 np.real(np.sum(np.conj(a) * c1.choi)) + np.real(np.sum(np.conj(b) * c2.choi))
             )
             witness_pair = (a, b)
+    joint = None
     if report.status == FEASIBLE:
         joint = Channel(in_dim=c1.in_dim, out_dims=(c1.out_dim, c2.out_dim), choi=report.witness)
         # the report shares the joint channel's read-only Choi matrix: one copy
         report = replace(report, witness=joint.choi)
-        return CompatReport(COMPATIBLE, report.slack, joint, witness_pair, dual_value, report)
-    if report.status == INFEASIBLE:
-        return CompatReport(INCOMPATIBLE, report.slack, None, witness_pair, dual_value, report)
-    return CompatReport(MARGINAL, report.slack, None, witness_pair, dual_value, report)
+    verdict = _VERDICTS.get(report.status, MARGINAL)
+    return CompatReport(verdict, report.slack, joint, witness_pair, dual_value, report)
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,6 @@ from .linalg import partial_trace
 
 __all__ = ["PRESET_NAMES", "describe_presets", "compat_preset", "steer_preset", "bell_preset"]
 
-PRESET_NAMES = (
-    "identity-pair",
-    "depolarizing-pair",
-    "max-entangled",
-    "w-state",
-    "theta-family:<theta>",
-)
-
 _DESCRIPTIONS = {
     "identity-pair": ("compat", "two qubit identity channels (incompatible: no broadcasting)"),
     "depolarizing-pair": ("compat", "two fully depolarizing qubit channels (compatible)"),
@@ -48,14 +40,14 @@ _DESCRIPTIONS = {
     "theta-family:<theta>": ("bell", "maximally entangled state with the four scan unitaries"),
 }
 
+PRESET_NAMES = tuple(_DESCRIPTIONS)
+
 
 def describe_presets() -> str:
-    width = max(len(n) for n in PRESET_NAMES)
-    lines = []
-    for name in PRESET_NAMES:
-        commands, text = _DESCRIPTIONS[name]
-        lines.append(f"{name:<{width}}  [{commands}]  {text}")
-    return "\n".join(lines)
+    width = max(map(len, PRESET_NAMES))
+    return "\n".join(
+        f"{name:<{width}}  [{commands}]  {text}" for name, (commands, text) in _DESCRIPTIONS.items()
+    )
 
 
 def _theta_of(name: str) -> float | None:

@@ -90,6 +90,12 @@ DEPENDENT_ROWS = "dependent_rows"
 FEAS_TOL = 1e-9
 """Primal and dual residual an optimal iterate must reach."""
 
+WITNESS_PSD = 1e-8
+"""Eigenvalue slack every reported witness must satisfy: X >= -WITNESS_PSD."""
+
+WITNESS_RESIDUAL = 1e-6
+"""Largest constraint residual every reported witness may have."""
+
 DEPENDENT_PIVOT = 1e-10
 """Squared Gram pivot, relative to the mean squared row norm, at or below which
 a row counts as a combination of the rows before it."""
@@ -252,11 +258,11 @@ class _Rows:
                 schur[t.rows, s.rows] = block.T
         return (schur + schur.T) / 2
 
-    def holds(self, x: np.ndarray, tol: Tolerances) -> bool:
-        """Every row holds to tol.witness_residual and X is PSD to -tol.witness_psd."""
-        if float(np.max(np.abs(self(x) - self.rhs))) > tol.witness_residual:
+    def holds(self, x: np.ndarray) -> bool:
+        """Every row holds to WITNESS_RESIDUAL and X is PSD to -WITNESS_PSD."""
+        if float(np.max(np.abs(self(x) - self.rhs))) > WITNESS_RESIDUAL:
             return False
-        return float(np.linalg.eigvalsh(x)[0]) >= -tol.witness_psd
+        return float(np.linalg.eigvalsh(x)[0]) >= -WITNESS_PSD
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +510,7 @@ class FeasibilityReport:
     slack is the optimal t of "max t s.t. X - t*1 >= 0, A(X) = b". Its sign
     decides feasibility outside the band |t| < eps. witness is the primal
     matrix after the caller's last change to it, validated once (PSD to
-    -tol.witness_psd, residuals <= tol.witness_residual); an in-band slack
+    -WITNESS_PSD, residuals <= WITNESS_RESIDUAL); an in-band slack
     whose eigenvalue-clipped witness fails that check is Marginal.
     dual_certificate is the dual vector on the original constraint rows.
     """
@@ -570,7 +576,7 @@ def _group_feasibility(
         return FeasibilityReport(INFEASIBLE, t_hat, None, dual, solution)
     x = solution.blocks[0] + t_hat * np.eye(rows.n)
     x = finish(x if t_hat >= band else _clip_psd(x))
-    if rows.holds(x, tol):
+    if rows.holds(x):
         return FeasibilityReport(FEASIBLE, t_hat, x, dual, solution)
     if t_hat >= band:
         raise SdpError("feasible verdict failed independent witness validation")

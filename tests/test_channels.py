@@ -215,36 +215,6 @@ class TestTensor:
         assert np.max(np.abs(marg - ch.apply(c1, r1))) <= 1e-10
 
 
-class TestAdjoint:
-    def test_identity(self, rng):
-        e = random_effect(2, rng)
-        assert np.allclose(ch.adjoint_effect(ch.identity_channel(2), e), e)
-
-    def test_unitary_conjugates(self, rng):
-        u = random_unitary(2, rng)
-        e = random_effect(2, rng)
-        out = ch.adjoint_effect(ch.unitary_channel(u), e)
-        assert np.max(np.abs(out - u.conj().T @ e @ u)) <= 1e-12
-
-    def test_measure_prepare_recovers_effect(self, rng):
-        m = random_effect(2, rng)
-        out = ch.adjoint_effect(ch.measure_prepare(m), np.diag([1.0, 0.0]))
-        assert np.max(np.abs(out - m)) <= 1e-12
-
-    def test_unital_and_duality(self, rng):
-        for _ in range(5):
-            c = random_channel(2, 2, rng)
-            assert np.max(np.abs(ch.adjoint_effect(c, np.eye(2)) - np.eye(2))) <= 1e-9
-            e = random_effect(2, rng)
-            adj = ch.adjoint_effect(c, e)
-            assert np.linalg.eigvalsh(adj)[0] >= -1e-9
-            assert np.linalg.eigvalsh(np.eye(2) - adj)[0] >= -1e-9
-            sigma = random_density(2, rng)
-            lhs = np.trace(ch.apply(c, sigma) @ e).real
-            rhs = np.trace(sigma @ adj).real
-            assert abs(lhs - rhs) <= 1e-10
-
-
 class TestCanonicalStates:
     def test_max_entangled_matrix(self):
         expected = np.zeros((4, 4))

@@ -3,11 +3,25 @@ import pytest
 
 from choimarg import chsh
 from choimarg.channels import identity_channel, max_entangled, measure_prepare, unitary_channel
-from choimarg.linalg import kron
+from choimarg.linalg import check_unitary, kron
 from choimarg.marginals import bell_local
 from choimarg.sampling import random_channel, random_density, random_effect, random_separable, random_unitary
-from choimarg.sdp import FEASIBLE
-from conftest import HADAMARD
+from choimarg.sdp import FEASIBLE, INFEASIBLE
+from conftest import HADAMARD, depolarize
+
+
+def unitary_me_correlation(u: np.ndarray, v: np.ndarray) -> float:
+    """Closed-form correlation of two unitary channels on the maximally entangled state.
+
+    With W = V U^T this is (|W_00|^2 + |W_11|^2 - |W_01|^2 - |W_10|^2) / 2.
+    """
+    u = check_unitary(np.asarray(u, dtype=complex))
+    v = check_unitary(np.asarray(v, dtype=complex))
+    if u.shape != (2, 2) or v.shape != (2, 2):
+        raise ValueError("closed form requires 2x2 unitaries")
+    w = v @ u.T
+    p = np.abs(w) ** 2
+    return float((p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]) / 2)
 
 
 def effect_correlation(rho, m, n):
@@ -39,16 +53,6 @@ class TestCorrelation:
                 random_channel(2, 2, rng), random_channel(2, 2, rng), random_density(4, rng)
             )
             assert abs(value) <= 1.0 + 1e-9
-
-    def test_observable_from_effects(self, rng):
-        m, n = random_effect(2, rng), random_effect(2, rng)
-        a = chsh.observable_from_effects(m, n)
-        w = np.linalg.eigvalsh(a)
-        assert w[0] >= -1 - 1e-9 and w[-1] <= 1 + 1e-9
-        proj0 = np.diag([1.0, 0.0])
-        assert np.allclose(
-            chsh.observable_from_effects(proj0, proj0), chsh.default_observable()
-        )
 
     def test_rejects_bad_observable(self):
         ident = identity_channel(2)
@@ -87,25 +91,25 @@ class TestChshValue:
 
 class TestUnitaryMeCorrelation:
     def test_identity_pair(self):
-        assert abs(chsh.unitary_me_correlation(np.eye(2), np.eye(2)) - 1.0) < 1e-12
+        assert abs(unitary_me_correlation(np.eye(2), np.eye(2)) - 1.0) < 1e-12
 
     def test_hadamard_pair(self):
-        assert abs(chsh.unitary_me_correlation(HADAMARD, HADAMARD) - 1.0) < 1e-12
+        assert abs(unitary_me_correlation(HADAMARD, HADAMARD) - 1.0) < 1e-12
 
     def test_identity_hadamard(self):
-        assert abs(chsh.unitary_me_correlation(np.eye(2), HADAMARD)) < 1e-12
+        assert abs(unitary_me_correlation(np.eye(2), HADAMARD)) < 1e-12
 
     def test_agrees_with_channel_path(self, rng):
         psi = max_entangled(2)
         for _ in range(100):
             u, v = random_unitary(2, rng), random_unitary(2, rng)
-            closed = chsh.unitary_me_correlation(u, v)
+            closed = unitary_me_correlation(u, v)
             full = chsh.correlation(unitary_channel(u), unitary_channel(v), psi)
             assert abs(closed - full) <= 1e-10
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
-            chsh.unitary_me_correlation(np.diag([1.0, 0.5]), np.eye(2))
+            unitary_me_correlation(np.diag([1.0, 0.5]), np.eye(2))
 
 
 class TestThetaFamily:
@@ -239,3 +243,13 @@ class TestBounds:
             assert rep.status == FEASIBLE
             value = chsh.chsh_value(*chans, rho).value
             assert abs(value) <= 2.0 + 1e-6
+
+    @pytest.mark.parametrize("p", [0.05, 0.10, 0.15, 0.158])
+    def test_chsh_violation_implies_nonlocal(self, p):
+        # a local state has |X| <= 2, so X > 2 must give a nonlocal verdict;
+        # depolarized, so that the locality problem is not trivially infeasible
+        # as it is for any four unitary channels on the maximally entangled state
+        psi = max_entangled(2)
+        chans = [depolarize(unitary_channel(u), p) for u in chsh.theta_family(3 + 2 * np.sqrt(2))]
+        assert chsh.chsh_value(*chans, psi).value > 2 + 1e-6
+        assert bell_local(psi, *chans).status == INFEASIBLE

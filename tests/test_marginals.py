@@ -77,7 +77,7 @@ class TestMarginalSpec:
             dims=(2, 2), targets=(((1,), np.eye(2) / 2), ((2,), np.eye(2) / 2))
         )
         assert spec.normalization == 1.0
-        assert spec.total_dim == 4
+        assert np.prod(spec.dims) == 4
 
     def test_rejects_bad_kept_set(self):
         with pytest.raises(ValueError, match="kept"):
@@ -199,6 +199,26 @@ class TestChannelsCompatible:
         assert verdict(threshold - 1e-3) == mg.INCOMPATIBLE
         assert verdict(threshold + 1e-3) == mg.COMPATIBLE
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("a", [0.3, 0.6, 0.8, 0.95])
+    def test_asymmetric_cloning_boundary(self, d, a):
+        # rho -> eta_i rho + (1 - eta_i) 1/d, i = 1, 2, are compatible iff
+        # (eta_1, eta_2) lies inside the optimal asymmetric cloning curve
+        # eta_1 = a^2 + 2ab/d, eta_2 = b^2 + 2ab/d with a^2 + b^2 + 2ab/d = 1
+        # (Cerf 2000, "Asymmetric quantum cloning in any dimension")
+        b = -a / d + np.sqrt(a**2 / d**2 - a**2 + 1)
+        etas = (a**2 + 2 * a * b / d, b**2 + 2 * a * b / d)
+
+        def decide(s):
+            c1, c2 = (depolarizing_channel(d, 1 - eta + s) for eta in etas)
+            return mg.channels_compatible(c1, c2)
+
+        on_curve = decide(0.0)
+        assert on_curve.verdict != mg.INCOMPATIBLE
+        assert abs(on_curve.slack) < 1e-7
+        assert decide(-1e-3).verdict == mg.INCOMPATIBLE
+        assert decide(1e-3).verdict == mg.COMPATIBLE
+
     @staticmethod
     def assert_full_kraus_rank_pair_compatible(seed):
         rng = np.random.default_rng(seed)
@@ -260,7 +280,7 @@ class TestTargetRows:
             vecs = np.array([h.reshape(-1) for h in rows])
             gram = vecs.conj() @ vecs.T
             assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-12
-            n = spec.total_dim
+            n = int(np.prod(spec.dims))
             ident = [np.allclose(h, h[0, 0] * np.eye(n)) and abs(h[0, 0]) > 0 for h in rows]
             assert sum(ident) == 1
             naive = np.array([
@@ -417,6 +437,22 @@ class TestSteering:
             decided += 1
             assert (steer.status == INFEASIBLE) == (comp.verdict == mg.INCOMPATIBLE)
         assert decided >= 8
+
+    def test_max_entangled_equivalence_with_compatibility_qutrits(self):
+        # sigma = (id (x) J)(psi) is the joint Choi matrix J with its factors
+        # permuted, divided by d = 3: steerable iff incompatible, with the
+        # compatibility slack three times the steering slack
+        rng = np.random.default_rng(33)
+        pairs = [tuple(random_channel(3, 3, rng, kraus_rank=2) for _ in range(2)) for _ in range(6)]
+        pairs += [(depolarizing_channel(3, p),) * 2 for p in (0.3, 0.45)]
+        pairs.append((unitary_channel(random_unitary(3, rng)), unitary_channel(random_unitary(3, rng))))
+        psi = max_entangled(3)
+        for c1, c2 in pairs:
+            comp = mg.channels_compatible(c1, c2)
+            steer = mg.state_steerable(psi, c1, c2)
+            assert comp.verdict in (mg.COMPATIBLE, mg.INCOMPATIBLE)
+            assert (steer.status == INFEASIBLE) == (comp.verdict == mg.INCOMPATIBLE)
+            assert abs(3 * steer.slack - comp.slack) <= 1e-6
 
     def test_unsteerable_by_identities_unsteerable_by_any(self, rng):
         rho_w = partial_trace(w_state(), (2, 2, 2), {2})

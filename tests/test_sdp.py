@@ -70,8 +70,8 @@ class TestSolve:
         np.testing.assert_array_equal(r1.joint_choi.choi, r2.joint_choi.choi)
 
     def test_inconsistent_rows_raise(self):
-        # rows are not pruned: the residual test alone keeps an inconsistent
-        # system from being reported optimal
+        # an inconsistent system has dependent rows: the Gram pivot test ends
+        # the solve with status dependent_rows before the first iteration
         with pytest.raises(sdp.SdpError) as raised:
             feasibility(2, [(np.eye(2), 1.0), (np.eye(2), 2.0)])
         status, residual = re.search(
@@ -434,10 +434,10 @@ class TestWitnessAudit:
     def test_rejects_witness_perturbed_past_residual(self):
         target = np.diag([0.6, 0.4]).astype(complex)
         rows = sdp._Rows((2,), (whole_block([(b, np.trace(b @ target).real) for b in hermitian_basis(2)]),))
-        assert rows.holds(target, DEFAULT)
-        nudge = np.diag([1.0, 0.0]) * 1.5 * DEFAULT.witness_residual
-        assert not rows.holds(target + nudge, DEFAULT)
-        assert rows.holds(target + nudge / 3, DEFAULT)
+        assert rows.holds(target)
+        nudge = np.diag([1.0, 0.0]) * 1.5 * sdp.WITNESS_RESIDUAL
+        assert not rows.holds(target + nudge)
+        assert rows.holds(target + nudge / 3)
         # a witness that satisfies every row but is not PSD is rejected too
         trace_only = sdp._Rows((2,), (whole_block([(np.eye(2), 1.0)]),))
-        assert not trace_only.holds(np.diag([1.5, -0.5]), DEFAULT)
+        assert not trace_only.holds(np.diag([1.5, -0.5]))
