@@ -28,7 +28,6 @@ from .chsh import (
     correlation,
     theta_family,
 )
-from .config import DEFAULT, Tolerances
 from .marginals import (
     CompatReport,
     MarginalSpec,
@@ -44,11 +43,9 @@ __all__ = [
     "Channel",
     "CompatReport",
     "CorrelationReport",
-    "DEFAULT",
     "FeasibilityReport",
     "MarginalSpec",
     "SdpSolution",
-    "Tolerances",
     "apply",
     "bell_local",
     "channels_compatible",

@@ -18,15 +18,15 @@ in the same computational basis the Choi matrix is built in.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT
 from .linalg import (
+    PSD_TOL,
     check_density,
+    check_dim,
     check_effect,
     check_finite,
     check_hermitian,
@@ -59,8 +59,9 @@ __all__ = [
 class Channel:
     """A completely positive trace-preserving map stored as its Choi matrix.
 
-    ``Channel(...)`` validates the dimensions (each at least 1) and the Choi
-    matrix in full, at the default tolerances; ``choi_from_kraus`` and
+    ``Channel(...)`` validates the dimensions (each an integer of at least 1)
+    and the Choi matrix in full, at the fixed tolerances of
+    :mod:`choimarg.linalg`; ``choi_from_kraus`` and
     ``tensor`` skip that check, their results being CPTP by construction.
     Immutable; safe to share between threads.
     """
@@ -70,22 +71,25 @@ class Channel:
     choi: np.ndarray
 
     def __post_init__(self) -> None:
-        out_dims = tuple(int(d) for d in self.out_dims)
-        if self.in_dim < 1 or not out_dims or min(out_dims) < 1:
-            raise ValueError(
-                f"channel dimensions must be at least 1: in_dim {self.in_dim}, out_dims {out_dims}"
-            )
+        try:
+            in_dim = check_dim(self.in_dim, "in_dim")
+            out_dims = tuple(check_dim(d, "output dimension") for d in self.out_dims)
+        except ValueError as exc:
+            raise ValueError(f"channel dimensions must be at least 1: {exc}") from None
+        if not out_dims:
+            raise ValueError("channel dimensions must be at least 1: out_dims is empty")
+        object.__setattr__(self, "in_dim", in_dim)
         object.__setattr__(self, "out_dims", out_dims)
-        d = self.out_dim * self.in_dim
-        choi = check_hermitian(self.choi, DEFAULT.construction)
+        d = self.out_dim * in_dim
+        choi = check_hermitian(self.choi)
         if choi.shape != (d, d):
             raise ValueError(f"Choi matrix shape {choi.shape} does not match dims {d}")
         lam = np.linalg.eigvalsh(choi)[0]
-        if lam < -DEFAULT.psd * d:
+        if lam < -PSD_TOL * d:
             raise ValueError(f"Choi matrix is not CP: min eigenvalue {lam:.3e}")
-        marg = partial_trace(choi, out_dims + (self.in_dim,), range(1, len(out_dims) + 1))
-        dev = np.max(np.abs(marg - np.eye(self.in_dim)))
-        if dev > DEFAULT.psd:
+        marg = partial_trace(choi, out_dims + (in_dim,), range(1, len(out_dims) + 1))
+        dev = np.max(np.abs(marg - np.eye(in_dim)))
+        if dev > PSD_TOL:
             raise ValueError(f"channel is not trace preserving: output marginal deviates by {dev:.3e}")
         object.__setattr__(self, "choi", frozen(choi))
 
@@ -118,14 +122,14 @@ def choi_from_kraus(
     if not ops:
         raise ValueError("at least one Kraus operator is required")
     r, c = ops[0].shape
-    out_dim = r if out_dim is None else int(out_dim)
-    in_dim = c if in_dim is None else int(in_dim)
+    out_dim = r if out_dim is None else check_dim(out_dim, "out_dim")
+    in_dim = c if in_dim is None else check_dim(in_dim, "in_dim")
     for k in ops:
         if k.shape != (out_dim, in_dim):
             raise ValueError(f"Kraus operator shape {k.shape} != ({out_dim}, {in_dim})")
     comp = sum(k.conj().T @ k for k in ops)
     dev = np.max(np.abs(comp - np.eye(in_dim)))
-    if dev > DEFAULT.psd:
+    if dev > PSD_TOL:
         raise ValueError(f"Kraus set is not trace preserving: deviation {dev:.3e}")
     d = out_dim * in_dim
     choi = np.zeros((d, d), dtype=complex)
@@ -170,7 +174,7 @@ def measure_prepare(
         raise ValueError("at least one effect is required")
     d_in = effect_list[0].shape[0]
     total = sum(effect_list)
-    if np.max(np.abs(total - np.eye(d_in))) > DEFAULT.psd:
+    if np.max(np.abs(total - np.eye(d_in))) > PSD_TOL:
         raise ValueError("effects do not sum to the identity")
     if preparations is None:
         d_out = len(effect_list)
@@ -181,7 +185,7 @@ def measure_prepare(
             raise ValueError("need one preparation state per effect")
         d_out = preps[0].size
         gram = np.array([[np.vdot(a, b) for b in preps] for a in preps])
-        if np.max(np.abs(gram - np.eye(len(preps)))) > DEFAULT.psd:
+        if np.max(np.abs(gram - np.eye(len(preps)))) > PSD_TOL:
             raise ValueError("preparation states are not orthonormal")
     choi = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
     for m, v in zip(effect_list, preps):
@@ -291,16 +295,8 @@ def _field(d: dict, key: str, convert: Callable = lambda v: v, default: object =
         raise ValueError(f"JSON field {key!r} is malformed: {exc}") from None
 
 
-def _dim(value: object) -> int:
-    """A dimension: an integral JSON number of at least 1."""
-    integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral or value < 1:
-        raise ValueError(f"{value!r} is not an integer of at least 1")
-    return int(value)
-
-
 def _dims(value: object) -> tuple[int, ...]:
-    return tuple(_dim(x) for x in value)
+    return tuple(check_dim(x) for x in value)
 
 
 def _matrices(value: object) -> list[np.ndarray]:
@@ -312,8 +308,8 @@ def channel_from_dict(d: dict) -> Channel:
         kind = d["kind"]
     except (TypeError, KeyError):
         raise ValueError("channel JSON must be an object with a 'kind' key") from None
-    in_dim = _field(d, "in_dim", _dim, 2)
-    out_dim = _field(d, "out_dim", _dim, in_dim)
+    in_dim = _field(d, "in_dim", check_dim, 2)
+    out_dim = _field(d, "out_dim", check_dim, in_dim)
     if kind == "identity":
         if in_dim != out_dim:
             raise ValueError("identity channel needs in_dim == out_dim")

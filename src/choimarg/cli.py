@@ -14,8 +14,8 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,9 +24,8 @@ import numpy as np
 from . import presets
 from .channels import Channel, channel_from_dict, channel_to_dict, state_from_dict, state_to_dict
 from .chsh import chsh_scan, chsh_value, scan_to_csv
-from .config import DEFAULT, Tolerances
 from .marginals import bell_local, channels_compatible, state_steerable
-from .sdp import FEASIBLE, INFEASIBLE, SdpError
+from .sdp import BAND, FEASIBLE, INFEASIBLE, SdpError
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -80,23 +79,25 @@ def _load_channel(path: str) -> Channel:
     return channel_from_dict(_load_json(path))
 
 
-def _load_state(path: str) -> np.ndarray:
-    rho, _dims = state_from_dict(_load_json(path))
+def _load_state(path: str, d_last: int, last: str) -> np.ndarray:
+    """A state from JSON. If it declares more than one factor, its last
+    factors must make up ``last``, of dimension ``d_last``."""
+    rho, dims = state_from_dict(_load_json(path))
+    if len(dims) > 1 and d_last not in {math.prod(dims[k:]) for k in range(1, len(dims))}:
+        raise ValueError(
+            f"state dims {list(dims)} do not end in factors of dimension {d_last}, the {last}"
+        )
     return rho
 
 
 def _need(args: argparse.Namespace, names: list[str]) -> None:
-    if not all(np.isfinite(v) and v > 0 for v in (args.eps, args.gap)):
-        raise ValueError("--eps and --gap must be finite and strictly positive")
+    if not (np.isfinite(args.eps) and args.eps > 0):
+        raise ValueError("--eps must be finite and strictly positive")
     missing = [n for n in names if getattr(args, n) is None]
     if args.preset and any(getattr(args, n) is not None for n in names):
         raise ValueError("give either --preset or explicit input files, not both")
     if not args.preset and missing:
         raise ValueError(f"missing input files: {', '.join(missing)} (or use --preset)")
-
-
-def _tol(args: argparse.Namespace) -> Tolerances:
-    return dataclasses.replace(DEFAULT, solver=args.gap, band=args.eps)
 
 
 def _cmd_compat(args: argparse.Namespace) -> int:
@@ -105,7 +106,7 @@ def _cmd_compat(args: argparse.Namespace) -> int:
         c1, c2 = presets.compat_preset(args.preset)
     else:
         c1, c2 = _load_channel(args.channel1), _load_channel(args.channel2)
-    rep = channels_compatible(c1, c2, tol=_tol(args))
+    rep = channels_compatible(c1, c2, eps=args.eps)
     payload = {
         "verdict": rep.verdict,
         "slack": rep.slack,
@@ -121,9 +122,9 @@ def _cmd_steer(args: argparse.Namespace) -> int:
     if args.preset:
         rho, c1, c2 = presets.steer_preset(args.preset)
     else:
-        rho = _load_state(args.state)
         c1, c2 = _load_channel(args.channel1), _load_channel(args.channel2)
-    rep = state_steerable(rho, c1, c2, tol=_tol(args))
+        rho = _load_state(args.state, c1.in_dim, "channel input")
+    rep = state_steerable(rho, c1, c2, eps=args.eps)
     verdict = {FEASIBLE: "unsteerable", INFEASIBLE: "steerable"}.get(rep.status, "marginal")
     d_c = rho.shape[0] // c1.in_dim
     payload = {
@@ -144,10 +145,10 @@ def _cmd_bell(args: argparse.Namespace) -> int:
     if args.preset:
         rho, c11, c21, c12, c22 = presets.bell_preset(args.preset)
     else:
-        rho = _load_state(args.state)
         c11, c21 = _load_channel(args.channel11), _load_channel(args.channel21)
         c12, c22 = _load_channel(args.channel12), _load_channel(args.channel22)
-    rep = bell_local(rho, c11, c21, c12, c22, tol=_tol(args))
+        rho = _load_state(args.state, c12.in_dim, "input of wing 2")
+    rep = bell_local(rho, c11, c21, c12, c22, eps=args.eps)
     verdict = {FEASIBLE: "local", INFEASIBLE: "nonlocal"}.get(rep.status, "marginal")
     outs = (c11.out_dim, c21.out_dim, c12.out_dim, c22.out_dim)
     x = None
@@ -187,11 +188,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=float, default=1e-7, help="feasibility band half-width")
-    p.add_argument(
-        "--gap", type=float, default=1e-7,
-        help="solver duality-gap target; the solver uses min(gap, eps/10), so the default does not bind",
-    )
+    p.add_argument("--eps", type=float, default=BAND, help="feasibility band half-width")
     p.add_argument("--out", help="also write the JSON verdict to this path")
     p.add_argument("--json", action="store_true", help="compact single-line JSON output")
     p.add_argument("--preset", help="use a named preset instead of input files")

@@ -10,9 +10,17 @@ Conventions used by the whole package
   usual marginal equations. This is the single place the convention is set;
   every higher module follows it.
 * ``dims`` always means the ordered tuple of local dimensions whose product
-  is the matrix dimension.
+  is the matrix dimension. Each is an integral number of at least 1
+  (:func:`check_dim`).
 
 Dimensions beyond ~64 and sparse storage are out of scope.
+
+Cone membership (PSD, trace preservation, unitarity) is exact mathematics;
+floating point needs explicit slack. The construction checks of the package
+(``check_*``, ``Channel``, ``choi_from_kraus``, ``measure_prepare`` and
+``MarginalSpec``) use two fixed constants, :data:`HERMITIAN_TOL` and
+:data:`PSD_TOL`. The solver's tolerances live in :mod:`choimarg.sdp`; the
+only one a caller sets is the band half-width ``eps`` of its decisions.
 """
 
 from __future__ import annotations
@@ -21,13 +29,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+HERMITIAN_TOL = 1e-12
+"""Largest entry of A - A^dagger accepted when building a Hermitian operator."""
+
+PSD_TOL = 1e-9
+"""Eigenvalue, trace and unitarity slack of the construction checks."""
 
 __all__ = [
+    "HERMITIAN_TOL",
+    "PSD_TOL",
     "kron",
     "partial_trace",
     "hermitian_basis",
     "hermitian_product_basis",
+    "check_dim",
     "check_finite",
     "check_hermitian",
     "check_shape",
@@ -57,7 +72,7 @@ def check_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_hermitian(a: np.ndarray, tol: float = DEFAULT.construction) -> np.ndarray:
+def check_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate ||A - A^dagger||_max <= tol and return the Hermitian part."""
     a = check_finite(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -68,43 +83,51 @@ def check_hermitian(a: np.ndarray, tol: float = DEFAULT.construction) -> np.ndar
     return (a + a.conj().T) / 2
 
 
+def check_dim(value: object, name: str = "dimension") -> int:
+    """A dimension: an integral number (not a bool) of at least 1, as an int."""
+    integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral or value < 1:
+        raise ValueError(f"{name} {value!r} is not an integer of at least 1")
+    return int(value)
+
+
 def check_shape(dims: Sequence[int], dim: int) -> tuple[int, ...]:
     """Validate a subsystem factorization against a matrix dimension."""
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"factor dimensions must be positive, got {dims}")
+    dims = tuple(check_dim(d, "factor dimension") for d in dims)
+    if not dims:
+        raise ValueError("at least one factor dimension is required")
     if int(np.prod(dims)) != dim:
         raise ValueError(f"factor dimensions {dims} do not multiply to {dim}")
     return dims
 
 
-def check_density(rho: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Validate a density matrix: Hermitian, min eigenvalue >= -tol.psd, trace 1."""
-    rho = check_hermitian(rho, tol.construction)
+def check_density(rho: np.ndarray) -> np.ndarray:
+    """Validate a density matrix: Hermitian, min eigenvalue >= -PSD_TOL, trace 1."""
+    rho = check_hermitian(rho)
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -tol.psd:
+    if w[0] < -PSD_TOL:
         raise ValueError(f"state is not positive semidefinite: min eigenvalue {w[0]:.3e}")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol.psd:
-        raise ValueError(f"state trace {tr!r} deviates from 1 beyond {tol.psd:.1e}")
+    if abs(tr - 1.0) > PSD_TOL:
+        raise ValueError(f"state trace {tr!r} deviates from 1 beyond {PSD_TOL:.1e}")
     return rho
 
 
-def check_effect(m: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Validate an effect: Hermitian with eigenvalues in [-tol.psd, 1 + tol.psd]."""
-    m = check_hermitian(m, tol.construction)
+def check_effect(m: np.ndarray) -> np.ndarray:
+    """Validate an effect: Hermitian with eigenvalues in [-PSD_TOL, 1 + PSD_TOL]."""
+    m = check_hermitian(m)
     w = np.linalg.eigvalsh(m)
-    if w[0] < -tol.psd or w[-1] > 1.0 + tol.psd:
+    if w[0] < -PSD_TOL or w[-1] > 1.0 + PSD_TOL:
         raise ValueError(f"effect eigenvalues {w} are not within [0, 1]")
     return m
 
 
-def check_unitary(u: np.ndarray, tol: float = DEFAULT.psd) -> np.ndarray:
+def check_unitary(u: np.ndarray) -> np.ndarray:
     u = check_finite(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if dev > tol:
+    if dev > PSD_TOL:
         raise ValueError(f"matrix is not unitary: ||UU^dagger - I||_max = {dev:.3e}")
     return u
 

@@ -35,11 +35,12 @@ from itertools import product
 
 import numpy as np
 
-from .channels import Channel, _apply, identity_channel, tensor
-from .config import DEFAULT, Tolerances
+from .channels import Channel, _apply, identity_channel, measure_prepare, tensor
 from .linalg import (
+    HERMITIAN_TOL,
+    PSD_TOL,
     check_density,
-    check_effect,
+    check_dim,
     check_hermitian,
     frozen,
     hermitian_product_basis,
@@ -47,6 +48,7 @@ from .linalg import (
     partial_trace,
 )
 from .sdp import (
+    BAND,
     FEASIBLE,
     INFEASIBLE,
     FeasibilityReport,
@@ -89,7 +91,7 @@ class MarginalSpec:
     normalization: float | None = None
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(check_dim(d, "factor dimension") for d in self.dims)
         object.__setattr__(self, "dims", dims)
         n = len(dims)
         if not self.targets:
@@ -101,7 +103,7 @@ class MarginalSpec:
             if not kept or not set(kept) <= set(range(1, n + 1)) or len(set(kept)) != len(kept):
                 raise ValueError(f"kept factors {kept} not a valid subset of 1..{n}")
             d_kept = int(np.prod([dims[k - 1] for k in kept]))
-            target = check_hermitian(np.asarray(target, dtype=complex), DEFAULT.construction * 10)
+            target = check_hermitian(np.asarray(target, dtype=complex), HERMITIAN_TOL * 10)
             if target.shape != (d_kept, d_kept):
                 raise ValueError(
                     f"target shape {target.shape} does not match kept factors {kept} (dim {d_kept})"
@@ -111,10 +113,10 @@ class MarginalSpec:
         norm = self.normalization if self.normalization is not None else traces[0]
         if not np.isfinite(norm):
             raise ValueError(f"normalization is non-finite: {norm!r}")
-        # a Channel is trace preserving to DEFAULT.psd per entry of its d_in x d_in
-        # input marginal: a valid Choi target's trace may drift by d_in * psd =
-        # norm * psd, and two valid targets' shared marginals may differ by 2 * psd
-        tol = DEFAULT.psd * max(1.0, abs(norm))
+        # a Channel is trace preserving to PSD_TOL per entry of its d_in x d_in
+        # input marginal: a valid Choi target's trace may drift by d_in * PSD_TOL =
+        # norm * PSD_TOL, and two valid targets' shared marginals may differ by 2 * PSD_TOL
+        tol = PSD_TOL * max(1.0, abs(norm))
         for kept, tr in zip([c[0] for c in cleaned], traces):
             if abs(tr - norm) > tol:
                 raise ValueError(
@@ -200,14 +202,11 @@ def _exact_trace(spec: MarginalSpec, x: np.ndarray) -> np.ndarray:
     return x * (spec.normalization / float(np.trace(x).real))
 
 
-def marginal_feasibility(
-    spec: MarginalSpec,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> FeasibilityReport:
-    """Decide existence of a PSD operator with the prescribed marginals."""
+def marginal_feasibility(spec: MarginalSpec, *, eps: float = BAND) -> FeasibilityReport:
+    """Decide existence of a PSD operator with the prescribed marginals; slacks
+    with |t| < eps are the Marginal band."""
     return _group_feasibility(
-        spec.dims, _target_rows(spec), tol=tol, finish=partial(_exact_trace, spec)
+        spec.dims, _target_rows(spec), eps=eps, finish=partial(_exact_trace, spec)
     )
 
 
@@ -259,25 +258,20 @@ def _dual_per_target(
     ]
 
 
-def channels_compatible(
-    c1: Channel,
-    c2: Channel,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> CompatReport:
+def channels_compatible(c1: Channel, c2: Channel, *, eps: float = BAND) -> CompatReport:
     """Decide whether two channels admit a joint channel with both marginals."""
     spec = _compat_spec(c1, c2)
     d_out = c1.out_dim * c2.out_dim
 
     def finish(x: np.ndarray) -> np.ndarray:
         # rescale, then project onto exact trace preservation so the witness
-        # revalidates as a Channel at the default tolerances
+        # revalidates as a Channel
         x = _exact_trace(spec, x)
         defect = partial_trace(x, spec.dims, {1, 2}) - np.eye(c1.in_dim)
         return x - kron(np.eye(d_out), defect) / d_out
 
     groups = _target_rows(spec)
-    report = _group_feasibility(spec.dims, groups, tol=tol, finish=finish)
+    report = _group_feasibility(spec.dims, groups, eps=eps, finish=finish)
     pair = _dual_per_target(spec, groups, report)
     dual_value = None
     witness_pair = None
@@ -305,11 +299,7 @@ def channels_compatible(
 
 
 def state_steerable(
-    rho: np.ndarray,
-    c1: Channel,
-    c2: Channel,
-    *,
-    tol: Tolerances = DEFAULT,
+    rho: np.ndarray, c1: Channel, c2: Channel, *, eps: float = BAND
 ) -> FeasibilityReport:
     """Steering test for a bipartite state held between a reference and channels.
 
@@ -333,7 +323,7 @@ def state_steerable(
         targets=(((1, 2), t1), ((1, 3), t2)),
         normalization=1.0,
     )
-    return marginal_feasibility(spec, tol=tol)
+    return marginal_feasibility(spec, eps=eps)
 
 
 def bell_local(
@@ -343,7 +333,7 @@ def bell_local(
     c12: Channel,
     c22: Channel,
     *,
-    tol: Tolerances = DEFAULT,
+    eps: float = BAND,
 ) -> FeasibilityReport:
     """Bell locality test for a bipartite state under two channel choices per wing.
 
@@ -370,7 +360,7 @@ def bell_local(
         targets=targets,
         normalization=1.0,
     )
-    return marginal_feasibility(spec, tol=tol)
+    return marginal_feasibility(spec, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +368,9 @@ def bell_local(
 # ---------------------------------------------------------------------------
 
 
-def effects_compatible(
-    f: np.ndarray,
-    g: np.ndarray,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> FeasibilityReport:
-    """Joint measurability of two effects: compatibility of their channels
+def effects_compatible(f: np.ndarray, g: np.ndarray, *, eps: float = BAND) -> FeasibilityReport:
+    """Joint measurability of two effects: compatibility of their
+    :func:`~choimarg.channels.measure_prepare` channels
     rho -> Tr(rho e)|0><0| + Tr(rho (1-e))|1><1|, with Choi matrices
     diag(1,0) (x) e^T + diag(0,1) (x) (1-e)^T.
 
@@ -392,21 +378,11 @@ def effects_compatible(
     X[a,b,:,a,b,:] of the joint Choi matrix X on (2, 2, d); G, f - G, g - G
     and 1 - f - g + G are h_00, h_01, h_10 and h_11, all PSD.
     """
-    f = check_effect(np.asarray(f, dtype=complex), tol)
-    g = check_effect(np.asarray(g, dtype=complex), tol)
-    if f.shape != g.shape:
-        raise ValueError(f"effects have different dimensions {f.shape} != {g.shape}")
-    d = f.shape[0]
-
-    def choi(e: np.ndarray) -> np.ndarray:
-        # built from the effect as checked at tol, not through measure_prepare,
-        # which would re-check it at the default tolerances
-        return kron(np.diag([1.0, 0.0]), e.T) + kron(np.diag([0.0, 1.0]), np.eye(d) - e.T)
-
-    spec = MarginalSpec(
-        dims=(2, 2, d), targets=(((1, 3), choi(f)), ((2, 3), choi(g))), normalization=float(d)
+    spec = _compat_spec(
+        measure_prepare(np.asarray(f, dtype=complex)), measure_prepare(np.asarray(g, dtype=complex))
     )
-    report = marginal_feasibility(spec, tol=tol)
+    d = spec.dims[2]
+    report = marginal_feasibility(spec, eps=eps)
     if report.witness is None:
         return report
     # a principal block of the validated joint Choi matrix, so PSD whenever it is

@@ -17,6 +17,15 @@ show as a collapsed pivot when the rows' Gram matrix is factored, once per
 solve, and end the solve before its first iteration with status
 dependent_rows.
 
+The one tolerance a caller sets is ``eps`` (default :data:`BAND`), the
+half-width of the Marginal band around zero slack; the solve then targets a
+relative gap of min(:data:`GAP_TOL`, eps / 10). The rest are fixed: the
+residual target :data:`FEAS_TOL`, the dependent-row pivot
+:data:`DEPENDENT_PIVOT` and the witness contract (every reported witness is
+PSD to -:data:`WITNESS_PSD` and meets each row to :data:`WITNESS_RESIDUAL`).
+The construction checks of the inputs use the constants of
+:mod:`choimarg.linalg`.
+
 The solver is a primal-dual path-following interior-point method with the
 HKM direction (linearize XZ = mu*1, take the Hermitian part of the X step)
 and Mehrotra's predictor-corrector (Mehrotra 1992) with the SDPT3
@@ -71,8 +80,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import lapack
 
-from .config import DEFAULT, Tolerances
-
 __all__ = [
     "SdpSolution",
     "SdpError",
@@ -86,6 +93,16 @@ OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
 NUMERICAL_FAILURE = "numerical_failure"
 DEPENDENT_ROWS = "dependent_rows"
+
+BAND = 1e-7
+"""Default half-width eps of the Marginal band around zero slack; the one
+tolerance a caller sets (``eps=``, the CLI's ``--eps``)."""
+
+GAP_TOL = 1e-7
+"""Loosest relative duality-gap target of the solver. A solve targets
+min(GAP_TOL, eps / 10), 1e-8 at the default band: a tenth of the band, so that
+slack noise cannot move a boundary problem across the band edge, and never
+looser than GAP_TOL however wide the band."""
 
 FEAS_TOL = 1e-9
 """Primal and dual residual an optimal iterate must reach."""
@@ -532,7 +549,7 @@ def _group_feasibility(
     dims: Sequence[int],
     groups: Sequence[RowGroup],
     *,
-    tol: Tolerances = DEFAULT,
+    eps: float = BAND,
     finish: Callable[[np.ndarray], np.ndarray] = lambda x: x,
     max_iterations: int = 200,
 ) -> FeasibilityReport:
@@ -541,10 +558,10 @@ def _group_feasibility(
     dims are the operator's tensor factor dimensions, which the groups' kept
     sets index. The dual certificate is indexed by the rows in group order.
 
-    Unless t <= -band, the witness X = Y + t*1 (eigenvalue-clipped when
-    |t| < band) goes through finish, the caller's last change to it, and is
-    validated once: feasible if it holds, else SdpError when t >= band and
-    Marginal in band.
+    Unless t <= -eps, the witness X = Y + t*1 (eigenvalue-clipped when
+    |t| < eps) goes through finish, the caller's last change to it, and is
+    validated once: feasible if it holds, else SdpError when t >= eps and
+    Marginal in the band |t| < eps.
 
     Precondition: the rows are linearly independent and their span fixes the
     trace. Dependent rows, and so every inconsistent system, raise SdpError
@@ -552,12 +569,8 @@ def _group_feasibility(
     checked: an unbounded slack program (such as a lone traceless row) does
     not converge and raises SdpError.
     """
-    band = tol.band
-    # solve tighter than the Marginal band so that slack noise cannot move a
-    # boundary problem across the band edge
-    gap_tol = min(tol.solver, band / 10.0)
     rows = _Rows(dims, groups)
-    solution = _ipm(rows, gap_tol=gap_tol, max_iterations=max_iterations)
+    solution = _ipm(rows, gap_tol=min(GAP_TOL, eps / 10.0), max_iterations=max_iterations)
     if solution.status != OPTIMAL:
         reason = (
             "the constraint rows are linearly dependent"
@@ -572,12 +585,12 @@ def _group_feasibility(
 
     t_hat = solution.free_value
     dual = solution.dual
-    if t_hat <= -band:
+    if t_hat <= -eps:
         return FeasibilityReport(INFEASIBLE, t_hat, None, dual, solution)
     x = solution.blocks[0] + t_hat * np.eye(rows.n)
-    x = finish(x if t_hat >= band else _clip_psd(x))
+    x = finish(x if t_hat >= eps else _clip_psd(x))
     if rows.holds(x):
         return FeasibilityReport(FEASIBLE, t_hat, x, dual, solution)
-    if t_hat >= band:
+    if t_hat >= eps:
         raise SdpError("feasible verdict failed independent witness validation")
     return FeasibilityReport(MARGINAL, t_hat, None, dual, solution)

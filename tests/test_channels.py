@@ -73,6 +73,23 @@ class TestChannelValidation:
         with pytest.raises(ValueError, match="dimensions must be at least 1"):
             ch.Channel(in_dim=in_dim, out_dims=out_dims, choi=np.zeros((0, 0)))
 
+    @pytest.mark.parametrize(
+        "in_dim, out_dims, name",
+        [(2.5, (2,), "in_dim 2.5"), (2, (2.5,), "output dimension 2.5"), (True, (2,), "in_dim True")],
+    )
+    def test_rejects_non_integral_dimensions(self, in_dim, out_dims, name):
+        with pytest.raises(ValueError, match=f"{name} is not an integer"):
+            ch.Channel(in_dim=in_dim, out_dims=out_dims, choi=choi_of_identity(2))
+
+    def test_integral_float_dimensions_become_ints(self):
+        c = ch.Channel(in_dim=2.0, out_dims=(2.0,), choi=choi_of_identity(2))
+        assert (c.in_dim, c.out_dims) == (2, (2,))
+        assert type(c.in_dim) is int and type(c.out_dims[0]) is int
+
+    def test_kraus_rejects_non_integral_dimension(self):
+        with pytest.raises(ValueError, match="in_dim 2.5 is not an integer"):
+            ch.choi_from_kraus([np.eye(2)], in_dim=2.5)
+
     def test_choi_is_immutable(self):
         c = ch.identity_channel(2)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +230,42 @@ class TestErrors:
         code, _, err = run(capsys, ["steer", str(state), str(chan), str(chan)])
         assert code == 1
 
+    @pytest.mark.parametrize("dims, code", [((2, 3), 1), ((3, 2), 0), ((6,), 0)])
+    def test_steer_state_dims_must_end_in_the_channel_input(self, capsys, tmp_path, dims, code):
+        # qubit channels read a 6 x 6 state as reference 3 (x) input 2, which a
+        # state declared on (2, 3) is not
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(state_to_dict(np.eye(6) / 6, dims=dims)))
+        chan = tmp_path / "id.json"
+        chan.write_text(json.dumps({"kind": "identity", "in_dim": 2, "out_dim": 2}))
+        got, out, err = run(capsys, ["steer", str(state), str(chan), str(chan), "--json"])
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == (
+                f"choimarg: error: state dims {list(dims)} do not end in factors of "
+                "dimension 2, the channel input\n"
+            )
+        else:
+            assert json.loads(out)["witness"]["dims"] == [3, 2, 2]
+
+    @pytest.mark.parametrize("dims, code", [((3, 2), 1), ((2, 3), 0), ((6,), 0)])
+    def test_bell_state_dims_must_split_at_the_wings(self, capsys, tmp_path, dims, code):
+        # wing 1 takes qubits and wing 2 qutrits: the state must be 2 (x) 3
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(state_to_dict(np.eye(6) / 6, dims=dims)))
+        qubit, qutrit = tmp_path / "id2.json", tmp_path / "id3.json"
+        qubit.write_text(json.dumps({"kind": "identity", "in_dim": 2, "out_dim": 2}))
+        qutrit.write_text(json.dumps({"kind": "identity", "in_dim": 3, "out_dim": 3}))
+        argv = ["bell", str(state), str(qubit), str(qubit), str(qutrit), str(qutrit), "--json"]
+        got, out, err = run(capsys, argv)
+        assert got == code
+        if code:
+            assert out == ""
+            assert "state dims [3, 2]" in err
+        else:
+            assert json.loads(out)["witness"]["dims"] == [2, 2, 3, 3]
+
     def test_preset_and_files_conflict(self, capsys, tmp_path):
         chan = tmp_path / "id.json"
         chan.write_text(json.dumps({"kind": "identity", "in_dim": 2, "out_dim": 2}))
@@ -237,13 +275,13 @@ class TestErrors:
         assert code == 1
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-    @pytest.mark.parametrize("flag", ["--eps", "--gap"])
+    @pytest.mark.parametrize("flag", ["--eps"])
     def test_nonpositive_eps(self, capsys, flag, value):
         # a non-finite value is bad input, not a solver failure or a verdict
         code, out, err = run(capsys, ["compat", "--preset", "identity-pair", flag, value])
         assert code == 1
         assert out == ""
-        assert err == "choimarg: error: --eps and --gap must be finite and strictly positive\n"
+        assert err == "choimarg: error: --eps must be finite and strictly positive\n"
 
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, ["steer", "--preset", "identity-pair"])
@@ -297,3 +335,19 @@ class TestScanCommand:
         assert code == 0
         assert stdout.startswith("theta,X\n")
         assert "max X" in err
+
+
+class TestReadme:
+    def test_command_line_block_parses(self):
+        # every line of the README's command-line block, flags included, is
+        # accepted by the parser; a flag that no longer exists fails it
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+        flags = set()
+        for line in block.splitlines():
+            # placeholders such as E and P stand for values; [...] repeats the first line's options
+            words = re.sub(r"[][]", " ", line).split()[1:]
+            argv = ["1" if re.fullmatch("[A-Z]", w) else w for w in words if w != "..."]
+            flags.update(w for w in argv if w.startswith("--"))
+            cli.build_parser().parse_args(argv)
+        assert {"--eps", "--out", "--json", "--steps"} <= flags

@@ -173,3 +173,12 @@ class TestValidators:
 
     def test_hadamard_accepted(self):
         linalg.check_unitary(HADAMARD)
+
+    @pytest.mark.parametrize("dims", [(2.5, 2), (0, 4), (True, 4), ("2", 2)])
+    def test_shape_rejects_malformed_dimensions(self, dims):
+        with pytest.raises(ValueError, match=f"factor dimension {dims[0]!r} is not an integer"):
+            linalg.check_shape(dims, 4)
+
+    def test_shape_accepts_integral_floats_as_ints(self):
+        dims = linalg.check_shape((2.0, np.int64(2)), 4)
+        assert dims == (2, 2) and all(type(d) is int for d in dims)

@@ -1,11 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from choimarg import marginals as mg
 from choimarg import sdp
-from choimarg.config import DEFAULT
 from choimarg.channels import (
     Channel,
     _apply,
@@ -78,6 +75,12 @@ class TestMarginalSpec:
         )
         assert spec.normalization == 1.0
         assert np.prod(spec.dims) == 4
+
+    @pytest.mark.parametrize("dims", [(0, 2), (2.5, 2)])
+    def test_rejects_malformed_dimensions(self, dims):
+        # (0, 2) used to reach the solver, (2.5, 2) to be solved as (2, 2)
+        with pytest.raises(ValueError, match=f"factor dimension {dims[0]!r} is not an integer"):
+            mg.MarginalSpec(dims=dims, targets=(((2,), np.eye(2) / 2),))
 
     def test_rejects_bad_kept_set(self):
         with pytest.raises(ValueError, match="kept"):
@@ -638,14 +641,12 @@ class TestEffectsCompatible:
             rep = mg.effects_compatible(np.outer(p, p.conj()), np.outer(q, q.conj()))
             assert rep.status == INFEASIBLE
 
-    def test_caller_tolerance_reaches_the_targets(self):
-        # f's eigenvalue -5e-9 is an effect at psd = 1e-8 but not at the
-        # default 1e-9; the channel targets are built from f as checked at tol
-        f = np.diag([1.0, -5e-9])
+    def test_effects_checked_at_psd_tol(self):
+        # an eigenvalue of -5e-9 is past linalg.PSD_TOL = 1e-9, one of -5e-10 is within it
         g = 0.3 * np.ones((2, 2)) + 0.2 * np.eye(2)
         with pytest.raises(ValueError, match="effect"):
-            mg.effects_compatible(f, g)
-        rep = mg.effects_compatible(f, g, tol=replace(DEFAULT, psd=1e-8))
+            mg.effects_compatible(np.diag([1.0, -5e-9]), g)
+        rep = mg.effects_compatible(np.diag([1.0, -5e-10]), g)
         assert rep.status == INFEASIBLE
         assert abs(rep.slack - (-0.04155)) <= 1e-5
 

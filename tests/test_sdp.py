@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from choimarg import cli, sdp
-from choimarg.config import DEFAULT
 from choimarg.linalg import hermitian_basis
 from choimarg import marginals as mg
 from choimarg.channels import depolarizing_channel, identity_channel
@@ -27,7 +26,7 @@ def feasibility(d, pins):
 
 def slack_program(d, group):
     """The IPM's solution of the slack program of one group on a whole d x d block."""
-    return sdp._ipm(sdp._Rows((d,), (group,)), gap_tol=DEFAULT.solver, max_iterations=200)
+    return sdp._ipm(sdp._Rows((d,), (group,)), gap_tol=sdp.GAP_TOL, max_iterations=200)
 
 
 class TestSolve:
