@@ -140,7 +140,7 @@ def choi_from_kraus(
 
 
 def identity_channel(d: int) -> Channel:
-    return choi_from_kraus([np.eye(d)])
+    return choi_from_kraus([np.eye(check_dim(d))])
 
 
 def unitary_channel(u: np.ndarray) -> Channel:
@@ -150,6 +150,7 @@ def unitary_channel(u: np.ndarray) -> Channel:
 
 def depolarizing_channel(d: int, p: float = 1.0) -> Channel:
     """rho -> (1 - p) rho + p Tr(rho) 1/d; fully depolarizing at p = 1."""
+    d = check_dim(d)
     ident = identity_channel(d).choi
     mixed = np.eye(d * d, dtype=complex) / d
     return Channel(in_dim=d, out_dims=(d,), choi=(1.0 - p) * ident + p * mixed)
@@ -226,6 +227,7 @@ def tensor(c1: Channel, c2: Channel) -> Channel:
 
 def max_entangled(d: int) -> np.ndarray:
     """Projector onto |psi+> = d^{-1/2} sum_i |ii> on dimension d^2."""
+    d = check_dim(d, "local dimension")
     if d < 2:
         raise ValueError("local dimension must be at least 2")
     v = np.zeros(d * d, dtype=complex)
@@ -345,9 +347,8 @@ def channel_from_dict(d: dict) -> Channel:
 
 def state_to_dict(rho: np.ndarray, dims: Sequence[int] | None = None) -> dict:
     rho = np.asarray(rho, dtype=complex)
-    if dims is None:
-        dims = (rho.shape[0],)
-    return {"kind": "density", "dims": [int(x) for x in dims], "data": _matrix_to_json(rho)}
+    dims = (rho.shape[0],) if dims is None else check_shape(dims, rho.shape[0])
+    return {"kind": "density", "dims": list(dims), "data": _matrix_to_json(rho)}
 
 
 def state_from_dict(d: dict) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -178,8 +178,7 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     k < l, then the antisymmetric pairs (-i|k><l| + i|l><k|)/sqrt(2) for k < l.
     Every element after the first is traceless.
     """
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    d = check_dim(d)
     basis: list[np.ndarray] = [np.eye(d, dtype=complex) / np.sqrt(d)]
     for k in range(1, d):
         diag = np.zeros(d)

@@ -39,10 +39,12 @@ boundary, halved while rounding leaves an iterate that is not numerically
 positive definite. A step length takes only the smallest eigenvalue of
 L^-1 dS L^-H (LAPACK zheevr over one index), with L the Cholesky factor of
 the current X or Z. The factorizations, solves and that eigenvalue call
-LAPACK directly, and every info is checked. A non-finite mu, mu_aff, Schur
-complement or step length, or a Schur complement that is not positive
-definite, ends the solve with status numerical_failure, and the iteration
-cap is 200.
+LAPACK directly, and every info is checked. scipy's LAPACK bindings are
+imported at the first call that needs them, not with this module, so a
+process that never solves does not load scipy.linalg. A non-finite mu,
+mu_aff, Schur complement or step length, or a Schur complement that is not
+positive definite, ends the solve with status numerical_failure, and the
+iteration cap is 200.
 The free scalar t is eliminated inside the Schur system. It works on one
 complex Hermitian block directly, as SDPT3 and SeDuMi do, and is written for
 the problem sizes of this package (block dimensions up to ~81, a few hundred
@@ -78,7 +80,6 @@ from math import prod, sqrt
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = [
     "SdpSolution",
@@ -298,6 +299,22 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     status: str
+
+
+class _Lapack:
+    """Stands in for scipy.linalg.lapack until its first attribute lookup, which
+    imports the module and binds it to the global ``lapack`` in this stand-in's
+    place: processes that never solve do not load scipy.linalg, and every later
+    LAPACK call finds the module with a plain global lookup."""
+
+    def __getattr__(self, name: str):
+        global lapack
+        from scipy.linalg import lapack
+
+        return getattr(lapack, name)
+
+
+lapack = _Lapack()
 
 
 def _checked(info: int, failure: str = "LAPACK reported a failure") -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from choimarg import channels as ch
-from choimarg.linalg import kron, partial_trace
+from choimarg.linalg import hermitian_basis, kron, partial_trace
 from choimarg.sampling import random_channel, random_density, random_effect, random_unitary
 from conftest import HADAMARD, SX, SY, SZ
 from kron_oracles import permute_factors
@@ -89,6 +89,21 @@ class TestChannelValidation:
     def test_kraus_rejects_non_integral_dimension(self):
         with pytest.raises(ValueError, match="in_dim 2.5 is not an integer"):
             ch.choi_from_kraus([np.eye(2)], in_dim=2.5)
+
+    @pytest.mark.parametrize(
+        "make", [ch.identity_channel, ch.depolarizing_channel, ch.max_entangled, hermitian_basis],
+        ids=lambda f: f.__name__,
+    )
+    def test_constructors_check_their_dimension(self, make):
+        def value(d):
+            made = make(d)
+            return np.asarray(getattr(made, "choi", made))
+
+        for d in (2.0, np.int64(2)):
+            np.testing.assert_array_equal(value(d), value(2))
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError, match=f"dimension {bad!r} is not an integer"):
+                make(bad)
 
     def test_choi_is_immutable(self):
         c = ch.identity_channel(2)
@@ -304,6 +319,19 @@ class TestJson:
         back, dims = ch.state_from_dict(ch.state_to_dict(rho, dims=(2, 2)))
         assert dims == (2, 2)
         assert np.max(np.abs(back - rho)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [((3,), r"factor dimensions \(3,\) do not multiply to 4"), ((2.5, 2), "factor dimension 2.5 is not")],
+        ids=["wrong_product", "non_integral"],
+    )
+    def test_state_dims_checked_when_written(self, dims, message):
+        with pytest.raises(ValueError, match=message):
+            ch.state_to_dict(np.eye(4) / 4, dims=dims)
+
+    def test_state_dims_written_as_ints(self):
+        dims = ch.state_to_dict(np.eye(4) / 4, dims=(np.int64(2), 2.0))["dims"]
+        assert dims == [2, 2] and all(type(d) is int for d in dims)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="kind"):

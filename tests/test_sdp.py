@@ -1,8 +1,14 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import choimarg
 from choimarg import cli, sdp
 from choimarg.linalg import hermitian_basis
 from choimarg import marginals as mg
@@ -152,6 +158,67 @@ class TestSolve:
         np.testing.assert_allclose(factor @ factor.conj().T, moved, atol=1e-30)
         with pytest.raises(np.linalg.LinAlgError):
             sdp._advance(x, np.diag([0.0, -1.0]).astype(complex), 1e12)
+
+
+def run_fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this checkout's choimarg."""
+    src = str(Path(choimarg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLapackBoundAtFirstUse:
+    """scipy.linalg is imported by the first LAPACK call, not by importing the package."""
+
+    def test_paths_without_a_solve_never_load_scipy_linalg(self):
+        out = run_fresh("""
+            import sys
+            import numpy as np
+            import choimarg
+            from choimarg import cli
+            from choimarg.channels import max_entangled, unitary_channel
+            assert cli.main(["preset", "list"]) == 0
+            assert cli.main(["chsh-scan", "--steps", "3"]) == 0
+            assert cli.main(["compat", "--preset", "no-such-preset"]) == 1
+            try:
+                cli.main(["--help"])
+            except SystemExit as exc:
+                assert exc.code == 0
+            ident = unitary_channel(np.eye(2))
+            choimarg.chsh_value(ident, ident, ident, ident, max_entangled(2))
+            print("loaded:", sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+        """)
+        assert out.splitlines()[-1] == "loaded: []"
+
+    def test_private_helpers_bind_lapack_as_first_callers(self):
+        out = run_fresh("""
+            import sys
+            import numpy as np
+            from choimarg import sdp
+            from choimarg.channels import identity_channel
+            from choimarg.marginals import channels_compatible
+
+            def values():
+                linv = np.diag([1.0, 0.5]).astype(complex)
+                step = sdp._step_to_boundary(linv, np.diag([-1.0, 0.25]).astype(complex))
+                x = np.diag([1.0, 1e-16]).astype(complex)
+                moved, factor, alpha = sdp._advance(x, np.diag([0.0, -1.0000001e-16]).astype(complex), 1.0)
+                return step, moved.tobytes(), factor.tobytes(), alpha
+
+            assert "scipy.linalg" not in sys.modules
+            first = values()
+            assert "scipy.linalg" in sys.modules
+            channels_compatible(identity_channel(2), identity_channel(2))
+            assert values() == first
+            assert sdp.lapack is sys.modules["scipy.linalg.lapack"]
+            print("step", first[0], "alpha", first[3])
+        """)
+        assert out.split() == ["step", "1.0", "alpha", "0.5"]
 
 
 class TestStepLength:
@@ -382,7 +449,7 @@ def assert_weak_duality(sol):
     assert sol.free_value <= sol.dual_objective + 1e-6 * (1 + abs(sol.free_value))
 
 
-class TestRealificationConsistency:
+class TestHandBuiltComplexVerdicts:
     """Hand-built Hermitian instances with known verdicts, solved on complex blocks."""
 
     FEASIBLE_CASES = [
