@@ -1,0 +1,8 @@
+"""``python -m choimarg``: the command-line front end, without the console script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

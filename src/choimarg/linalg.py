@@ -208,9 +208,10 @@ def hermitian_product_basis(dims: Sequence[int]) -> np.ndarray:
     of per-factor ``hermitian_basis`` elements, with i running over their
     indices in lexicographic order; deterministic for constraint assembly.
     """
+    dims = tuple(check_dim(d, "factor dimension") for d in dims)
     out = np.ones((1, 1, 1), dtype=complex)
     for d in dims:
-        f = np.array(hermitian_basis(int(d)))
+        f = np.array(hermitian_basis(d))
         out = np.einsum("iac,jbd->ijabcd", out, f).reshape(
             len(out) * len(f), out.shape[1] * d, out.shape[2] * d
         )

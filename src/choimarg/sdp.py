@@ -34,22 +34,27 @@ complement once and solves with it twice. The predictor is the affine
 direction (target 0); its step lengths give mu_aff and the centering
 sigma = clamp(mu_aff/mu, 0, 1)^3. The corrector targets sigma*mu and
 subtracts the second-order term herm(Z^-1 dZ_aff dX_aff). It goes a fraction
-gamma = 0.9 + 0.09*min(alpha_p_aff, alpha_d_aff) of the way to the cone
-boundary, halved while rounding leaves an iterate that is not numerically
-positive definite. A step length takes only the smallest eigenvalue of
-L^-1 dS L^-H (LAPACK zheevr over one index), with L the Cholesky factor of
-the current X or Z. The factorizations, solves and that eigenvalue call
-LAPACK directly, and every info is checked. scipy's LAPACK bindings are
-imported at the first call that needs them, not with this module, so a
-process that never solves does not load scipy.linalg. A non-finite mu,
-mu_aff, Schur complement or step length, or a Schur complement that is not
-positive definite, ends the solve with status numerical_failure, and the
-iteration cap is 200.
+gamma = 0.9 + 0.099*min(alpha_p_aff, alpha_d_aff) of the way to the cone
+boundary, at most 0.999 (SDPT3's 0.09 caps it at 0.99, which holds the
+final iterations to a 100-fold cut of mu each), halved while rounding leaves
+an iterate that is not numerically positive definite. The solve starts at
+Z = 1 and X = s*1, where s = a.b / a.a (at least 1e-2) is the multiple of
+the identity that best fits the rows, N/n for marginal rows of trace N. A
+step length takes only the smallest eigenvalue of L^-1 dS L^-H (LAPACK
+zheevr over one index), with L the Cholesky factor of the current X or Z.
+The factorizations, solves and that eigenvalue call LAPACK directly, and
+every info is checked. scipy's LAPACK bindings are imported at the first
+call that needs them, not with this module, so a process that never solves
+does not load scipy.linalg. A non-finite mu, mu_aff, Schur complement or
+step length, or a Schur complement that is not positive definite, ends the
+solve with status numerical_failure, and the iteration cap is 200.
 The free scalar t is eliminated inside the Schur system. It works on one
 complex Hermitian block directly, as SDPT3 and SeDuMi do, and is written for
 the problem sizes of this package (block dimensions up to ~81, a few hundred
 constraint rows at most). It is deterministic: fixed initialization and no
-randomized pivoting.
+randomized pivoting. A qubit depolarizing pair near its compatibility
+threshold takes 6 iterations; a qutrit pair takes 5-6 (depolarizing), 7
+(unitary) or 11-14 (random Kraus rank 2 or 3).
 
 Constraint rows come in row groups (:class:`RowGroup`): row p of a group is
 lift(B_p), a Hermitian element B_p on the kept factors K of the block with
@@ -271,10 +276,13 @@ class _Rows:
             tst = (zinv.take(pair.zinv) @ x.take(pair.x)).reshape(-1).take(pair.t)
             # Re(u . v) = Re<conj u, v>, a real dot product over interleaved parts
             block = (p @ tst).conj().view(float) @ q.view(float).T
-            schur[s.rows, t.rows] = block
-            if pair.i != pair.j:
+            if pair.i == pair.j:
+                schur[s.rows, s.rows] = (block + block.T) / 2
+            else:
+                # written as exact transposes, so S is exactly symmetric
+                schur[s.rows, t.rows] = block
                 schur[t.rows, s.rows] = block.T
-        return (schur + schur.T) / 2
+        return schur
 
     def holds(self, x: np.ndarray) -> bool:
         """Every row holds to WITNESS_RESIDUAL and X is PSD to -WITNESS_PSD."""
@@ -426,7 +434,10 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
     b_scale = 1.0 + sqrt(float(b @ b))
     eye = np.eye(n, dtype=complex)
 
-    init_scale = max(float(np.max(np.abs(b))) / n, 1e-2)
+    # start at the multiple of the identity that best fits the rows, s* = a.b / a.a
+    # (N/n for a marginal spec of trace N); all-zero rows fail below
+    fit = float(a_free @ a_free)
+    init_scale = max(float(a_free @ b) / fit if fit > 0 else 0.0, 1e-2)
     x = init_scale * eye
     z = eye
     # the Cholesky factors of the two scaled identities
@@ -487,7 +498,7 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
             if not np.isfinite(mu_aff):
                 raise np.linalg.LinAlgError("the predicted mu is not finite")
             sigma = min(max(mu_aff / mu, 0.0), 1.0) ** 3
-            gamma = 0.9 + 0.09 * min(alpha_p, alpha_d)
+            gamma = 0.9 + 0.099 * min(alpha_p, alpha_d)
 
             # corrector: centering sigma*mu and the second-order term
             core = base + sigma * mu * zinv - _herm(zinv @ dz_aff @ dx_aff)

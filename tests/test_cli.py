@@ -1,12 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from choimarg import cli
+import choimarg
+from choimarg import cli, presets
 from choimarg.channels import channel_from_dict, state_from_dict, state_to_dict, w_state
 from choimarg.sdp import SdpError
 from conftest import SX, SZ
@@ -104,6 +108,27 @@ class TestPresetCommands:
         _, out1, _ = run(capsys, ["compat", "--preset", "depolarizing-pair", "--json"])
         _, out2, _ = run(capsys, ["compat", "--preset", "depolarizing-pair", "--json"])
         assert out1 == out2
+
+
+class TestModuleEntryPoint:
+    """``python -m choimarg`` runs the CLI from a checkout, with only src on the path."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(choimarg.__file__).resolve().parent.parent)
+        return subprocess.run(
+            [sys.executable, "-m", "choimarg", *argv],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+
+    def test_preset_list(self):
+        proc = self.run_module("preset", "list")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, presets.describe_presets() + "\n", "")
+
+    def test_input_error_exit_code(self):
+        proc = self.run_module("compat", "--preset", "identity-pair", "--eps", "0")
+        assert proc.returncode == cli.EXIT_INPUT_ERROR == 1
+        assert proc.stderr == "choimarg: error: --eps must be finite and strictly positive\n"
 
 
 class TestFileInputs:

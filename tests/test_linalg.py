@@ -145,6 +145,13 @@ class TestHermitianBasis:
         gram = np.array([[np.trace(a @ b).real for b in basis] for a in basis])
         assert np.max(np.abs(gram - np.eye(16))) < 1e-12
 
+    def test_product_basis_checks_its_dimensions(self):
+        with pytest.raises(ValueError, match="factor dimension True is not an integer"):
+            linalg.hermitian_product_basis((True, 2))
+        expected = linalg.hermitian_product_basis((2,))
+        got = linalg.hermitian_product_basis((2.0,))
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
 
 class TestValidators:
     def test_hermitian_rejects(self):

@@ -1,12 +1,13 @@
-"""Symmetries and certificates of the compatibility verdict on seeded random qutrit pairs.
+"""Symmetries and certificates of the verdicts on seeded random inputs.
 
-Each example draws two random channels of Kraus rank 1 to 3 from a seed and
-mixes each with a random amount of depolarizing noise, so both verdicts
-occur. The symmetries hold exactly in the mathematics, so verdict and slack
-must agree up to the solver's accuracy, and more depolarizing noise on one
-channel never makes a compatible pair incompatible. Every verdict's witness
-or dual certificate is re-checked with numpy alone, independently of the
-package.
+Each compatibility example draws two random qutrit channels of Kraus rank 1
+to 3 from a seed and mixes each with a random amount of depolarizing noise,
+so both verdicts occur. The symmetries hold exactly in the mathematics, so
+verdict and slack must agree up to the solver's accuracy, and more
+depolarizing noise on one channel never makes a compatible pair
+incompatible. Every verdict's witness or dual certificate is re-checked with
+numpy alone, independently of the package: for compatibility, and for
+steering and Bell locality on seeded random qubit states and channels.
 """
 
 import numpy as np
@@ -14,10 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choimarg import marginals as mg
-from choimarg.channels import Channel, depolarizing_channel, identity_channel
+from choimarg.channels import (
+    Channel,
+    _apply,
+    depolarizing_channel,
+    identity_channel,
+    max_entangled,
+    tensor,
+    unitary_channel,
+)
 from choimarg.linalg import kron
-from choimarg.sampling import random_channel, random_unitary
+from choimarg.sampling import random_channel, random_density, random_separable, random_unitary
+from choimarg.sdp import FEASIBLE, INFEASIBLE
 from conftest import depolarize
+from kron_oracles import embed
 
 SLACK_TOL = 1e-7
 
@@ -120,3 +131,99 @@ def test_every_verdict_has_an_independently_valid_certificate(seed):
     assert_certified(a, b)
     assert assert_certified(a, identity_channel(3)) == mg.INCOMPATIBLE
     assert assert_certified(a, depolarizing_channel(3)) == mg.COMPATIBLE
+
+
+qubit_cases = settings(max_examples=5, deadline=None, derandomize=True, database=None)
+
+
+def noisy_qubit_channel(rng):
+    # little noise, applied to a pure state: over seeds 0-39, 32 random
+    # steering cases and 10 locality cases are infeasible, the rest feasible
+    c = random_channel(2, 2, rng, kraus_rank=int(rng.integers(1, 3)))
+    return depolarize(c, rng.uniform(0.0, 0.3))
+
+
+def marginal(x, dims, kept):
+    """Partial trace of x onto the 1-based factors ``kept``, with numpy alone."""
+    t = x.reshape(dims * 2)
+    for f in sorted(set(range(1, len(dims) + 1)) - set(kept), reverse=True):
+        t = np.trace(t, axis1=f - 1, axis2=f - 1 + t.ndim // 2)
+    d = int(np.prod([dims[k - 1] for k in kept]))
+    return t.reshape(d, d)
+
+
+def assert_certified_marginals(rep, dims, targets):
+    """Re-check a steering or locality verdict against fresh targets; return its status.
+
+    A feasible verdict's witness must be PSD and reproduce every target. An
+    infeasible one's dual vector, recombined with the rows' coefficient
+    matrices into one Hermitian W_k per target, must give sum_k lift(W_k) >= 0
+    and sum_k Tr(W_k T_k) < 0, which no PSD operator with these marginals allows.
+    """
+    assert rep.status in (FEASIBLE, INFEASIBLE)
+    if rep.status == FEASIBLE:
+        assert np.linalg.eigvalsh(rep.witness)[0] >= -1e-8
+        for kept, target in targets:
+            assert np.max(np.abs(marginal(rep.witness, dims, kept) - target)) <= 1e-6
+        return rep.status
+    layout = mg._row_layout(dims, tuple(kept for kept, _ in targets))
+    ends = np.cumsum([len(p) for p in layout])
+    cone = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    value = 0.0
+    for (kept, target), p, end in zip(targets, layout, ends):
+        w = np.tensordot(rep.dual_certificate[end - len(p):end], p, 1).reshape(target.shape)
+        assert np.max(np.abs(w - w.conj().T)) <= 1e-12
+        cone += embed(w, dims, kept)
+        value += np.trace(w @ target).real
+    assert np.linalg.eigvalsh(cone)[0] >= -1e-8
+    assert value < 0
+    assert abs(value - rep.solution.dual_objective) <= 1e-8
+    return rep.status
+
+
+def assert_certified_steering(rho, c1, c2):
+    targets = (
+        ((1, 2), _apply(tensor(identity_channel(2), c1), rho)),
+        ((1, 3), _apply(tensor(identity_channel(2), c2), rho)),
+    )
+    return assert_certified_marginals(mg.state_steerable(rho, c1, c2), (2, 2, 2), targets)
+
+
+def assert_certified_locality(rho, c11, c21, c12, c22):
+    targets = (
+        ((1, 3), _apply(tensor(c11, c12), rho)),
+        ((1, 4), _apply(tensor(c11, c22), rho)),
+        ((2, 3), _apply(tensor(c21, c12), rho)),
+        ((2, 4), _apply(tensor(c21, c22), rho)),
+    )
+    return assert_certified_marginals(mg.bell_local(rho, c11, c21, c12, c22), (2, 2, 2, 2), targets)
+
+
+@qubit_cases
+@given(seeds)
+def test_every_steering_verdict_has_an_independently_valid_certificate(seed):
+    # besides the random case, a fully depolarizing second channel never
+    # steers (rho's image under the first, times 1/2, is a joint state), and
+    # any two unitary channels steer the maximally entangled state
+    rng = np.random.default_rng(seed)
+    rho = random_density(4, rng, rank=1)
+    c1, c2 = noisy_qubit_channel(rng), noisy_qubit_channel(rng)
+    assert_certified_steering(rho, c1, c2)
+    mixed = random_density(4, rng)
+    assert assert_certified_steering(mixed, c1, depolarizing_channel(2)) == FEASIBLE
+    u, v = (unitary_channel(random_unitary(2, rng)) for _ in range(2))
+    assert assert_certified_steering(max_entangled(2), u, v) == INFEASIBLE
+
+
+@qubit_cases
+@given(seeds)
+def test_every_locality_verdict_has_an_independently_valid_certificate(seed):
+    # besides the random case, a separable state is local under any channels,
+    # and any four unitary channels make the maximally entangled state nonlocal
+    rng = np.random.default_rng(seed)
+    rho = random_density(4, rng, rank=1)
+    chans = [noisy_qubit_channel(rng) for _ in range(4)]
+    assert_certified_locality(rho, *chans)
+    assert assert_certified_locality(random_separable(2, 2, rng), *chans) == FEASIBLE
+    unitaries = [unitary_channel(random_unitary(2, rng)) for _ in range(4)]
+    assert assert_certified_locality(max_entangled(2), *unitaries) == INFEASIBLE

@@ -264,7 +264,10 @@ class TestIterationBudget:
     """The predictor-corrector's iteration counts on seeded pair sets.
 
     With a fixed centering sigma = 0.1 the random pairs took a mean of 35.1
-    iterations (max 68) and the depolarizing self-pairs 10.
+    iterations (max 68) and the depolarizing self-pairs 10. Started at
+    max(max|b|/n, 1e-2) * 1 with the step fraction capped at 0.99, the random
+    pairs took a mean of 13.5 (max 15) and every self-pair near its threshold 8.
+    Now they take a mean of 12.4 at one BLAS thread and 12.5 at two (max 14).
     """
 
     def test_random_kraus_rank_two_and_three_qutrit_pairs(self):
@@ -273,14 +276,21 @@ class TestIterationBudget:
             rng = np.random.default_rng(9000 + s)
             c1, c2 = (random_channel(3, 3, rng, kraus_rank=2 + s % 2) for _ in range(2))
             counts.append(mg.channels_compatible(c1, c2).report.solution.iterations)
-        assert np.mean(counts) <= 18
-        assert max(counts) <= 30
+        assert np.mean(counts) <= 13
+        assert max(counts) <= 14
 
     @pytest.mark.parametrize("d, threshold", [(2, 1.0 / 3.0), (3, 3.0 / 8.0)])
     def test_depolarizing_self_pairs(self, d, threshold):
-        for p in (0.1, threshold - 1e-3, threshold + 1e-3, 0.9):
+        near = {2: 6, 3: 5}[d]
+        for p, budget in ((0.1, 7), (threshold - 1e-3, near), (threshold + 1e-3, near), (0.9, 7)):
             dep = depolarizing_channel(d, p)
-            assert mg.channels_compatible(dep, dep).report.solution.iterations <= 9, p
+            assert mg.channels_compatible(dep, dep).report.solution.iterations <= budget, p
+
+    @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+    def test_qubit_bisection_step(self, offset):
+        # a step of the qubit cloning-threshold bisection, a hair off p* = 1/3
+        dep = depolarizing_channel(2, 1.0 / 3.0 + offset)
+        assert mg.channels_compatible(dep, dep).report.solution.iterations <= 6
 
 
 class TestSchurKernel:
@@ -302,6 +312,15 @@ class TestSchurKernel:
     def hpd(self, rng, d, imag):
         g = self.gauss(rng, d, imag)
         return self.herm(g @ g.conj().T + d * np.eye(d))
+
+    def lifted_groups(self, rng, dims, kept_sets, imag):
+        """One group of 3 + g random Hermitian rows on each kept set g."""
+        groups = []
+        for g, kept in enumerate(kept_sets):
+            k = int(np.prod([dims[i] for i in kept]))
+            c = np.array([self.herm(self.gauss(rng, k, imag)).ravel() for _ in range(3 + g)])
+            groups.append(sdp.RowGroup(kept, c, np.zeros(len(c))))
+        return groups
 
     def check(self, rng, dims, groups, imag):
         """Compare the group kernel, A and A* with the Kronecker formula on lifted rows."""
@@ -342,16 +361,23 @@ class TestSchurKernel:
                 self.check(rng, (d,), (sdp.RowGroup((0,), coeffs, np.zeros(7)),), imag)
             # lifted groups with different kept sets, and a whole-block group beside them
             for dims, kept_sets in self.LIFTED_CASES:
-                groups = []
-                for g, kept in enumerate(kept_sets):
-                    k = int(np.prod([dims[i] for i in kept]))
-                    c = np.array([self.herm(self.gauss(rng, k, imag)).ravel() for _ in range(3 + g)])
-                    groups.append(sdp.RowGroup(kept, c, np.zeros(len(c))))
+                groups = self.lifted_groups(rng, dims, kept_sets, imag)
                 self.check(rng, dims, groups, imag)
                 n = int(np.prod(dims))
                 c = np.array([self.herm(self.gauss(rng, n, imag)).ravel() for _ in range(2)])
                 groups.append(sdp.RowGroup(tuple(range(len(dims))), c, np.zeros(2)))
                 self.check(rng, dims, groups, imag)
+
+    @pytest.mark.parametrize("dims, kept_sets", LIFTED_CASES, ids=["compat", "steer", "bell"])
+    def test_bitwise_symmetric(self, dims, kept_sets):
+        # only the diagonal pair blocks are symmetrized; the others are stored
+        # as exact transposes, so symmetrizing the whole matrix changes no bit
+        rng = np.random.default_rng(8)
+        n = int(np.prod(dims))
+        rows = sdp._Rows(dims, self.lifted_groups(rng, dims, kept_sets, 1.0))
+        zinv = self.herm(np.linalg.inv(self.hpd(rng, n, 1.0)))
+        schur = rows.schur(zinv, self.hpd(rng, n, 1.0))
+        assert np.array_equal(schur, (schur + schur.T) / 2)
 
 
 class TestFeasibility:
