@@ -37,15 +37,14 @@ from .marginals import (
     marginal_feasibility,
     state_steerable,
 )
-from .sdp import FeasibilityReport, SdpSolution
+from .sdp import Report
 
 __all__ = [
     "Channel",
     "CompatReport",
     "CorrelationReport",
-    "FeasibilityReport",
     "MarginalSpec",
-    "SdpSolution",
+    "Report",
     "apply",
     "bell_local",
     "channels_compatible",

@@ -25,7 +25,7 @@ from . import presets
 from .channels import Channel, channel_from_dict, channel_to_dict, state_from_dict, state_to_dict
 from .chsh import chsh_scan, chsh_value, scan_to_csv
 from .marginals import bell_local, channels_compatible, state_steerable
-from .sdp import BAND, FEASIBLE, INFEASIBLE, SdpError
+from .sdp import BAND, MARGINAL, SdpError
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -50,12 +50,13 @@ def _round_floats(obj, sig: int = 12):
     return obj
 
 
-def _emit(payload: dict, args: argparse.Namespace) -> None:
-    payload = _round_floats(payload)
-    text = json.dumps(payload, indent=None if args.json else 2, sort_keys=True)
+def _emit(payload: dict, args: argparse.Namespace) -> int:
+    """Print a verdict payload (and write it to --out); return its exit code."""
+    text = json.dumps(_round_floats(payload), indent=None if args.json else 2, sort_keys=True)
     print(text)
     if args.out:
         _write_text(args.out, text + "\n")
+    return EXIT_MARGINAL if payload["verdict"] == MARGINAL else EXIT_OK
 
 
 def _write_text(path: str, text: str) -> None:
@@ -113,8 +114,7 @@ def _cmd_compat(args: argparse.Namespace) -> int:
         "witness": channel_to_dict(rep.joint_choi) if rep.joint_choi is not None else None,
         "dual_value": rep.dual_value,
     }
-    _emit(payload, args)
-    return EXIT_MARGINAL if rep.verdict == "marginal" else EXIT_OK
+    return _emit(payload, args)
 
 
 def _cmd_steer(args: argparse.Namespace) -> int:
@@ -125,10 +125,9 @@ def _cmd_steer(args: argparse.Namespace) -> int:
         c1, c2 = _load_channel(args.channel1), _load_channel(args.channel2)
         rho = _load_state(args.state, c1.in_dim, "channel input")
     rep = state_steerable(rho, c1, c2, eps=args.eps)
-    verdict = {FEASIBLE: "unsteerable", INFEASIBLE: "steerable"}.get(rep.status, "marginal")
     d_c = rho.shape[0] // c1.in_dim
     payload = {
-        "verdict": verdict,
+        "verdict": rep.verdict,
         "slack": rep.slack,
         "witness": (
             state_to_dict(rep.witness, dims=(d_c, c1.out_dim, c2.out_dim))
@@ -136,8 +135,7 @@ def _cmd_steer(args: argparse.Namespace) -> int:
             else None
         ),
     }
-    _emit(payload, args)
-    return EXIT_MARGINAL if verdict == "marginal" else EXIT_OK
+    return _emit(payload, args)
 
 
 def _cmd_bell(args: argparse.Namespace) -> int:
@@ -149,21 +147,19 @@ def _cmd_bell(args: argparse.Namespace) -> int:
         c12, c22 = _load_channel(args.channel12), _load_channel(args.channel22)
         rho = _load_state(args.state, c12.in_dim, "input of wing 2")
     rep = bell_local(rho, c11, c21, c12, c22, eps=args.eps)
-    verdict = {FEASIBLE: "local", INFEASIBLE: "nonlocal"}.get(rep.status, "marginal")
     outs = (c11.out_dim, c21.out_dim, c12.out_dim, c22.out_dim)
     x = None
     if outs == (2, 2, 2, 2):
         x = chsh_value(c11, c21, c12, c22, rho).value
     payload = {
-        "verdict": verdict,
+        "verdict": rep.verdict,
         "slack": rep.slack,
         "chsh": x,
         "witness": (
             state_to_dict(rep.witness, dims=outs) if rep.witness is not None else None
         ),
     }
-    _emit(payload, args)
-    return EXIT_MARGINAL if verdict == "marginal" else EXIT_OK
+    return _emit(payload, args)
 
 
 def _cmd_chsh_scan(args: argparse.Namespace) -> int:

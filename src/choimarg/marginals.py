@@ -23,13 +23,15 @@ orthogonal and include exactly one normalization row.
 A witness is rescaled to the exact normalization (a joint channel is also
 projected onto exact trace preservation) and validated once, after that.
 
-Infeasibility of the steering problem means the state IS steerable, and
-infeasibility of the locality problem means the state IS Bell nonlocal.
+Each decision returns a :class:`~choimarg.sdp.Report` whose verdict is the
+question's own word, or ``marginal`` inside the band: feasible/infeasible,
+compatible/incompatible (channels and effects), unsteerable/steerable or
+local/nonlocal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import product
 
@@ -47,21 +49,13 @@ from .linalg import (
     kron,
     partial_trace,
 )
-from .sdp import (
-    BAND,
-    FEASIBLE,
-    INFEASIBLE,
-    FeasibilityReport,
-    RowGroup,
-    _group_feasibility,
-)
+from .sdp import BAND, FEASIBLE, INFEASIBLE, Report, RowGroup, _group_feasibility
 
 __all__ = [
     "MarginalSpec",
     "CompatReport",
     "COMPATIBLE",
     "INCOMPATIBLE",
-    "MARGINAL",
     "marginal_feasibility",
     "channels_compatible",
     "state_steerable",
@@ -71,8 +65,6 @@ __all__ = [
 
 COMPATIBLE = "compatible"
 INCOMPATIBLE = "incompatible"
-MARGINAL = "marginal"
-_VERDICTS = {FEASIBLE: COMPATIBLE, INFEASIBLE: INCOMPATIBLE}
 
 
 @dataclass(frozen=True)
@@ -202,12 +194,17 @@ def _exact_trace(spec: MarginalSpec, x: np.ndarray) -> np.ndarray:
     return x * (spec.normalization / float(np.trace(x).real))
 
 
-def marginal_feasibility(spec: MarginalSpec, *, eps: float = BAND) -> FeasibilityReport:
-    """Decide existence of a PSD operator with the prescribed marginals; slacks
-    with |t| < eps are the Marginal band."""
+def _decide(spec: MarginalSpec, words: tuple[str, str], eps: float) -> Report:
+    """The spec's feasibility in the caller's words, its witness at the exact trace."""
     return _group_feasibility(
-        spec.dims, _target_rows(spec), eps=eps, finish=partial(_exact_trace, spec)
+        spec.dims, _target_rows(spec), words=words, eps=eps, finish=partial(_exact_trace, spec)
     )
+
+
+def marginal_feasibility(spec: MarginalSpec, *, eps: float = BAND) -> Report:
+    """Decide existence of a PSD operator with the prescribed marginals: feasible
+    or infeasible, and marginal for slacks with |t| < eps."""
+    return _decide(spec, (FEASIBLE, INFEASIBLE), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +213,20 @@ def marginal_feasibility(spec: MarginalSpec, *, eps: float = BAND) -> Feasibilit
 
 
 @dataclass(frozen=True)
-class CompatReport:
-    """Verdict of a channel-pair compatibility test.
+class CompatReport(Report):
+    """Verdict of a channel-pair compatibility test: compatible, incompatible or
+    marginal.
 
     joint_choi is the witness joint channel on (out_1 (x) out_2) for
-    compatible pairs. dual_witness is a pair (A, B) normalized to the
-    Frobenius ball with lift(A) + 1 (x) B >= 0; its objective value
-    Tr(C_1 A) + Tr(C_2 B) is dual_value, negative for incompatible pairs.
+    compatible pairs; witness is its read-only Choi matrix, one copy.
+    dual_witness is a pair (A, B) normalized to the Frobenius ball with
+    lift(A) + 1 (x) B >= 0; its objective value Tr(C_1 A) + Tr(C_2 B) is
+    dual_value, negative for incompatible pairs.
     """
 
-    verdict: str
-    slack: float
     joint_choi: Channel | None
-    dual_witness: tuple[np.ndarray, np.ndarray] | None
-    dual_value: float | None
-    report: FeasibilityReport | None = field(repr=False, default=None)
+    dual_witness: tuple[np.ndarray, np.ndarray]
+    dual_value: float
 
 
 def _compat_spec(c1: Channel, c2: Channel) -> MarginalSpec:
@@ -245,11 +241,9 @@ def _compat_spec(c1: Channel, c2: Channel) -> MarginalSpec:
 
 
 def _dual_per_target(
-    spec: MarginalSpec, groups: list[RowGroup], report: FeasibilityReport
-) -> list[np.ndarray] | None:
+    spec: MarginalSpec, groups: list[RowGroup], report: Report
+) -> list[np.ndarray]:
     """Recombine the dual vector into one Hermitian matrix sum_p y_p B_p per target."""
-    if report.dual_certificate is None:
-        return None
     ends = np.cumsum([len(g.rhs) for g in groups])
     return [
         (report.dual_certificate[end - len(g.rhs):end] @ g.coeffs.view(float))
@@ -271,26 +265,23 @@ def channels_compatible(c1: Channel, c2: Channel, *, eps: float = BAND) -> Compa
         return x - kron(np.eye(d_out), defect) / d_out
 
     groups = _target_rows(spec)
-    report = _group_feasibility(spec.dims, groups, eps=eps, finish=finish)
-    pair = _dual_per_target(spec, groups, report)
-    dual_value = None
-    witness_pair = None
-    if pair is not None:
-        a, b = pair
-        scale = float(np.sqrt(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2)))
-        if scale > 0:
-            a, b = a / scale, b / scale
-            dual_value = float(
-                np.real(np.sum(np.conj(a) * c1.choi)) + np.real(np.sum(np.conj(b) * c2.choi))
-            )
-            witness_pair = (a, b)
+    report = _group_feasibility(
+        spec.dims, groups, words=(COMPATIBLE, INCOMPATIBLE), eps=eps, finish=finish
+    )
+    # a.y = 1 on the optimal dual vector, so the pair is not zero
+    a, b = _dual_per_target(spec, groups, report)
+    scale = float(np.sqrt(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2)))
+    a, b = a / scale, b / scale
+    dual_value = float(
+        np.real(np.sum(np.conj(a) * c1.choi)) + np.real(np.sum(np.conj(b) * c2.choi))
+    )
     joint = None
-    if report.status == FEASIBLE:
+    flat = vars(report)
+    if report.witness is not None:
         joint = Channel(in_dim=c1.in_dim, out_dims=(c1.out_dim, c2.out_dim), choi=report.witness)
         # the report shares the joint channel's read-only Choi matrix: one copy
-        report = replace(report, witness=joint.choi)
-    verdict = _VERDICTS.get(report.status, MARGINAL)
-    return CompatReport(verdict, report.slack, joint, witness_pair, dual_value, report)
+        flat = {**flat, "witness": joint.choi}
+    return CompatReport(**flat, joint_choi=joint, dual_witness=(a, b), dual_value=dual_value)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +291,11 @@ def channels_compatible(c1: Channel, c2: Channel, *, eps: float = BAND) -> Compa
 
 def state_steerable(
     rho: np.ndarray, c1: Channel, c2: Channel, *, eps: float = BAND
-) -> FeasibilityReport:
+) -> Report:
     """Steering test for a bipartite state held between a reference and channels.
 
-    The second factor of rho is sent through either channel; the report is
-    Infeasible exactly when the state is steerable by the pair.
+    The second factor of rho is sent through either channel; the verdict is
+    steerable, unsteerable, or marginal inside the band.
     """
     rho = check_density(rho)
     if c1.in_dim != c2.in_dim:
@@ -323,7 +314,7 @@ def state_steerable(
         targets=(((1, 2), t1), ((1, 3), t2)),
         normalization=1.0,
     )
-    return marginal_feasibility(spec, eps=eps)
+    return _decide(spec, ("unsteerable", "steerable"), eps)
 
 
 def bell_local(
@@ -334,12 +325,12 @@ def bell_local(
     c22: Channel,
     *,
     eps: float = BAND,
-) -> FeasibilityReport:
+) -> Report:
     """Bell locality test for a bipartite state under two channel choices per wing.
 
     c11, c21 act on the first factor of rho, c12, c22 on the second; the four
-    factors of the sought state are their outputs in this order. The report is
-    Infeasible exactly when the biconditional state is Bell nonlocal.
+    factors of the sought state are their outputs in this order. The verdict
+    is local, nonlocal, or marginal inside the band.
     """
     rho = check_density(rho)
     if c11.in_dim != c21.in_dim or c12.in_dim != c22.in_dim:
@@ -360,7 +351,7 @@ def bell_local(
         targets=targets,
         normalization=1.0,
     )
-    return marginal_feasibility(spec, eps=eps)
+    return _decide(spec, ("local", "nonlocal"), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +359,9 @@ def bell_local(
 # ---------------------------------------------------------------------------
 
 
-def effects_compatible(f: np.ndarray, g: np.ndarray, *, eps: float = BAND) -> FeasibilityReport:
-    """Joint measurability of two effects: compatibility of their
-    :func:`~choimarg.channels.measure_prepare` channels
+def effects_compatible(f: np.ndarray, g: np.ndarray, *, eps: float = BAND) -> Report:
+    """Joint measurability of two effects: compatibility (compatible or
+    incompatible) of their :func:`~choimarg.channels.measure_prepare` channels
     rho -> Tr(rho e)|0><0| + Tr(rho (1-e))|1><1|, with Choi matrices
     diag(1,0) (x) e^T + diag(0,1) (x) (1-e)^T.
 
@@ -382,8 +373,10 @@ def effects_compatible(f: np.ndarray, g: np.ndarray, *, eps: float = BAND) -> Fe
         measure_prepare(np.asarray(f, dtype=complex)), measure_prepare(np.asarray(g, dtype=complex))
     )
     d = spec.dims[2]
-    report = marginal_feasibility(spec, eps=eps)
+    report = _decide(spec, (COMPATIBLE, INCOMPATIBLE), eps)
     if report.witness is None:
         return report
-    # a principal block of the validated joint Choi matrix, so PSD whenever it is
-    return replace(report, witness=report.witness.reshape(2, 2, d, 2, 2, d)[0, 0, :, 0, 0, :].T)
+    # a principal block of the validated joint Choi matrix, so PSD whenever it is;
+    # copied, so that the report does not keep the whole joint matrix alive
+    block = report.witness.reshape(2, 2, d, 2, 2, d)[0, 0, :, 0, 0, :].T
+    return replace(report, witness=block.copy())

@@ -10,16 +10,21 @@ with Y = X - t*1 and a_p the trace of row p's operator. The optimal t is
 the largest smallest eigenvalue of an X that satisfies the rows, so its sign
 decides feasibility; :func:`_group_feasibility` reads the witness back as
 Y + t*1, applies the caller's last change to it and only then validates it,
-once. Callers pass linearly independent rows that fix the trace; the rows of
-:mod:`choimarg.marginals` are independent by construction, so nothing here
-prunes or probes them. Dependent rows, which every inconsistent system has,
-show as a collapsed pivot when the rows' Gram matrix is factored, once per
-solve, and end the solve before its first iteration with status
-dependent_rows.
+once. Every decision returns one flat :class:`Report`: the verdict in the
+question's own words (feasible/infeasible here; compatible/incompatible,
+unsteerable/steerable or local/nonlocal in :mod:`choimarg.marginals`) or
+``marginal``, the slack, the witness, the dual vector and the record of the
+solve (iterations, gap, residuals, dual objective). Callers pass linearly
+independent rows that fix the trace; the rows of :mod:`choimarg.marginals`
+are independent by construction, so nothing here prunes or probes them.
+Dependent rows, which every inconsistent system has, show as a collapsed
+pivot when the rows' Gram matrix is factored, once per solve, and end the
+solve before its first iteration with status dependent_rows.
 
 The one tolerance a caller sets is ``eps`` (default :data:`BAND`), the
-half-width of the Marginal band around zero slack; the solve then targets a
-relative gap of min(:data:`GAP_TOL`, eps / 10). The rest are fixed: the
+half-width of the marginal band around zero slack; it must be finite and
+positive (else ValueError), and the solve targets a relative gap of
+min(:data:`GAP_TOL`, eps / 10). The rest are fixed: the
 residual target :data:`FEAS_TOL`, the dependent-row pivot
 :data:`DEPENDENT_PIVOT` and the witness contract (every reported witness is
 PSD to -:data:`WITNESS_PSD` and meets each row to :data:`WITNESS_RESIDUAL`).
@@ -79,7 +84,7 @@ no step is taken, is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import prod, sqrt
 from typing import Callable, NamedTuple, Sequence
@@ -87,9 +92,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "SdpSolution",
+    "Report",
     "SdpError",
-    "FeasibilityReport",
     "FEASIBLE",
     "INFEASIBLE",
     "MARGINAL",
@@ -101,7 +105,7 @@ NUMERICAL_FAILURE = "numerical_failure"
 DEPENDENT_ROWS = "dependent_rows"
 
 BAND = 1e-7
-"""Default half-width eps of the Marginal band around zero slack; the one
+"""Default half-width eps of the marginal band around zero slack; the one
 tolerance a caller sets (``eps=``, the CLI's ``--eps``)."""
 
 GAP_TOL = 1e-7
@@ -130,6 +134,33 @@ MARGINAL = "marginal"
 
 class SdpError(RuntimeError):
     """Raised when the solver cannot certify a verdict."""
+
+
+@dataclass(frozen=True)
+class Report:
+    """Verdict of one prescribed-marginal question and the solve that decided it.
+
+    verdict is the question's word for a feasible or an infeasible program, or
+    MARGINAL. slack is the optimal t of "max t s.t. X - t*1 >= 0, A(X) = b";
+    its sign decides outside the band |t| < eps. witness is the primal
+    matrix after the caller's last change to it, validated once (PSD to
+    -WITNESS_PSD, residuals <= WITNESS_RESIDUAL), and None unless the
+    verdict is the feasible word; an in-band slack whose eigenvalue-clipped
+    witness fails that check is MARGINAL. dual_certificate is the dual
+    vector y on the constraint rows, in group order. The rest records the
+    optimal iterate: its iteration count, relative gap, primal and dual
+    residuals and dual objective b.y.
+    """
+
+    verdict: str
+    slack: float
+    witness: np.ndarray | None
+    dual_certificate: np.ndarray
+    iterations: int
+    gap: float
+    primal_residual: float
+    dual_residual: float
+    dual_objective: float
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
@@ -296,19 +327,6 @@ class _Rows:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SdpSolution:
-    blocks: tuple[np.ndarray, ...]  # (Y,), the one PSD block
-    free_value: float
-    dual: np.ndarray
-    dual_objective: float
-    gap: float
-    primal_residual: float
-    dual_residual: float
-    iterations: int
-    status: str
-
-
 class _Lapack:
     """Stands in for scipy.linalg.lapack until its first attribute lookup, which
     imports the module and binds it to the global ``lapack`` in this stand-in's
@@ -416,14 +434,17 @@ def _newton(
     return core - _herm(zinv @ lifted @ x), dy, lifted - r_d, dt
 
 
-def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
+def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
     """Run the interior-point method on the slack program of row groups.
 
     The program is max t s.t. A(Y) + a*t = b, Y >= 0, with a the rows' free
     coefficients; the free scalar t is eliminated inside the Schur system.
-    Nothing is pruned, so the returned dual vector is indexed by the rows in
-    group order. Linearly dependent rows, which an inconsistent equality
-    system always has, end the solve before the first iteration with status
+    The returned report's verdict is the solver status (optimal,
+    max_iterations, numerical_failure or dependent_rows), its slack t and
+    its witness the last Y; :func:`_group_feasibility` replaces both.
+    Nothing is pruned, so the dual vector is indexed by the rows in group
+    order. Linearly dependent rows, which an inconsistent equality system
+    always has, end the solve before the first iteration with status
     dependent_rows; a non-finite mu, Schur matrix or step length ends it with
     numerical_failure.
     """
@@ -530,41 +551,22 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> SdpSolution:
             status = OPTIMAL
             break
 
-    return SdpSolution(
-        blocks=(x,),
-        free_value=t,
-        dual=y,
-        dual_objective=dual,
+    return Report(
+        verdict=status,
+        slack=t,
+        witness=x,
+        dual_certificate=y,
+        iterations=it,
         gap=relgap,
         primal_residual=pinf,
         dual_residual=dinf,
-        iterations=it,
-        status=status,
+        dual_objective=dual,
     )
 
 
 # ---------------------------------------------------------------------------
 # Hermitian feasibility with slack
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Verdict of a prescribed-marginal feasibility question.
-
-    slack is the optimal t of "max t s.t. X - t*1 >= 0, A(X) = b". Its sign
-    decides feasibility outside the band |t| < eps. witness is the primal
-    matrix after the caller's last change to it, validated once (PSD to
-    -WITNESS_PSD, residuals <= WITNESS_RESIDUAL); an in-band slack
-    whose eigenvalue-clipped witness fails that check is Marginal.
-    dual_certificate is the dual vector on the original constraint rows.
-    """
-
-    status: str
-    slack: float
-    witness: np.ndarray | None
-    dual_certificate: np.ndarray | None
-    solution: SdpSolution | None = field(default=None, repr=False)
 
 
 def _clip_psd(x: np.ndarray) -> np.ndarray:
@@ -577,19 +579,23 @@ def _group_feasibility(
     dims: Sequence[int],
     groups: Sequence[RowGroup],
     *,
+    words: tuple[str, str],
     eps: float = BAND,
     finish: Callable[[np.ndarray], np.ndarray] = lambda x: x,
     max_iterations: int = 200,
-) -> FeasibilityReport:
+) -> Report:
     """Decide existence of a PSD operator satisfying row groups.
 
     dims are the operator's tensor factor dimensions, which the groups' kept
-    sets index. The dual certificate is indexed by the rows in group order.
+    sets index. words are the question's verdicts for a feasible and an
+    infeasible program. The dual certificate is indexed by the rows in group
+    order.
 
     Unless t <= -eps, the witness X = Y + t*1 (eigenvalue-clipped when
     |t| < eps) goes through finish, the caller's last change to it, and is
     validated once: feasible if it holds, else SdpError when t >= eps and
-    Marginal in the band |t| < eps.
+    MARGINAL in the band |t| < eps. An eps that is not finite and positive
+    raises ValueError.
 
     Precondition: the rows are linearly independent and their span fixes the
     trace. Dependent rows, and so every inconsistent system, raise SdpError
@@ -597,28 +603,30 @@ def _group_feasibility(
     checked: an unbounded slack program (such as a lone traceless row) does
     not converge and raises SdpError.
     """
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and strictly positive, got {eps!r}")
     rows = _Rows(dims, groups)
-    solution = _ipm(rows, gap_tol=min(GAP_TOL, eps / 10.0), max_iterations=max_iterations)
-    if solution.status != OPTIMAL:
+    solve = _ipm(rows, gap_tol=min(GAP_TOL, eps / 10.0), max_iterations=max_iterations)
+    if solve.verdict != OPTIMAL:
         reason = (
             "the constraint rows are linearly dependent"
-            if solution.status == DEPENDENT_ROWS
+            if solve.verdict == DEPENDENT_ROWS
             else "feasibility solve did not converge"
         )
         raise SdpError(
-            f"{reason}: status {solution.status} after "
-            f"{solution.iterations} iterations (primal residual {solution.primal_residual:.3e}, "
-            f"dual residual {solution.dual_residual:.3e}, gap {solution.gap:.3e})"
+            f"{reason}: status {solve.verdict} after "
+            f"{solve.iterations} iterations (primal residual {solve.primal_residual:.3e}, "
+            f"dual residual {solve.dual_residual:.3e}, gap {solve.gap:.3e})"
         )
 
-    t_hat = solution.free_value
-    dual = solution.dual
+    feasible, infeasible = words
+    t_hat = solve.slack
     if t_hat <= -eps:
-        return FeasibilityReport(INFEASIBLE, t_hat, None, dual, solution)
-    x = solution.blocks[0] + t_hat * np.eye(rows.n)
+        return replace(solve, verdict=infeasible, witness=None)
+    x = solve.witness + t_hat * np.eye(rows.n)
     x = finish(x if t_hat >= eps else _clip_psd(x))
     if rows.holds(x):
-        return FeasibilityReport(FEASIBLE, t_hat, x, dual, solution)
+        return replace(solve, verdict=feasible, witness=x)
     if t_hat >= eps:
         raise SdpError("feasible verdict failed independent witness validation")
-    return FeasibilityReport(MARGINAL, t_hat, None, dual, solution)
+    return replace(solve, verdict=MARGINAL, witness=None)

@@ -26,7 +26,7 @@ from choimarg.channels import (
 )
 from choimarg.linalg import partial_trace
 from choimarg.sampling import random_channel, random_density, random_separable, random_unitary
-from choimarg.sdp import FEASIBLE, INFEASIBLE
+from choimarg.sdp import BAND, FEAS_TOL, FEASIBLE, GAP_TOL, INFEASIBLE, MARGINAL
 from conftest import SX, SZ
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -72,7 +72,7 @@ def test_criterion_03_effect_threshold():
     def compatible_at(s):
         f = (np.eye(2) + s * SX) / 2
         g = (np.eye(2) + s * SZ) / 2
-        return mg.effects_compatible(f, g).status == FEASIBLE
+        return mg.effects_compatible(f, g).verdict == mg.COMPATIBLE
 
     lo, hi = 0.5, 0.9
     assert compatible_at(lo) and not compatible_at(hi)
@@ -97,11 +97,11 @@ def test_criterion_04_me_state_equivalence():
         c2 = random_channel(2, 2, rng, kraus_rank=int(rng.integers(1, 5)))
         comp = mg.channels_compatible(c1, c2)
         steer = mg.state_steerable(psi, c1, c2)
-        if comp.verdict == mg.MARGINAL or steer.status not in (FEASIBLE, INFEASIBLE):
+        if MARGINAL in (comp.verdict, steer.verdict):
             marginal += 1
             continue
         decided += 1
-        assert (steer.status == INFEASIBLE) == (comp.verdict == mg.INCOMPATIBLE)
+        assert (steer.verdict == "steerable") == (comp.verdict == mg.INCOMPATIBLE)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     assert decided >= 15
@@ -172,7 +172,7 @@ def test_criterion_09_locality_bound():
         rho = random_separable(2, 2, rng)
         chans = [random_channel(2, 2, rng) for _ in range(4)]
         rep = mg.bell_local(rho, *chans)
-        if rep.status != FEASIBLE:
+        if rep.verdict != "local":
             continue
         local += 1
         value = chsh_mod.chsh_value(*chans, rho).value
@@ -186,14 +186,17 @@ def test_criterion_10_solver_self_audit():
     ident = identity_channel(2)
     dep = depolarizing_channel(2)
     rho_w = partial_trace(w_state(), (2, 2, 2), {2})
-    audits = 0
+    audited = []
 
-    def audit_gap(report):
-        sol = report.solution
-        assert sol is not None
-        assert abs(sol.free_value - sol.dual_objective) <= 1e-6 * (
-            1 + abs(sol.free_value)
-        )
+    def audit_gap(entry, report):
+        # every verdict explains itself: the solve that decided it ran, met the
+        # gap and residual targets, and its slack is bounded by its dual objective
+        assert report.iterations >= 1
+        assert report.gap <= min(GAP_TOL, BAND / 10)
+        assert report.primal_residual <= FEAS_TOL and report.dual_residual <= FEAS_TOL
+        assert report.slack <= report.dual_objective + 1e-6 * (1 + abs(report.slack))
+        assert abs(report.slack - report.dual_objective) <= 1e-6 * (1 + abs(report.slack))
+        audited.append((entry, report.verdict))
 
     # compatibility witness, audited against the original Choi matrices
     comp = mg.channels_compatible(dep, dep)
@@ -202,48 +205,58 @@ def test_criterion_10_solver_self_audit():
     assert np.linalg.eigvalsh(joint)[0] >= -1e-8
     assert np.max(np.abs(partial_trace(joint, (2, 2, 2), {2}) - dep.choi)) <= 1e-6
     assert np.max(np.abs(partial_trace(joint, (2, 2, 2), {1}) - dep.choi)) <= 1e-6
-    audit_gap(comp.report)
-    audits += 1
+    audit_gap("compat", comp)
 
     # steering witness, audited against freshly computed targets
     steer = mg.state_steerable(rho_w, ident, ident)
-    assert steer.status == FEASIBLE
+    assert steer.verdict == "unsteerable"
     sigma = steer.witness
     t1 = apply(tensor(identity_channel(2), ident), rho_w)
     assert np.linalg.eigvalsh(sigma)[0] >= -1e-8
     assert np.max(np.abs(partial_trace(sigma, (2, 2, 2), {3}) - t1)) <= 1e-6
     assert np.max(np.abs(partial_trace(sigma, (2, 2, 2), {2}) - t1)) <= 1e-6
-    audit_gap(steer)
-    audits += 1
+    audit_gap("steer", steer)
 
     # Bell witness of the maximally mixed state
     bell = mg.bell_local(np.eye(4) / 4, ident, ident, ident, ident)
-    assert bell.status == FEASIBLE
+    assert bell.verdict == "local"
     sigma4 = bell.witness
     assert np.linalg.eigvalsh(sigma4)[0] >= -1e-8
     for kept, traced in (((1, 3), {2, 4}), ((1, 4), {2, 3}), ((2, 3), {1, 4}), ((2, 4), {1, 3})):
         marg = partial_trace(sigma4, (2, 2, 2, 2), traced)
         assert np.max(np.abs(marg - np.eye(4) / 4)) <= 1e-6
-    audit_gap(bell)
-    audits += 1
+    audit_gap("bell", bell)
 
     # effect decomposition blocks
     f = (np.eye(2) + 0.5 * SX) / 2
     g = (np.eye(2) + 0.5 * SZ) / 2
     eff = mg.effects_compatible(f, g)
-    assert eff.status == FEASIBLE
+    assert eff.verdict == mg.COMPATIBLE
     G = eff.witness
     for block in (G, f - G, g - G, np.eye(2) - f - g + G):
         assert np.linalg.eigvalsh(block)[0] >= -1e-6
-    audit_gap(eff)
-    audits += 1
+    audit_gap("effects", eff)
 
     # infeasible and random verdicts still close their duality gaps
-    audit_gap(mg.channels_compatible(ident, ident).report)
-    audit_gap(mg.state_steerable(max_entangled(2), ident, unitary_channel(
+    audit_gap("compat", mg.channels_compatible(ident, ident))
+    audit_gap("steer", mg.state_steerable(max_entangled(2), ident, unitary_channel(
         np.array([[1, 1], [1, -1]]) / np.sqrt(2))))
+    audit_gap("bell", mg.bell_local(rho_w, ident, ident, ident, ident))
+    audit_gap("effects", mg.effects_compatible(np.diag([1.0, 0.0]), np.full((2, 2), 0.5)))
+    half, psi = np.eye(2) / 2, max_entangled(2)
+    product = mg.MarginalSpec((2, 2), (((1,), half), ((2,), half)))
+    monogamy = mg.MarginalSpec((2, 2, 2), (((1, 2), psi), ((1, 3), psi)))
+    audit_gap("marginal", mg.marginal_feasibility(product))
+    audit_gap("marginal", mg.marginal_feasibility(monogamy))
     for _ in range(3):
         c1, c2 = random_channel(2, 2, rng), random_channel(2, 2, rng)
-        audit_gap(mg.channels_compatible(c1, c2).report)
-        audits += 1
-    _announce(10, f"{audits + 2} solved programs re-validated outside the solver")
+        audit_gap("compat", mg.channels_compatible(c1, c2))
+    # all five entry points, each with both of its verdicts
+    assert set(audited) == {
+        ("compat", mg.COMPATIBLE), ("compat", mg.INCOMPATIBLE),
+        ("effects", mg.COMPATIBLE), ("effects", mg.INCOMPATIBLE),
+        ("steer", "unsteerable"), ("steer", "steerable"),
+        ("bell", "local"), ("bell", "nonlocal"),
+        ("marginal", FEASIBLE), ("marginal", INFEASIBLE),
+    }
+    _announce(10, f"{len(audited)} solved programs re-validated outside the solver")

@@ -6,7 +6,6 @@ from choimarg.channels import identity_channel, max_entangled, measure_prepare, 
 from choimarg.linalg import check_unitary, kron
 from choimarg.marginals import bell_local
 from choimarg.sampling import random_channel, random_density, random_effect, random_separable, random_unitary
-from choimarg.sdp import FEASIBLE, INFEASIBLE
 from conftest import HADAMARD, depolarize
 
 
@@ -240,7 +239,7 @@ class TestBounds:
             rho = random_separable(2, 2, rng)
             chans = [random_channel(2, 2, rng) for _ in range(4)]
             rep = bell_local(rho, *chans)
-            assert rep.status == FEASIBLE
+            assert rep.verdict == "local"
             value = chsh.chsh_value(*chans, rho).value
             assert abs(value) <= 2.0 + 1e-6
 
@@ -252,4 +251,4 @@ class TestBounds:
         psi = max_entangled(2)
         chans = [depolarize(unitary_channel(u), p) for u in chsh.theta_family(3 + 2 * np.sqrt(2))]
         assert chsh.chsh_value(*chans, psi).value > 2 + 1e-6
-        assert bell_local(psi, *chans).status == INFEASIBLE
+        assert bell_local(psi, *chans).verdict == "nonlocal"

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import choimarg
-from choimarg import cli, presets
+from choimarg import cli, presets, sdp
+from choimarg import marginals as mg
 from choimarg.channels import channel_from_dict, state_from_dict, state_to_dict, w_state
 from choimarg.sdp import SdpError
 from conftest import SX, SZ
@@ -108,6 +109,26 @@ class TestPresetCommands:
         _, out1, _ = run(capsys, ["compat", "--preset", "depolarizing-pair", "--json"])
         _, out2, _ = run(capsys, ["compat", "--preset", "depolarizing-pair", "--json"])
         assert out1 == out2
+
+    @pytest.mark.parametrize("eps", [sdp.BAND, 0.5])
+    @pytest.mark.parametrize(
+        "command, preset",
+        [("compat", "identity-pair"), ("compat", "depolarizing-pair"),
+         ("steer", "w-state"), ("steer", "max-entangled"),
+         ("bell", "w-state"), ("bell", "max-entangled"), ("bell", "theta-family:5.83")],
+    )
+    def test_verdict_is_the_library_word(self, capsys, command, preset, eps):
+        # the CLI prints the report's own verdict: no word is mapped on the way
+        decide, inputs = {
+            "compat": (mg.channels_compatible, presets.compat_preset),
+            "steer": (mg.state_steerable, presets.steer_preset),
+            "bell": (mg.bell_local, presets.bell_preset),
+        }[command]
+        argv = [command, "--preset", preset, "--eps", repr(eps), "--json"]
+        code, payload, _ = run_json(capsys, argv)
+        verdict = decide(*inputs(preset), eps=eps).verdict
+        assert payload["verdict"] == verdict
+        assert code == (cli.EXIT_MARGINAL if verdict == sdp.MARGINAL else cli.EXIT_OK)
 
 
 class TestModuleEntryPoint:

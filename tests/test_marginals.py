@@ -23,7 +23,7 @@ from choimarg.sampling import (
     random_separable,
     random_unitary,
 )
-from choimarg.sdp import FEASIBLE, INFEASIBLE
+from choimarg.sdp import FEASIBLE, MARGINAL
 from conftest import HADAMARD, SX, SZ, depolarize
 from kron_oracles import embed
 
@@ -123,7 +123,7 @@ class TestMarginalFeasibility:
             dims=(2, 2), targets=(((1,), np.eye(2) / 2), ((2,), np.eye(2) / 2))
         )
         rep = mg.marginal_feasibility(spec)
-        assert rep.status == FEASIBLE
+        assert rep.verdict == FEASIBLE
         assert np.linalg.eigvalsh(rep.witness)[0] >= -1e-8
 
     def test_w_state_overlapping_marginals(self):
@@ -133,7 +133,7 @@ class TestMarginalFeasibility:
             dims=(2, 2, 2), targets=(((1, 2), rho_w), ((1, 3), rho_w))
         )
         rep = mg.marginal_feasibility(spec)
-        assert rep.status == FEASIBLE
+        assert rep.verdict == FEASIBLE
         assert np.linalg.norm(rep.witness - w) < 1e-5
 
     def test_contradictory_targets(self):
@@ -258,7 +258,7 @@ class TestTargetRows:
             mg._compat_spec(random_channel(3, 3, rng), random_channel(3, 3, rng)),
             mg._compat_spec(random_channel(2, 2, rng), random_channel(2, 3, rng)),
         ]
-        monkeypatch.setattr(mg, "marginal_feasibility", lambda spec, **_: specs.append(spec))
+        monkeypatch.setattr(mg, "_decide", lambda spec, *_: specs.append(spec))
         mg.state_steerable(max_entangled(2), random_channel(2, 2, rng), random_channel(2, 3, rng))
         mg.bell_local(random_density(4, rng), *[random_channel(2, 2, rng) for _ in range(4)])
         assert len(specs) == 5
@@ -348,18 +348,18 @@ class TestTargetRows:
             "effects": lambda: mg.effects_compatible(smeared(SX, 0.5), smeared(SZ, 0.5)),
             "marginal": lambda: mg.marginal_feasibility(spec),
         }
+        words = {"compat": mg.COMPATIBLE, "steer": "unsteerable", "bell": "local",
+                 "effects": mg.COMPATIBLE, "marginal": FEASIBLE}
         for name, decide in decisions.items():
             calls.update(init=0, holds=0)
-            rep = decide()
-            status = rep.verdict if name == "compat" else rep.status
-            assert status in (mg.COMPATIBLE, FEASIBLE), name
+            assert decide().verdict == words[name], name
             assert calls == {"init": 1, "holds": 1}, name
         # the reported witness is the matrix that was validated: the joint
         # channel's, stored once and read-only
         rep = mg.channels_compatible(dep, dep)
-        assert np.array_equal(rep.report.witness, rep.joint_choi.choi)
-        assert rep.report.witness is rep.joint_choi.choi
-        assert not rep.report.witness.flags.writeable
+        assert np.array_equal(rep.witness, rep.joint_choi.choi)
+        assert rep.witness is rep.joint_choi.choi
+        assert not rep.witness.flags.writeable
 
 
 def cone_matrix(c1, c2, a, b):
@@ -412,19 +412,19 @@ class TestDualWitness:
 class TestSteering:
     def test_separable_not_steerable(self):
         rep = mg.state_steerable(np.eye(4) / 4, identity_channel(2), identity_channel(2))
-        assert rep.status == FEASIBLE
+        assert rep.verdict == "unsteerable"
 
     def test_max_entangled_steerable_by_incompatible(self):
         rep = mg.state_steerable(
             max_entangled(2), identity_channel(2), unitary_channel(HADAMARD)
         )
-        assert rep.status == INFEASIBLE
+        assert rep.verdict == "steerable"
 
     def test_w_marginal_not_steerable_unique_witness(self):
         w = w_state()
         rho_w = partial_trace(w, (2, 2, 2), {2})
         rep = mg.state_steerable(rho_w, identity_channel(2), identity_channel(2))
-        assert rep.status == FEASIBLE
+        assert rep.verdict == "unsteerable"
         assert np.linalg.norm(rep.witness - w) <= 1e-4
 
     def test_max_entangled_equivalence_with_compatibility(self, rng):
@@ -435,10 +435,10 @@ class TestSteering:
             c2 = random_channel(2, 2, rng, kraus_rank=int(rng.integers(1, 5)))
             comp = mg.channels_compatible(c1, c2)
             steer = mg.state_steerable(psi, c1, c2)
-            if comp.verdict == mg.MARGINAL or steer.status not in (FEASIBLE, INFEASIBLE):
+            if MARGINAL in (comp.verdict, steer.verdict):
                 continue
             decided += 1
-            assert (steer.status == INFEASIBLE) == (comp.verdict == mg.INCOMPATIBLE)
+            assert (steer.verdict == "steerable") == (comp.verdict == mg.INCOMPATIBLE)
         assert decided >= 8
 
     def test_max_entangled_equivalence_with_compatibility_qutrits(self):
@@ -454,7 +454,7 @@ class TestSteering:
             comp = mg.channels_compatible(c1, c2)
             steer = mg.state_steerable(psi, c1, c2)
             assert comp.verdict in (mg.COMPATIBLE, mg.INCOMPATIBLE)
-            assert (steer.status == INFEASIBLE) == (comp.verdict == mg.INCOMPATIBLE)
+            assert (steer.verdict == "steerable") == (comp.verdict == mg.INCOMPATIBLE)
             assert abs(3 * steer.slack - comp.slack) <= 1e-6
 
     def test_unsteerable_by_identities_unsteerable_by_any(self, rng):
@@ -463,7 +463,7 @@ class TestSteering:
             c1 = random_channel(2, 2, rng)
             c2 = random_channel(2, 2, rng)
             rep = mg.state_steerable(rho_w, c1, c2)
-            assert rep.status == FEASIBLE
+            assert rep.verdict == "unsteerable"
 
     @pytest.mark.parametrize("d, seed", [(2, 31), (3, 32)])
     def test_compatible_pair_leaves_every_state_unsteerable(self, d, seed):
@@ -481,7 +481,7 @@ class TestSteering:
                 continue
             checked += 1
             rho = random_density(d * d, rng)
-            assert mg.state_steerable(rho, c1, c2).status == FEASIBLE
+            assert mg.state_steerable(rho, c1, c2).verdict == "unsteerable"
             joint = comp.joint_choi
             sigma = np_apply_to_second(joint.choi, joint.out_dims, rho, d)
             assert np.linalg.eigvalsh(sigma)[0] >= -1e-8
@@ -501,19 +501,19 @@ class TestBellLocal:
         rho = kron(random_density(2, rng), random_density(2, rng))
         chans = [random_channel(2, 2, rng) for _ in range(4)]
         rep = mg.bell_local(rho, *chans)
-        assert rep.status == FEASIBLE
+        assert rep.verdict == "local"
 
     def test_w_marginal_nonlocal(self):
         rho_w = partial_trace(w_state(), (2, 2, 2), {2})
         ident = identity_channel(2)
         rep = mg.bell_local(rho_w, ident, ident, ident, ident)
-        assert rep.status == INFEASIBLE
+        assert rep.verdict == "nonlocal"
         assert rep.slack <= -1e-5
 
     def test_maximally_mixed_local_product_witness(self):
         ident = identity_channel(2)
         rep = mg.bell_local(np.eye(4) / 4, ident, ident, ident, ident)
-        assert rep.status == FEASIBLE
+        assert rep.verdict == "local"
         assert np.max(np.abs(rep.witness - np.eye(16) / 16)) <= 1e-5
 
     def test_unitary_channel_reduction(self, rng):
@@ -525,7 +525,7 @@ class TestBellLocal:
             others = [random_channel(2, 2, rng) for _ in range(3)]
             with_u = mg.bell_local(rho, unitary_channel(u), *others)
             with_id = mg.bell_local(rho, ident, *others)
-            assert with_u.status == with_id.status
+            assert with_u.verdict == with_id.verdict
 
     def test_qutrit_separable_local(self):
         # four-group kernel at n = 81, m = 289; the witness is re-checked with numpy alone
@@ -533,8 +533,8 @@ class TestBellLocal:
         rho = random_separable(3, 3, rng)
         c11, c21, c12, c22 = (random_channel(3, 3, rng, kraus_rank=2) for _ in range(4))
         rep = mg.bell_local(rho, c11, c21, c12, c22)
-        assert rep.status == FEASIBLE
-        assert rep.solution.dual.size == 289
+        assert rep.verdict == "local"
+        assert rep.dual_certificate.size == 289
         assert np.linalg.eigvalsh(rep.witness)[0] >= -1e-8
         for keep, a, b in (((0, 2), c11, c12), ((0, 3), c11, c22), ((1, 2), c21, c12), ((1, 3), c21, c22)):
             target = _apply(tensor(a, b), rho)
@@ -546,7 +546,7 @@ class TestBellLocal:
         bumped = identity_channel(2).choi.copy()
         bumped[0, 0] += 0.9e-9
         c = Channel(in_dim=2, out_dims=(2,), choi=bumped)
-        assert mg.bell_local(max_entangled(2), c, c, c, c).status == INFEASIBLE
+        assert mg.bell_local(max_entangled(2), c, c, c, c).verdict == "nonlocal"
 
     def test_dimension_mismatch(self):
         ident = identity_channel(2)
@@ -559,30 +559,30 @@ class TestEffectsCompatible:
         # a projector with itself sits on the boundary; the recovered witness is G = f
         f = np.diag([1.0, 0.0])
         rep = mg.effects_compatible(f, f)
-        assert rep.status == FEASIBLE
+        assert rep.verdict == mg.COMPATIBLE
         assert np.max(np.abs(rep.witness - f)) <= 1e-5
         # an arbitrary smeared effect with itself is compatible as well
         from choimarg.sampling import random_effect
 
         g = random_effect(2, rng)
-        assert mg.effects_compatible(g, g).status == FEASIBLE
+        assert mg.effects_compatible(g, g).verdict == mg.COMPATIBLE
 
     def test_sharp_noncommuting_incompatible(self):
         plus = np.full((2, 2), 0.5)
         rep = mg.effects_compatible(np.diag([1.0, 0.0]), plus)
-        assert rep.status == INFEASIBLE
+        assert rep.verdict == mg.INCOMPATIBLE
 
     def test_h_decomposition_recoverable(self):
         f, g = smeared(SX, 0.5), smeared(SZ, 0.5)
         rep = mg.effects_compatible(f, g)
-        assert rep.status == FEASIBLE
+        assert rep.verdict == mg.COMPATIBLE
         G = rep.witness
         for block in (G, f - G, g - G, np.eye(2) - f - g + G):
             assert np.linalg.eigvalsh(block)[0] >= -1e-7
 
     def test_busch_threshold(self):
         def compatible_at(s):
-            return mg.effects_compatible(smeared(SX, s), smeared(SZ, s)).status == FEASIBLE
+            return mg.effects_compatible(smeared(SX, s), smeared(SZ, s)).verdict == mg.COMPATIBLE
 
         threshold = bisect(compatible_at, 0.5, 0.9, iters=14)
         assert abs(threshold - 1.0 / np.sqrt(2.0)) <= 1e-3
@@ -600,7 +600,7 @@ class TestEffectsCompatible:
             rep = mg.effects_compatible(f, g)
             if abs(np.linalg.norm(a + b) + np.linalg.norm(a - b) - 2.0) < 1e-4:
                 continue  # too close to the boundary to assert either way
-            assert (rep.status == FEASIBLE) == expected
+            assert (rep.verdict == mg.COMPATIBLE) == expected
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -620,14 +620,14 @@ class TestEffectsCompatible:
             g = (u * rng.uniform(0, 1, 3)) @ u.conj().T
             self.assert_decomposes(f, g, f @ g)
             rep = mg.effects_compatible(f, g)
-            assert rep.status == FEASIBLE
+            assert rep.verdict == mg.COMPATIBLE
             self.assert_decomposes(f, g, rep.witness)
 
     def test_qutrit_effect_with_its_complement_compatible(self, rng):
         # f and 1 - f are the two outcomes of one measurement, jointly measured by G = 0
         f = random_effect(3, rng)
         rep = mg.effects_compatible(f, np.eye(3) - f)
-        assert rep.status == FEASIBLE
+        assert rep.verdict == mg.COMPATIBLE
         self.assert_decomposes(f, np.eye(3) - f, rep.witness)
 
     def test_qutrit_noncommuting_projectors_incompatible(self, rng):
@@ -639,7 +639,7 @@ class TestEffectsCompatible:
             q = q / np.linalg.norm(q)
             assert 0.0 < abs(np.vdot(p, q)) ** 2 < 1.0
             rep = mg.effects_compatible(np.outer(p, p.conj()), np.outer(q, q.conj()))
-            assert rep.status == INFEASIBLE
+            assert rep.verdict == mg.INCOMPATIBLE
 
     def test_effects_checked_at_psd_tol(self):
         # an eigenvalue of -5e-9 is past linalg.PSD_TOL = 1e-9, one of -5e-10 is within it
@@ -647,8 +647,41 @@ class TestEffectsCompatible:
         with pytest.raises(ValueError, match="effect"):
             mg.effects_compatible(np.diag([1.0, -5e-9]), g)
         rep = mg.effects_compatible(np.diag([1.0, -5e-10]), g)
-        assert rep.status == INFEASIBLE
+        assert rep.verdict == mg.INCOMPATIBLE
         assert abs(rep.slack - (-0.04155)) <= 1e-5
+
+
+ENTRY_POINTS = {
+    # inputs on the infeasible side, so that a wide band makes every verdict marginal
+    "marginal": lambda eps: mg.marginal_feasibility(
+        mg.MarginalSpec((2, 2, 2), (((1, 2), max_entangled(2)), ((1, 3), max_entangled(2)))),
+        eps=eps,
+    ),
+    "compat": lambda eps: mg.channels_compatible(identity_channel(2), identity_channel(2), eps=eps),
+    "steer": lambda eps: mg.state_steerable(
+        max_entangled(2), identity_channel(2), unitary_channel(HADAMARD), eps=eps
+    ),
+    "bell": lambda eps: mg.bell_local(max_entangled(2), *[identity_channel(2)] * 4, eps=eps),
+    "effects": lambda eps: mg.effects_compatible(
+        np.diag([1.0, 0.0]), np.full((2, 2), 0.5), eps=eps
+    ),
+}
+
+
+class TestBandValidation:
+    @pytest.mark.parametrize(
+        "eps", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+    )
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_bad_band_is_an_input_error(self, entry, eps):
+        # a non-finite band decided the incompatible identity pair as marginal,
+        # and a non-positive one ran 200 iterations into a solver error
+        with pytest.raises(ValueError, match="eps must be finite and strictly positive"):
+            ENTRY_POINTS[entry](eps)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_wide_finite_band_is_marginal(self, entry):
+        assert ENTRY_POINTS[entry](1e3).verdict == MARGINAL
 
 
 class TestCompatWitnessRevalidation:

@@ -26,7 +26,6 @@ from choimarg.channels import (
 )
 from choimarg.linalg import kron
 from choimarg.sampling import random_channel, random_density, random_separable, random_unitary
-from choimarg.sdp import FEASIBLE, INFEASIBLE
 from conftest import depolarize
 from kron_oracles import embed
 
@@ -152,20 +151,22 @@ def marginal(x, dims, kept):
     return t.reshape(d, d)
 
 
-def assert_certified_marginals(rep, dims, targets):
-    """Re-check a steering or locality verdict against fresh targets; return its status.
+def assert_certified_marginals(rep, words, dims, targets):
+    """Re-check a steering or locality verdict against fresh targets; return it.
+
+    words are the question's verdicts for a feasible and an infeasible program.
 
     A feasible verdict's witness must be PSD and reproduce every target. An
     infeasible one's dual vector, recombined with the rows' coefficient
     matrices into one Hermitian W_k per target, must give sum_k lift(W_k) >= 0
     and sum_k Tr(W_k T_k) < 0, which no PSD operator with these marginals allows.
     """
-    assert rep.status in (FEASIBLE, INFEASIBLE)
-    if rep.status == FEASIBLE:
+    assert rep.verdict in words
+    if rep.verdict == words[0]:
         assert np.linalg.eigvalsh(rep.witness)[0] >= -1e-8
         for kept, target in targets:
             assert np.max(np.abs(marginal(rep.witness, dims, kept) - target)) <= 1e-6
-        return rep.status
+        return rep.verdict
     layout = mg._row_layout(dims, tuple(kept for kept, _ in targets))
     ends = np.cumsum([len(p) for p in layout])
     cone = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
@@ -177,8 +178,8 @@ def assert_certified_marginals(rep, dims, targets):
         value += np.trace(w @ target).real
     assert np.linalg.eigvalsh(cone)[0] >= -1e-8
     assert value < 0
-    assert abs(value - rep.solution.dual_objective) <= 1e-8
-    return rep.status
+    assert abs(value - rep.dual_objective) <= 1e-8
+    return rep.verdict
 
 
 def assert_certified_steering(rho, c1, c2):
@@ -186,7 +187,8 @@ def assert_certified_steering(rho, c1, c2):
         ((1, 2), _apply(tensor(identity_channel(2), c1), rho)),
         ((1, 3), _apply(tensor(identity_channel(2), c2), rho)),
     )
-    return assert_certified_marginals(mg.state_steerable(rho, c1, c2), (2, 2, 2), targets)
+    rep = mg.state_steerable(rho, c1, c2)
+    return assert_certified_marginals(rep, ("unsteerable", "steerable"), (2, 2, 2), targets)
 
 
 def assert_certified_locality(rho, c11, c21, c12, c22):
@@ -196,7 +198,8 @@ def assert_certified_locality(rho, c11, c21, c12, c22):
         ((2, 3), _apply(tensor(c21, c12), rho)),
         ((2, 4), _apply(tensor(c21, c22), rho)),
     )
-    return assert_certified_marginals(mg.bell_local(rho, c11, c21, c12, c22), (2, 2, 2, 2), targets)
+    rep = mg.bell_local(rho, c11, c21, c12, c22)
+    return assert_certified_marginals(rep, ("local", "nonlocal"), (2, 2, 2, 2), targets)
 
 
 @qubit_cases
@@ -210,9 +213,9 @@ def test_every_steering_verdict_has_an_independently_valid_certificate(seed):
     c1, c2 = noisy_qubit_channel(rng), noisy_qubit_channel(rng)
     assert_certified_steering(rho, c1, c2)
     mixed = random_density(4, rng)
-    assert assert_certified_steering(mixed, c1, depolarizing_channel(2)) == FEASIBLE
+    assert assert_certified_steering(mixed, c1, depolarizing_channel(2)) == "unsteerable"
     u, v = (unitary_channel(random_unitary(2, rng)) for _ in range(2))
-    assert assert_certified_steering(max_entangled(2), u, v) == INFEASIBLE
+    assert assert_certified_steering(max_entangled(2), u, v) == "steerable"
 
 
 @qubit_cases
@@ -224,6 +227,6 @@ def test_every_locality_verdict_has_an_independently_valid_certificate(seed):
     rho = random_density(4, rng, rank=1)
     chans = [noisy_qubit_channel(rng) for _ in range(4)]
     assert_certified_locality(rho, *chans)
-    assert assert_certified_locality(random_separable(2, 2, rng), *chans) == FEASIBLE
+    assert assert_certified_locality(random_separable(2, 2, rng), *chans) == "local"
     unitaries = [unitary_channel(random_unitary(2, rng)) for _ in range(4)]
-    assert assert_certified_locality(max_entangled(2), *unitaries) == INFEASIBLE
+    assert assert_certified_locality(max_entangled(2), *unitaries) == "nonlocal"
