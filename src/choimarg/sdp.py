@@ -46,20 +46,43 @@ an iterate that is not numerically positive definite. The solve starts at
 Z = 1 and X = s*1, where s = a.b / a.a (at least 1e-2) is the multiple of
 the identity that best fits the rows, N/n for marginal rows of trace N. A
 step length takes only the smallest eigenvalue of L^-1 dS L^-H (LAPACK
-zheevr over one index), with L the Cholesky factor of the current X or Z.
-The factorizations, solves and that eigenvalue call LAPACK directly, and
-every info is checked. scipy's LAPACK bindings are imported at the first
+zheevr over one index, dsyevr on a real block), with L the Cholesky factor
+of the current X or Z. The factorizations (zpotrf or dpotrf), the inverse
+factors (ztrtri or dtrtri), the solves and that eigenvalue call LAPACK
+directly, and every info is checked. scipy's LAPACK bindings are imported at the first
 call that needs them, not with this module, so a process that never solves
 does not load scipy.linalg. A non-finite mu, mu_aff, Schur complement or
 step length, or a Schur complement that is not positive definite, ends the
 solve with status numerical_failure, and the iteration cap is 200.
 The free scalar t is eliminated inside the Schur system. It works on one
-complex Hermitian block directly, as SDPT3 and SeDuMi do, and is written for
+block directly, as SDPT3 and SeDuMi do: a real symmetric one when the data
+are real (below), else a complex Hermitian one. It is written for
 the problem sizes of this package (block dimensions up to ~81, a few hundred
 constraint rows at most). It is deterministic: fixed initialization and no
 randomized pivoting. A qubit depolarizing pair near its compatibility
 threshold takes 6 iterations; a qutrit pair takes 5-6 (depolarizing), 7
 (unitary) or 11-14 (random Kraus rank 2 or 3).
+
+Real data. Each row vec(B_p) of the Gell-Mann product basis is real (B_p
+real symmetric) or purely imaginary (B_p = iK_p, K_p real antisymmetric).
+When every row is one or the other and every imaginary row has right-hand
+side exactly 0, as for every target with real entries (b = P vec(target)),
+the program is invariant under X -> conj(X): it maps the feasible set onto
+itself and keeps the smallest eigenvalue, so Re X = (X + conj X)/2 is
+optimal whenever X is. A real symmetric X meets every imaginary row exactly,
+so :class:`_Rows` keeps only the real rows, in float64, and the solve runs
+on a real symmetric block: the symmetry reduction of an SDP (Gatermann and
+Parrilo 2004). Nothing but the cost changes. The Schur complement does not
+couple real and imaginary rows and the imaginary rows' residuals are 0, so
+the complex iterates are real already and the imaginary rows' duals 0.
+Rows, complex -> real: 28 -> 17 for a qubit compatibility or steering
+decision, 49 -> 29 for a qubit Bell one (n = 16), 153 -> 84 for a qutrit
+compatibility one. The reported dual vector still covers every row, 0 on
+the dropped ones; their Gram pivots still join the dependent-row test; and
+a witness is validated on the kept rows and as exactly real, so that the
+dropped rows hold exactly. Any other program (complex targets, mixed rows,
+an imaginary row with a nonzero right-hand side) is solved on a complex
+Hermitian block as before; the choice is made from the input alone.
 
 Constraint rows come in row groups (:class:`RowGroup`): row p of a group is
 lift(B_p), a Hermitian element B_p on the kept factors K of the block with
@@ -69,13 +92,15 @@ to each group's partial trace Tr_R X and A*(y) the sum of the lifts of
 y_g P, both through one flat gather (scatter) index per group. The HKM
 Schur block of groups s and t is Re P_s T_st P_t^T, where T_st contracts
 Z^-1 and X over the factors outside K_s and K_t in one GEMM (see
-:meth:`_Rows.schur`). A pair costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) +
+:func:`_schur`). A pair costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) +
 m_s m_t d_Kt^2) instead of the O(m n^3 + m^2 n^2) of dense rows on a block
 of dimension n. At one BLAS thread on a 2-vCPU Xeon guest an iteration
-takes ~0.31 ms on a qubit compatibility decision (m = 28, n = 8), ~1.4 ms
-on a qutrit one (m = 153, n = 27) and ~7.3 ms on the qutrit Bell decision
-of ``default_rng(11)`` (m = 289, n = 81), the O(m^3) Cholesky
-factorization of S included. The corrector step is projected onto the
+takes ~0.26 ms on a real qubit compatibility decision (m = 17, n = 8),
+~0.43 ms on a real qubit Bell one (m = 29, n = 16), ~0.66 ms on a real
+qutrit compatibility one (m = 84, n = 27), ~1.4 ms on a complex one
+(m = 153, n = 27) and ~7.5 ms on the complex qutrit Bell decision of
+``default_rng(11)`` (m = 289, n = 81), the O(m^3) Cholesky factorization of
+S included. The corrector step is projected onto the
 primal equations with the rows' Gram matrix (the kernel at Z^-1 = X = 1),
 factored once per solve, so rounding in the Schur solve cannot leave a
 primal residual that the path no longer reduces; the predictor, along which
@@ -197,7 +222,7 @@ class _Part(NamedTuple):
 
 
 class _Pair(NamedTuple):
-    """Flat gather indices of the Schur block of parts i <= j (see :meth:`_Rows.schur`)."""
+    """Flat gather indices of the Schur block of parts i <= j (see :func:`_schur`)."""
 
     i: int
     j: int
@@ -254,21 +279,89 @@ def _structure(
     return start, tuple(parts), tuple(pairs)
 
 
+def _schur(
+    m: int,
+    parts: tuple[_Part, ...],
+    pairs: tuple[_Pair, ...],
+    coeffs: Sequence[np.ndarray],
+    zinv: np.ndarray,
+    x: np.ndarray,
+) -> np.ndarray:
+    """HKM Schur complement S_ij = Re Tr(A_i Z^-1 A_j X) of the rows of parts.
+
+    For parts s and t, T_st[(a,b),(c,d)] = sum Z^-1[b,c] X[d,a] over the
+    factors outside K_s (where a = b) and outside K_t (where c = d) is one
+    GEMM; its operands and T_st are gathered through the flat indices of
+    the :class:`_Pair`. The block is Re P_s T_st P_t^T. When both groups keep every
+    factor the sum is empty and T_st is the outer product Z^-1 (x) X.
+    """
+    schur = np.empty((m, m))
+    zinv, x = np.asarray(zinv).reshape(-1), np.asarray(x).reshape(-1)
+    for pair in pairs:
+        s, t = parts[pair.i], parts[pair.j]
+        p, q = coeffs[pair.i], coeffs[pair.j]
+        u = p @ (zinv.take(pair.zinv) @ x.take(pair.x)).reshape(-1).take(pair.t)
+        # Re(u . q): over interleaved real and imaginary parts when q is complex
+        block = u.real @ q.T if q.dtype.kind == "f" else u.conj().view(float) @ q.view(float).T
+        if pair.i == pair.j:
+            schur[s.rows, s.rows] = (block + block.T) / 2
+        else:
+            # written as exact transposes, so S is exactly symmetric
+            schur[s.rows, t.rows] = block
+            schur[t.rows, s.rows] = block.T
+    return schur
+
+
 class _Rows:
-    """The equality operator of a problem, applied through its row groups."""
+    """The equality operator of a problem, applied through its row groups.
+
+    Each row vec(B_p) is real (B_p real symmetric), purely imaginary (B_p = iK_p
+    with K_p real antisymmetric) or neither. When every row is real or purely
+    imaginary and every purely imaginary row has right-hand side 0, the program
+    is invariant under X -> conj(X): only the real rows are kept, with float64
+    coefficients, and dtype is float. A real symmetric X meets every dropped row
+    exactly, since Re<iK, S> = 0 for real S. Otherwise dtype is complex and every
+    row is kept. kept_rows marks the kept rows among all rows in group order;
+    the dropped rows are held as their K_p, for :meth:`dropped_gram`.
+    """
 
     def __init__(self, dims: Sequence[int], groups: Sequence[RowGroup]):
         dims = tuple(int(d) for d in dims)
-        layout = tuple((len(g.rhs), tuple(int(k) for k in g.kept)) for g in groups)
-        self.m, self.parts, self.pairs = _structure(dims, layout)
         self.n = prod(dims)
-        self.coeffs = [np.ascontiguousarray(g.coeffs, dtype=complex) for g in groups if len(g.rhs)]
-        self.rhs = np.concatenate([np.asarray(g.rhs, dtype=float) for g in groups])
+        coeffs = [np.asarray(g.coeffs, dtype=complex) for g in groups]
+        rhs = [np.asarray(g.rhs, dtype=float) for g in groups]
+        # an all-zero row counts as real, so that it is kept and its dependence seen
+        imaginary = [~c.real.any(axis=1) & c.imag.any(axis=1) for c in coeffs]
+        real_data = all(
+            (i | ~c.imag.any(axis=1)).all() and not b[i].any()
+            for c, b, i in zip(coeffs, rhs, imaginary)
+        )
+        self.dtype: type = float if real_data else complex
+        if not real_data:
+            imaginary = [np.zeros(len(b), dtype=bool) for b in rhs]
+        kept = [~i for i in imaginary]
+        factors = [tuple(int(k) for k in g.kept) for g in groups]
+        self.m, self.parts, self.pairs = _structure(
+            dims, tuple((int(k.sum()), f) for k, f in zip(kept, factors))
+        )
+        self.coeffs = [
+            np.ascontiguousarray(c.real[k] if real_data else c)
+            for c, k in zip(coeffs, kept)
+            if k.any()
+        ]
+        self.rhs = np.concatenate([b[k] for b, k in zip(rhs, kept)])
+        self.kept_rows = np.concatenate(kept)
+        # the dropped rows' structure and their K_p
+        self._dropped = _structure(
+            dims, tuple((int(i.sum()), f) for i, f in zip(imaginary, factors))
+        ) + ([np.ascontiguousarray(c.imag[i]) for c, i in zip(coeffs, imaginary) if i.any()],)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """A(X): each group's coefficients of its partial trace."""
         out = np.empty(self.m)
-        x = np.asarray(x, dtype=complex).reshape(-1)
+        x = np.asarray(x).reshape(-1)
+        # Re<B, X> = <B, Re X> for real B
+        x = x.real if self.dtype is float else x.astype(complex, copy=False)
         for part, c in zip(self.parts, self.coeffs):
             kept = x.take(part.take).sum(axis=0)
             # Re<B, Tr_R X> as a real dot product over interleaved real and imaginary parts
@@ -277,10 +370,10 @@ class _Rows:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A*(y): the sum of the lifts of y_g P over the groups."""
-        out = np.zeros(self.n * self.n, dtype=complex)
+        out = np.zeros(self.n * self.n, dtype=self.dtype)
         for part, c in zip(self.parts, self.coeffs):
             # the entries of one lift are distinct, so += adds each once
-            out[part.take] += (y[part.rows] @ c.view(float)).view(complex)
+            out[part.take] += (y[part.rows] @ c.view(float)).view(self.dtype)
         return out.reshape(self.n, self.n)
 
     def free_coeffs(self) -> np.ndarray:
@@ -291,32 +384,28 @@ class _Rows:
         return out
 
     def schur(self, zinv: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """HKM Schur complement S_ij = Re Tr(A_i Z^-1 A_j X).
+        """HKM Schur complement S_ij = Re Tr(A_i Z^-1 A_j X) of the kept rows (:func:`_schur`)."""
+        return _schur(self.m, self.parts, self.pairs, self.coeffs, zinv, x)
 
-        For parts s and t, T_st[(a,b),(c,d)] = sum Z^-1[b,c] X[d,a] over the
-        factors outside K_s (where a = b) and outside K_t (where c = d) is one
-        GEMM; its operands and T_st are gathered through the flat indices of
-        the :class:`_Pair`. The block is Re P_s T_st P_t^T. When both groups keep every
-        factor the sum is empty and T_st is the outer product Z^-1 (x) X.
+    def dropped_gram(self) -> np.ndarray:
+        """Gram matrix Re<lift B_i, lift B_j> of the dropped rows B = iK, 0 x 0 when none is.
+
+        It is <lift K_i, lift K_j> = -Tr(lift K_i lift K_j), as K^T = -K: minus
+        the Schur complement of the K rows at Z^-1 = X = 1.
         """
-        schur = np.empty((self.m, self.m))
-        zinv, x = np.asarray(zinv).reshape(-1), np.asarray(x).reshape(-1)
-        for pair in self.pairs:
-            s, t = self.parts[pair.i], self.parts[pair.j]
-            p, q = self.coeffs[pair.i], self.coeffs[pair.j]
-            tst = (zinv.take(pair.zinv) @ x.take(pair.x)).reshape(-1).take(pair.t)
-            # Re(u . v) = Re<conj u, v>, a real dot product over interleaved parts
-            block = (p @ tst).conj().view(float) @ q.view(float).T
-            if pair.i == pair.j:
-                schur[s.rows, s.rows] = (block + block.T) / 2
-            else:
-                # written as exact transposes, so S is exactly symmetric
-                schur[s.rows, t.rows] = block
-                schur[t.rows, s.rows] = block.T
-        return schur
+        m, parts, pairs, coeffs = self._dropped
+        eye = np.eye(self.n)
+        return -_schur(m, parts, pairs, coeffs, eye, eye)
 
     def holds(self, x: np.ndarray) -> bool:
-        """Every row holds to WITNESS_RESIDUAL and X is PSD to -WITNESS_PSD."""
+        """Every row holds to WITNESS_RESIDUAL and X is PSD to -WITNESS_PSD.
+
+        On real rows X must be exactly real, so that the dropped rows hold exactly.
+        """
+        if self.dtype is float:
+            if x.imag.any():
+                return False
+            x = x.real
         if float(np.max(np.abs(self(x) - self.rhs))) > WITNESS_RESIDUAL:
             return False
         return float(np.linalg.eigvalsh(x)[0]) >= -WITNESS_PSD
@@ -367,8 +456,8 @@ def _cho_solve(factor: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _inverse_factor(l: np.ndarray) -> np.ndarray:
-    """l^-1 of a lower triangular Cholesky factor l."""
-    inv, info = lapack.ztrtri(l, lower=1)
+    """l^-1 of a lower triangular Cholesky factor l, real or complex."""
+    inv, info = (lapack.ztrtri if l.dtype.kind == "c" else lapack.dtrtri)(l, lower=1)
     _checked(info, "a Cholesky factor is singular")
     return inv
 
@@ -376,14 +465,16 @@ def _inverse_factor(l: np.ndarray) -> np.ndarray:
 def _step_to_boundary(linv: np.ndarray, ds: np.ndarray) -> float:
     """sup { a >= 0 : s + a*ds >= 0 } for s = l l^H > 0 Hermitian, given linv = l^-1.
 
-    Only the smallest eigenvalue of l^-1 ds l^-H is computed. Raises
+    Only the smallest eigenvalue of l^-1 ds l^-H is computed (zheevr, or dsyevr
+    when both are real). Raises
     LinAlgError when the bound is not a number.
     """
     m = linv @ ds @ linv.conj().T
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("step length is not a number")
     # m.T is the conjugate of m, with the same eigenvalues, in Fortran order
-    w, _, _, _, info = lapack.zheevr(m.T, compute_v=0, range="I", il=1, iu=1, overwrite_a=1)
+    eigen = lapack.zheevr if m.dtype.kind == "c" else lapack.dsyevr
+    w, _, _, _, info = eigen(m.T, compute_v=0, range="I", il=1, iu=1, overwrite_a=1)
     _checked(info, "the eigenvalue solver did not converge")
     if w[0] >= 0:
         return np.inf
@@ -393,7 +484,8 @@ def _step_to_boundary(linv: np.ndarray, ds: np.ndarray) -> float:
 def _advance(
     x: np.ndarray, step: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The block moved by alpha * step, its Cholesky factor and the alpha taken.
+    """The block moved by alpha * step, its Cholesky factor and the alpha taken;
+    real when both are.
 
     Near the cone boundary, rounding can leave a block that is not numerically
     positive definite after a step that stays inside in exact arithmetic; alpha
@@ -401,7 +493,7 @@ def _advance(
     """
     for _ in range(30):
         moved = _herm(x + alpha * step)
-        factor, info = lapack.zpotrf(moved, lower=1)
+        factor, info = (lapack.zpotrf if moved.dtype.kind == "c" else lapack.dpotrf)(moved, lower=1)
         if info > 0:  # not numerically positive definite
             alpha /= 2
             continue
@@ -453,7 +545,7 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
     b = rows.rhs
     a_free = rows.free_coeffs()
     b_scale = 1.0 + sqrt(float(b @ b))
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(n, dtype=rows.dtype)
 
     # start at the multiple of the identity that best fits the rows, s* = a.b / a.a
     # (N/n for a marginal spec of trace N); all-zero rows fail below
@@ -475,14 +567,21 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
     r_f = 1.0
 
     # Gram matrix of the rows with their free-scalar coefficients, regularised
-    # as the Schur complement is: it projects each step onto the primal equations
+    # as the Schur complement is: it projects each step onto the primal equations.
+    # A real row is orthogonal to an imaginary one, whose a is 0, so the Gram
+    # matrix of all rows is this one and the dropped rows' one on the diagonal,
+    # and its pivots are theirs; the dropped rows' are needed only for the test.
     gram = rows.schur(eye, eye) + np.outer(a_free, a_free)
-    if not np.isfinite(gram).all():
+    dropped = rows.dropped_gram()
+    if not (np.isfinite(gram).all() and np.isfinite(dropped).all()):
         raise ValueError("array must not contain infs or NaNs")
-    trace = np.trace(gram)
-    gram.flat[:: m + 1] += 1e-14 * trace / m
+    m_all = m + len(dropped)
+    trace = np.trace(gram) + np.trace(dropped)
+    gram.flat[:: m + 1] += 1e-14 * trace / m_all
+    dropped.flat[:: m_all - m + 1] += 1e-14 * trace / m_all
     try:
         gram_cho = _cholesky(gram)
+        pivots = np.concatenate([np.diagonal(gram_cho), np.diagonal(_cholesky(dropped))])
     except np.linalg.LinAlgError:
         # every row is zero: there are no equations to iterate on
         max_iterations, status = 0, NUMERICAL_FAILURE
@@ -490,7 +589,7 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
         # a collapsed pivot means a row lies in the span of the rows before
         # it: the system is dependent, and inconsistent unless the right-hand
         # sides happen to agree
-        if float(np.min(np.diagonal(gram_cho))) ** 2 <= DEPENDENT_PIVOT * trace / m:
+        if float(np.min(pivots)) ** 2 <= DEPENDENT_PIVOT * trace / m_all:
             max_iterations, status = 0, DEPENDENT_ROWS
 
     for it in range(1, max_iterations + 1):
@@ -619,12 +718,17 @@ def _group_feasibility(
             f"dual residual {solve.dual_residual:.3e}, gap {solve.gap:.3e})"
         )
 
+    # the dual vector on every row in group order, 0 on the rows a real block drops
+    dual = np.zeros(len(rows.kept_rows))
+    dual[rows.kept_rows] = solve.dual_certificate
+    solve = replace(solve, dual_certificate=dual)
+
     feasible, infeasible = words
     t_hat = solve.slack
     if t_hat <= -eps:
         return replace(solve, verdict=infeasible, witness=None)
     x = solve.witness + t_hat * np.eye(rows.n)
-    x = finish(x if t_hat >= eps else _clip_psd(x))
+    x = finish(np.asarray(x if t_hat >= eps else _clip_psd(x), dtype=complex))
     if rows.holds(x):
         return replace(solve, verdict=feasible, witness=x)
     if t_hat >= eps:

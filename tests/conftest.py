@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from choimarg import sdp
 from choimarg.channels import Channel
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -23,3 +24,16 @@ def depolarize(c, p):
     """The channel rho -> (1 - p) Phi(rho) + p Tr(rho) 1/d."""
     mixed = np.eye(c.choi.shape[0]) / c.out_dim
     return Channel(in_dim=c.in_dim, out_dims=c.out_dims, choi=(1.0 - p) * c.choi + p * mixed)
+
+
+def spy_dtypes(monkeypatch):
+    """The list that records the dtype of the rows of every later IPM solve:
+    float on a real block, complex otherwise."""
+    dtypes, ipm = [], sdp._ipm
+
+    def spy(rows, **kwargs):
+        dtypes.append(rows.dtype)
+        return ipm(rows, **kwargs)
+
+    monkeypatch.setattr(sdp, "_ipm", spy)
+    return dtypes

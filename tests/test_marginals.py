@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from choimarg.channels import (
     w_state,
 )
 from choimarg.linalg import hermitian_product_basis, kron, partial_trace
+from choimarg.presets import bell_preset, compat_preset, steer_preset
 from choimarg.sampling import (
     random_channel,
     random_density,
@@ -24,7 +27,7 @@ from choimarg.sampling import (
     random_unitary,
 )
 from choimarg.sdp import FEASIBLE, MARGINAL
-from conftest import HADAMARD, SX, SZ, depolarize
+from conftest import HADAMARD, SX, SZ, depolarize, spy_dtypes
 from kron_oracles import embed
 
 
@@ -407,6 +410,83 @@ class TestDualWitness:
             assert rep.dual_value <= -1e-7
             assert np.linalg.eigvalsh(cone_matrix(c1, c2, a, b))[0] >= -1e-8
         assert checked >= 4
+
+    @pytest.mark.parametrize("c, verdict", [
+        (identity_channel(2), mg.INCOMPATIBLE),
+        (depolarizing_channel(3, 0.35), mg.INCOMPATIBLE),
+        (depolarizing_channel(3, 0.4), mg.COMPATIBLE),
+    ], ids=["identity-pair", "qutrit-depolarizing-0.35", "qutrit-depolarizing-0.4"])
+    def test_certificates_on_a_real_block(self, monkeypatch, c, verdict):
+        # real targets: the imaginary rows are dropped from the solve, and the
+        # dual vector still covers every row, in group order, 0 on the dropped ones
+        dtypes = spy_dtypes(monkeypatch)
+        rep = mg.channels_compatible(c, c)
+        assert dtypes == [float] and rep.verdict == verdict
+        groups = mg._target_rows(mg._compat_spec(c, c))
+        imaginary = np.concatenate([~g.coeffs.real.any(axis=1) for g in groups])
+        assert rep.dual_certificate.shape == imaginary.shape
+        assert imaginary.any() and not rep.dual_certificate[imaginary].any()
+        a, b = rep.dual_witness
+        assert np.linalg.eigvalsh(cone_matrix(c, c, a, b))[0] >= -1e-8
+        direct = np.trace(a @ c.choi).real + np.trace(b @ c.choi).real
+        assert abs(direct - rep.dual_value) <= 1e-9
+        if verdict == mg.COMPATIBLE:
+            assert rep.witness.dtype == complex and not rep.witness.flags.writeable
+
+
+def rotated(groups, unitaries):
+    """Each group's rows conjugated by the product of the factor unitaries on its
+    kept factors, with the same right-hand sides."""
+    out = []
+    for g in groups:
+        u = reduce(np.kron, [unitaries[k] for k in g.kept])
+        d = len(u)
+        coeffs = np.array([(u @ c.reshape(d, d) @ u.conj().T).ravel() for c in g.coeffs])
+        out.append(sdp.RowGroup(g.kept, coeffs, g.rhs))
+    return out
+
+
+class TestConjugationSymmetry:
+    """Conjugating every tensor factor by a unitary U_k keeps the optimal slack:
+    with U the product of the U_k, <U B U^H, U X U^H> = <B, X>, so X -> U X U^H maps
+    the feasible set onto the rotated program's and keeps its eigenvalues. A random
+    complex U makes real rows complex, so each decision on real data, solved on
+    a real block, is checked against its rotation, solved on a complex one."""
+
+    CASES = {
+        "qubit-depolarizing-below": lambda: mg.channels_compatible(
+            depolarizing_channel(2, 1 / 3 - 0.02), depolarizing_channel(2, 1 / 3 - 0.02)),
+        "qubit-depolarizing-above": lambda: mg.channels_compatible(
+            depolarizing_channel(2, 1 / 3 + 0.02), depolarizing_channel(2, 1 / 3 + 0.02)),
+        "qutrit-depolarizing-below": lambda: mg.channels_compatible(
+            depolarizing_channel(3, 3 / 8 - 0.02), depolarizing_channel(3, 3 / 8 - 0.02)),
+        "qutrit-depolarizing-above": lambda: mg.channels_compatible(
+            depolarizing_channel(3, 3 / 8 + 0.02), depolarizing_channel(3, 3 / 8 + 0.02)),
+        "identity-pair": lambda: mg.channels_compatible(*compat_preset("identity-pair")),
+        "steer-w-state": lambda: mg.state_steerable(*steer_preset("w-state")),
+        "steer-max-entangled": lambda: mg.state_steerable(*steer_preset("max-entangled")),
+        "bell-w-state": lambda: mg.bell_local(*bell_preset("w-state")),
+        "bell-max-entangled": lambda: mg.bell_local(*bell_preset("max-entangled")),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_rotation_keeps_verdict_and_slack(self, monkeypatch, name):
+        calls, group_feasibility = [], sdp._group_feasibility
+
+        def spy_groups(dims, groups, **kwargs):
+            calls.append((dims, groups, kwargs))
+            return group_feasibility(dims, groups, **kwargs)
+
+        monkeypatch.setattr(mg, "_group_feasibility", spy_groups)
+        dtypes = spy_dtypes(monkeypatch)
+        rep = self.CASES[name]()
+        [(dims, groups, kwargs)] = calls
+        rng = np.random.default_rng(17)
+        unitaries = [random_unitary(d, rng) for d in dims]
+        turned = sdp._group_feasibility(dims, rotated(groups, unitaries), **kwargs)
+        assert dtypes == [float, complex]
+        assert turned.verdict == rep.verdict
+        assert abs(turned.slack - rep.slack) <= 1e-7
 
 
 class TestSteering:

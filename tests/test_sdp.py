@@ -15,7 +15,7 @@ from choimarg import marginals as mg
 from choimarg.channels import depolarizing_channel, identity_channel
 from choimarg.marginals import MarginalSpec
 from choimarg.sampling import random_channel
-from conftest import SX, SY, SZ, random_hermitian
+from conftest import SX, SY, SZ, random_hermitian, spy_dtypes
 from kron_oracles import embed
 
 
@@ -112,6 +112,20 @@ class TestSolve:
     def test_all_zero_rows_are_a_numerical_failure(self):
         sol = slack_program(2, whole_block([(np.zeros((2, 2)), 0.0)]))
         assert (sol.verdict, sol.iterations) == (sdp.NUMERICAL_FAILURE, 0)
+
+    def test_dependent_imaginary_rows_end_before_the_first_iteration(self, monkeypatch):
+        # imaginary rows with right-hand side 0 are dropped from a real block,
+        # and their own Gram pivots still find a dependence among them
+        dtypes = spy_dtypes(monkeypatch)
+        for pins in ([(np.eye(2), 1.0), (SY, 0.0), (SY, 0.0)],
+                     [(np.eye(2), 1.0), (SY, 0.0), (2 * SY, 0.0)]):
+            sol = slack_program(2, whole_block(pins))
+            assert (sol.verdict, sol.iterations) == (sdp.DEPENDENT_ROWS, 0)
+            with pytest.raises(
+                sdp.SdpError, match="linearly dependent: status dependent_rows after 0 iterations"
+            ):
+                feasibility(2, pins)
+        assert dtypes == [float] * 4
 
     @staticmethod
     def assert_numerical_failure(monkeypatch, capsys, corrupt):
@@ -472,12 +486,58 @@ class TestFeasibility:
         assert np.max(np.abs(rep.witness - target)) < 1e-6
 
 
+class TestPathSelection:
+    """A program is solved on a real block exactly when every row is real or
+    purely imaginary and every purely imaginary row has right-hand side 0."""
+
+    def test_real_data_takes_the_real_path(self, monkeypatch):
+        dtypes = spy_dtypes(monkeypatch)
+        rows = sdp._Rows((2,), (whole_block([(np.eye(2), 1.0), (SX, 0.5), (SY, 0.0)]),))
+        assert rows.dtype is float and rows.m == 2
+        assert rows.kept_rows.tolist() == [True, True, False]
+        rep = feasibility(2, [(np.eye(2), 1.0), (SX, 0.5), (SY, 0.0)])
+        assert rep.verdict == sdp.FEASIBLE
+        assert dtypes == [float]
+        # the dual vector covers every row, with an exact 0 on the dropped one
+        assert rep.dual_certificate.shape == (3,) and rep.dual_certificate[2] == 0.0
+        assert rep.witness.dtype == complex and not rep.witness.imag.any()
+
+    @pytest.mark.parametrize("pins, verdict", [
+        ([(np.eye(2), 1.0), (SX + SY, 0.2)], sdp.FEASIBLE),  # a mixed row
+        ([(np.eye(2), 1.0), (SX + SY, 1.6)], sdp.INFEASIBLE),  # past its eigenvalue sqrt 2
+        ([(np.eye(2), 1.0), (SY, 0.3), (SZ, 0.3)], sdp.FEASIBLE),  # imaginary, rhs not 0
+        ([(np.eye(2), 1.0), (SY, 1.5)], sdp.INFEASIBLE),
+    ], ids=["mixed", "mixed-infeasible", "imaginary-rhs", "imaginary-rhs-infeasible"])
+    def test_complex_rows_take_the_complex_path(self, monkeypatch, pins, verdict):
+        dtypes = spy_dtypes(monkeypatch)
+        assert feasibility(2, pins).verdict == verdict
+        assert dtypes == [complex]
+
+    def test_imaginary_noise_in_a_target_takes_the_complex_path(self, monkeypatch):
+        # 1e-17 of imaginary noise makes the imaginary rows' right-hand sides
+        # nonzero: the program is no longer conjugation invariant
+        dtypes = spy_dtypes(monkeypatch)
+        rho = np.diag([0.7, 0.3]).astype(complex)
+        reports = []
+        for noise in (0.0, 1e-17):
+            first = rho + noise * SY
+            spec = MarginalSpec(dims=(2, 2), targets=(((1,), first), ((2,), rho)), normalization=1.0)
+            reports.append(mg.marginal_feasibility(spec))
+        assert dtypes == [float, complex]
+        real, noisy = reports
+        assert real.verdict == noisy.verdict == sdp.FEASIBLE
+        assert abs(real.slack - noisy.slack) <= 1e-9
+        assert noisy.dual_certificate.shape == real.dual_certificate.shape
+
+
 def assert_weak_duality(rep):
     assert rep.slack <= rep.dual_objective + 1e-6 * (1 + abs(rep.slack))
 
 
 class TestHandBuiltComplexVerdicts:
-    """Hand-built Hermitian instances with known verdicts, solved on complex blocks."""
+    """Hand-built Hermitian instances with known verdicts. Rows with real data
+    are solved on a real block; the (SY, 0.3) and (SY, 1.5) pins, imaginary
+    rows with a nonzero right-hand side, keep their cases on a complex one."""
 
     FEASIBLE_CASES = [
         [(np.eye(2), 1.0)],
