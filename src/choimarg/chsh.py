@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import Channel, _apply, max_entangled, tensor, unitary_channel
-from .linalg import check_density, check_hermitian, frozen
+from .linalg import check_density, check_dim, check_hermitian, frozen
 
 __all__ = [
     "CorrelationReport",
@@ -153,10 +153,12 @@ def chsh_scan(theta_min: float, theta_max: float, steps: int) -> np.ndarray:
     channels, apply to the maximally entangled state, trace against the
     observable), not from the closed form; it equals ``chsh_value`` of the
     four unitary channels on ``max_entangled(2)`` exactly. The range must
-    be finite with 0 <= theta_min < theta_max.
+    be finite with 0 <= theta_min < theta_max, and steps an integer of at
+    least 2.
     """
     if not (0 <= theta_min < theta_max < np.inf):
         raise ValueError(f"invalid scan range [{theta_min}, {theta_max}]")
+    steps = check_dim(steps, "steps")
     if steps < 2:
         raise ValueError("need at least two grid points")
     u1, u2, _v1, _v2 = theta_family(theta_min)

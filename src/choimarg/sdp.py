@@ -55,34 +55,21 @@ does not load scipy.linalg. A non-finite mu, mu_aff, Schur complement or
 step length, or a Schur complement that is not positive definite, ends the
 solve with status numerical_failure, and the iteration cap is 200.
 The free scalar t is eliminated inside the Schur system. It works on one
-block directly, as SDPT3 and SeDuMi do: a real symmetric one when the data
-are real (below), else a complex Hermitian one. It is written for
-the problem sizes of this package (block dimensions up to ~81, a few hundred
-constraint rows at most). It is deterministic: fixed initialization and no
+block directly, as SDPT3 and SeDuMi do: a real symmetric one when the
+coefficients are real (below), else a complex Hermitian one. It is written
+for the problem sizes of this package (block dimensions up to ~81, a few
+hundred constraint rows at most). It is deterministic: fixed initialization and no
 randomized pivoting. A qubit depolarizing pair near its compatibility
 threshold takes 6 iterations; a qutrit pair takes 5-6 (depolarizing), 7
 (unitary) or 11-14 (random Kraus rank 2 or 3).
 
-Real data. Each row vec(B_p) of the Gell-Mann product basis is real (B_p
-real symmetric) or purely imaginary (B_p = iK_p, K_p real antisymmetric).
-When every row is one or the other and every imaginary row has right-hand
-side exactly 0, as for every target with real entries (b = P vec(target)),
-the program is invariant under X -> conj(X): it maps the feasible set onto
-itself and keeps the smallest eigenvalue, so Re X = (X + conj X)/2 is
-optimal whenever X is. A real symmetric X meets every imaginary row exactly,
-so :class:`_Rows` keeps only the real rows, in float64, and the solve runs
-on a real symmetric block: the symmetry reduction of an SDP (Gatermann and
-Parrilo 2004). Nothing but the cost changes. The Schur complement does not
-couple real and imaginary rows and the imaginary rows' residuals are 0, so
-the complex iterates are real already and the imaginary rows' duals 0.
-Rows, complex -> real: 28 -> 17 for a qubit compatibility or steering
-decision, 49 -> 29 for a qubit Bell one (n = 16), 153 -> 84 for a qutrit
-compatibility one. The reported dual vector still covers every row, 0 on
-the dropped ones; their Gram pivots still join the dependent-row test; and
-a witness is validated on the kept rows and as exactly real, so that the
-dropped rows hold exactly. Any other program (complex targets, mixed rows,
-an imaginary row with a nonzero right-hand side) is solved on a complex
-Hermitian block as before; the choice is made from the input alone.
+Real data. When every coefficient a caller passes has a zero imaginary part
+(every B_p real symmetric), X -> conj(X) maps the feasible set onto itself
+and keeps the smallest eigenvalue, so Re X is optimal whenever X is:
+:class:`_Rows` holds the coefficients in float64 and the solve runs on a
+real symmetric block, the symmetry reduction of an SDP (Gatermann and
+Parrilo 2004). Any nonzero imaginary coefficient keeps the complex
+Hermitian block. The choice is made from the input alone.
 
 Constraint rows come in row groups (:class:`RowGroup`): row p of a group is
 lift(B_p), a Hermitian element B_p on the kept factors K of the block with
@@ -92,7 +79,7 @@ to each group's partial trace Tr_R X and A*(y) the sum of the lifts of
 y_g P, both through one flat gather (scatter) index per group. The HKM
 Schur block of groups s and t is Re P_s T_st P_t^T, where T_st contracts
 Z^-1 and X over the factors outside K_s and K_t in one GEMM (see
-:func:`_schur`). A pair costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) +
+:meth:`_Rows.schur`). A pair costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) +
 m_s m_t d_Kt^2) instead of the O(m n^3 + m^2 n^2) of dense rows on a block
 of dimension n. At one BLAS thread on a 2-vCPU Xeon guest an iteration
 takes ~0.26 ms on a real qubit compatibility decision (m = 17, n = 8),
@@ -172,7 +159,9 @@ class Report:
     -WITNESS_PSD, residuals <= WITNESS_RESIDUAL), and None unless the
     verdict is the feasible word; an in-band slack whose eigenvalue-clipped
     witness fails that check is MARGINAL. dual_certificate is the dual
-    vector y on the constraint rows, in group order. The rest records the
+    vector y, one entry per constraint row in group order; a decision of
+    :mod:`choimarg.marginals` gives it on every basis row, 0 on the rows it
+    leaves out of a real solve. The rest records the
     optimal iterate: its iteration count, relative gap, primal and dual
     residuals and dual objective b.y.
     """
@@ -222,7 +211,7 @@ class _Part(NamedTuple):
 
 
 class _Pair(NamedTuple):
-    """Flat gather indices of the Schur block of parts i <= j (see :func:`_schur`)."""
+    """Flat gather indices of the Schur block of parts i <= j (see :meth:`_Rows.schur`)."""
 
     i: int
     j: int
@@ -279,82 +268,24 @@ def _structure(
     return start, tuple(parts), tuple(pairs)
 
 
-def _schur(
-    m: int,
-    parts: tuple[_Part, ...],
-    pairs: tuple[_Pair, ...],
-    coeffs: Sequence[np.ndarray],
-    zinv: np.ndarray,
-    x: np.ndarray,
-) -> np.ndarray:
-    """HKM Schur complement S_ij = Re Tr(A_i Z^-1 A_j X) of the rows of parts.
-
-    For parts s and t, T_st[(a,b),(c,d)] = sum Z^-1[b,c] X[d,a] over the
-    factors outside K_s (where a = b) and outside K_t (where c = d) is one
-    GEMM; its operands and T_st are gathered through the flat indices of
-    the :class:`_Pair`. The block is Re P_s T_st P_t^T. When both groups keep every
-    factor the sum is empty and T_st is the outer product Z^-1 (x) X.
-    """
-    schur = np.empty((m, m))
-    zinv, x = np.asarray(zinv).reshape(-1), np.asarray(x).reshape(-1)
-    for pair in pairs:
-        s, t = parts[pair.i], parts[pair.j]
-        p, q = coeffs[pair.i], coeffs[pair.j]
-        u = p @ (zinv.take(pair.zinv) @ x.take(pair.x)).reshape(-1).take(pair.t)
-        # Re(u . q): over interleaved real and imaginary parts when q is complex
-        block = u.real @ q.T if q.dtype.kind == "f" else u.conj().view(float) @ q.view(float).T
-        if pair.i == pair.j:
-            schur[s.rows, s.rows] = (block + block.T) / 2
-        else:
-            # written as exact transposes, so S is exactly symmetric
-            schur[s.rows, t.rows] = block
-            schur[t.rows, s.rows] = block.T
-    return schur
-
-
 class _Rows:
     """The equality operator of a problem, applied through its row groups.
 
-    Each row vec(B_p) is real (B_p real symmetric), purely imaginary (B_p = iK_p
-    with K_p real antisymmetric) or neither. When every row is real or purely
-    imaginary and every purely imaginary row has right-hand side 0, the program
-    is invariant under X -> conj(X): only the real rows are kept, with float64
-    coefficients, and dtype is float. A real symmetric X meets every dropped row
-    exactly, since Re<iK, S> = 0 for real S. Otherwise dtype is complex and every
-    row is kept. kept_rows marks the kept rows among all rows in group order;
-    the dropped rows are held as their K_p, for :meth:`dropped_gram`.
+    When every coefficient has a zero imaginary part, the coefficients are held
+    in float64 and dtype is float: the solve runs on a real symmetric block
+    (see the module docstring). Otherwise dtype is complex.
     """
 
     def __init__(self, dims: Sequence[int], groups: Sequence[RowGroup]):
         dims = tuple(int(d) for d in dims)
+        layout = tuple((len(g.rhs), tuple(int(k) for k in g.kept)) for g in groups)
+        self.m, self.parts, self.pairs = _structure(dims, layout)
         self.n = prod(dims)
-        coeffs = [np.asarray(g.coeffs, dtype=complex) for g in groups]
-        rhs = [np.asarray(g.rhs, dtype=float) for g in groups]
-        # an all-zero row counts as real, so that it is kept and its dependence seen
-        imaginary = [~c.real.any(axis=1) & c.imag.any(axis=1) for c in coeffs]
-        real_data = all(
-            (i | ~c.imag.any(axis=1)).all() and not b[i].any()
-            for c, b, i in zip(coeffs, rhs, imaginary)
-        )
-        self.dtype: type = float if real_data else complex
-        if not real_data:
-            imaginary = [np.zeros(len(b), dtype=bool) for b in rhs]
-        kept = [~i for i in imaginary]
-        factors = [tuple(int(k) for k in g.kept) for g in groups]
-        self.m, self.parts, self.pairs = _structure(
-            dims, tuple((int(k.sum()), f) for k, f in zip(kept, factors))
-        )
-        self.coeffs = [
-            np.ascontiguousarray(c.real[k] if real_data else c)
-            for c, k in zip(coeffs, kept)
-            if k.any()
-        ]
-        self.rhs = np.concatenate([b[k] for b, k in zip(rhs, kept)])
-        self.kept_rows = np.concatenate(kept)
-        # the dropped rows' structure and their K_p
-        self._dropped = _structure(
-            dims, tuple((int(i.sum()), f) for i, f in zip(imaginary, factors))
-        ) + ([np.ascontiguousarray(c.imag[i]) for c, i in zip(coeffs, imaginary) if i.any()],)
+        coeffs = [np.asarray(g.coeffs) for g in groups if len(g.rhs)]
+        real = not any(np.iscomplexobj(c) and c.imag.any() for c in coeffs)
+        self.dtype: type = float if real else complex
+        self.coeffs = [np.ascontiguousarray(c.real if real else c, dtype=self.dtype) for c in coeffs]
+        self.rhs = np.concatenate([np.asarray(g.rhs, dtype=float) for g in groups])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """A(X): each group's coefficients of its partial trace."""
@@ -384,23 +315,36 @@ class _Rows:
         return out
 
     def schur(self, zinv: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """HKM Schur complement S_ij = Re Tr(A_i Z^-1 A_j X) of the kept rows (:func:`_schur`)."""
-        return _schur(self.m, self.parts, self.pairs, self.coeffs, zinv, x)
+        """HKM Schur complement S_ij = Re Tr(A_i Z^-1 A_j X).
 
-    def dropped_gram(self) -> np.ndarray:
-        """Gram matrix Re<lift B_i, lift B_j> of the dropped rows B = iK, 0 x 0 when none is.
-
-        It is <lift K_i, lift K_j> = -Tr(lift K_i lift K_j), as K^T = -K: minus
-        the Schur complement of the K rows at Z^-1 = X = 1.
+        For parts s and t, T_st[(a,b),(c,d)] = sum Z^-1[b,c] X[d,a] over the
+        factors outside K_s (where a = b) and outside K_t (where c = d) is one
+        GEMM; its operands and T_st are gathered through the flat indices of
+        the :class:`_Pair`. The block is Re P_s T_st P_t^T. When both groups keep every
+        factor the sum is empty and T_st is the outer product Z^-1 (x) X.
         """
-        m, parts, pairs, coeffs = self._dropped
-        eye = np.eye(self.n)
-        return -_schur(m, parts, pairs, coeffs, eye, eye)
+        schur = np.empty((self.m, self.m))
+        zinv, x = np.asarray(zinv).reshape(-1), np.asarray(x).reshape(-1)
+        for pair in self.pairs:
+            s, t = self.parts[pair.i], self.parts[pair.j]
+            p, q = self.coeffs[pair.i], self.coeffs[pair.j]
+            u = p @ (zinv.take(pair.zinv) @ x.take(pair.x)).reshape(-1).take(pair.t)
+            # Re(u . q): over interleaved real and imaginary parts when q is complex
+            block = u.real @ q.T if q.dtype.kind == "f" else u.conj().view(float) @ q.view(float).T
+            if pair.i == pair.j:
+                schur[s.rows, s.rows] = (block + block.T) / 2
+            else:
+                # written as exact transposes, so S is exactly symmetric
+                schur[s.rows, t.rows] = block
+                schur[t.rows, s.rows] = block.T
+        return schur
 
     def holds(self, x: np.ndarray) -> bool:
         """Every row holds to WITNESS_RESIDUAL and X is PSD to -WITNESS_PSD.
 
-        On real rows X must be exactly real, so that the dropped rows hold exactly.
+        On a real block X must be exactly real: a caller that leaves out the
+        purely imaginary rows of a program invariant under X -> conj(X) (as
+        :mod:`choimarg.marginals` does) relies on this for those rows to hold.
         """
         if self.dtype is float:
             if x.imag.any():
@@ -567,21 +511,14 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
     r_f = 1.0
 
     # Gram matrix of the rows with their free-scalar coefficients, regularised
-    # as the Schur complement is: it projects each step onto the primal equations.
-    # A real row is orthogonal to an imaginary one, whose a is 0, so the Gram
-    # matrix of all rows is this one and the dropped rows' one on the diagonal,
-    # and its pivots are theirs; the dropped rows' are needed only for the test.
+    # as the Schur complement is: it projects each step onto the primal equations
     gram = rows.schur(eye, eye) + np.outer(a_free, a_free)
-    dropped = rows.dropped_gram()
-    if not (np.isfinite(gram).all() and np.isfinite(dropped).all()):
+    if not np.isfinite(gram).all():
         raise ValueError("array must not contain infs or NaNs")
-    m_all = m + len(dropped)
-    trace = np.trace(gram) + np.trace(dropped)
-    gram.flat[:: m + 1] += 1e-14 * trace / m_all
-    dropped.flat[:: m_all - m + 1] += 1e-14 * trace / m_all
+    trace = np.trace(gram)
+    gram.flat[:: m + 1] += 1e-14 * trace / m
     try:
         gram_cho = _cholesky(gram)
-        pivots = np.concatenate([np.diagonal(gram_cho), np.diagonal(_cholesky(dropped))])
     except np.linalg.LinAlgError:
         # every row is zero: there are no equations to iterate on
         max_iterations, status = 0, NUMERICAL_FAILURE
@@ -589,7 +526,7 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
         # a collapsed pivot means a row lies in the span of the rows before
         # it: the system is dependent, and inconsistent unless the right-hand
         # sides happen to agree
-        if float(np.min(pivots)) ** 2 <= DEPENDENT_PIVOT * trace / m_all:
+        if float(np.min(np.diagonal(gram_cho))) ** 2 <= DEPENDENT_PIVOT * trace / m:
             max_iterations, status = 0, DEPENDENT_ROWS
 
     for it in range(1, max_iterations + 1):
@@ -717,11 +654,6 @@ def _group_feasibility(
             f"{solve.iterations} iterations (primal residual {solve.primal_residual:.3e}, "
             f"dual residual {solve.dual_residual:.3e}, gap {solve.gap:.3e})"
         )
-
-    # the dual vector on every row in group order, 0 on the rows a real block drops
-    dual = np.zeros(len(rows.kept_rows))
-    dual[rows.kept_rows] = solve.dual_certificate
-    solve = replace(solve, dual_certificate=dual)
 
     feasible, infeasible = words
     t_hat = solve.slack

@@ -193,6 +193,17 @@ class TestScan:
         with pytest.raises(ValueError):
             chsh.chsh_scan(1.0, 10.0, 1)
 
+    @pytest.mark.parametrize("steps", [2.5, True, "3", None])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            chsh.chsh_scan(1.0, 10.0, steps)
+
+    @pytest.mark.parametrize("steps", [np.int64(3), 3.0])
+    def test_integral_steps_of_any_type(self, steps):
+        rows = chsh.chsh_scan(1.0, 10.0, steps)
+        assert rows.shape == (3, 2)
+        np.testing.assert_array_equal(rows, chsh.chsh_scan(1.0, 10.0, 3))
+
     def test_csv_format(self):
         csv = chsh.scan_to_csv([(1.0, 2.0), (1.5, 2.25)])
         lines = csv.strip().split("\n")

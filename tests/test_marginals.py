@@ -417,8 +417,8 @@ class TestDualWitness:
         (depolarizing_channel(3, 0.4), mg.COMPATIBLE),
     ], ids=["identity-pair", "qutrit-depolarizing-0.35", "qutrit-depolarizing-0.4"])
     def test_certificates_on_a_real_block(self, monkeypatch, c, verdict):
-        # real targets: the imaginary rows are dropped from the solve, and the
-        # dual vector still covers every row, in group order, 0 on the dropped ones
+        # real targets: the imaginary rows are left out of the solve, and the
+        # dual vector still covers every row, in group order, 0 on the omitted ones
         dtypes = spy_dtypes(monkeypatch)
         rep = mg.channels_compatible(c, c)
         assert dtypes == [float] and rep.verdict == verdict
@@ -446,12 +446,53 @@ def rotated(groups, unitaries):
     return out
 
 
+class TestRealRows:
+    """Real targets reach the solver as their real rows only, in float64, and the
+    reported dual vector covers every basis row: the solver's duals on the
+    solved rows, in group order, and exact zeros on the omitted ones. Complex
+    targets pass every row."""
+
+    @pytest.mark.parametrize("decide, dtype, m, m_all", [
+        (lambda: mg.channels_compatible(*compat_preset("depolarizing-pair")), float, 17, 28),
+        (lambda: mg.bell_local(*bell_preset("w-state")), float, 29, 49),
+        (lambda: mg.channels_compatible(depolarizing_channel(3, 0.4), depolarizing_channel(3, 0.4)),
+         float, 84, 153),
+        (lambda: mg.channels_compatible(*(random_channel(2, 2, np.random.default_rng(3)),) * 2),
+         complex, 28, 28),
+    ], ids=["qubit-compat", "qubit-bell", "qutrit-compat", "qubit-compat-complex"])
+    def test_rows_reaching_the_solver(self, monkeypatch, decide, dtype, m, m_all):
+        solves, ipm = [], sdp._ipm
+        specs, target_rows = [], mg._target_rows
+
+        def spy(rows, **kwargs):
+            solves.append((rows, ipm(rows, **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(sdp, "_ipm", spy)
+        monkeypatch.setattr(mg, "_target_rows", lambda spec: specs.append(spec) or target_rows(spec))
+        rep = decide()
+        [(rows, solve)], [spec] = solves, specs
+        assert rows.dtype is dtype and rows.m == m
+        groups = target_rows(spec)
+        solved = [~g.coeffs.imag.any(axis=1) if dtype is float else np.ones(len(g.rhs), bool)
+                  for g in groups]
+        for c, g, kept in zip(rows.coeffs, groups, solved):
+            assert c.dtype == np.dtype(dtype) and np.array_equal(c, g.coeffs[kept])
+        assert np.array_equal(rows.rhs, np.concatenate([g.rhs[k] for g, k in zip(groups, solved)]))
+        solved = np.concatenate(solved)
+        assert rep.dual_certificate.shape == (m_all,) and solved.sum() == m
+        assert np.array_equal(rep.dual_certificate[solved], solve.dual_certificate)
+        assert not rep.dual_certificate[~solved].any()
+
+
 class TestConjugationSymmetry:
     """Conjugating every tensor factor by a unitary U_k keeps the optimal slack:
     with U the product of the U_k, <U B U^H, U X U^H> = <B, X>, so X -> U X U^H maps
     the feasible set onto the rotated program's and keeps its eigenvalues. A random
     complex U makes real rows complex, so each decision on real data, solved on
-    a real block, is checked against its rotation, solved on a complex one."""
+    a real block on its real rows, is checked against the rotation of every basis
+    row, imaginary rows and their right-hand sides included, solved on a complex
+    block."""
 
     CASES = {
         "qubit-depolarizing-below": lambda: mg.channels_compatible(
@@ -472,15 +513,19 @@ class TestConjugationSymmetry:
     @pytest.mark.parametrize("name", list(CASES))
     def test_rotation_keeps_verdict_and_slack(self, monkeypatch, name):
         calls, group_feasibility = [], sdp._group_feasibility
+        specs, target_rows = [], mg._target_rows
 
         def spy_groups(dims, groups, **kwargs):
             calls.append((dims, groups, kwargs))
             return group_feasibility(dims, groups, **kwargs)
 
         monkeypatch.setattr(mg, "_group_feasibility", spy_groups)
+        monkeypatch.setattr(mg, "_target_rows", lambda spec: specs.append(spec) or target_rows(spec))
         dtypes = spy_dtypes(monkeypatch)
         rep = self.CASES[name]()
-        [(dims, groups, kwargs)] = calls
+        [(dims, solved, kwargs)], [spec] = calls, specs
+        groups = target_rows(spec)
+        assert sum(len(g.rhs) for g in solved) < sum(len(g.rhs) for g in groups)
         rng = np.random.default_rng(17)
         unitaries = [random_unitary(d, rng) for d in dims]
         turned = sdp._group_feasibility(dims, rotated(groups, unitaries), **kwargs)
@@ -683,8 +728,10 @@ class TestEffectsCompatible:
             assert (rep.verdict == mg.COMPATIBLE) == expected
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            mg.effects_compatible(np.eye(2) / 2, np.eye(3) / 2)
+        # the error names the effects the caller passed, not the channels built from them
+        for f, g in ((np.eye(2) / 2, np.eye(3) / 2), (np.eye(3) / 2, np.eye(2) / 2)):
+            with pytest.raises(ValueError, match="effects have different dimensions"):
+                mg.effects_compatible(f, g)
 
     @staticmethod
     def assert_decomposes(f, g, G):

@@ -114,8 +114,8 @@ class TestSolve:
         assert (sol.verdict, sol.iterations) == (sdp.NUMERICAL_FAILURE, 0)
 
     def test_dependent_imaginary_rows_end_before_the_first_iteration(self, monkeypatch):
-        # imaginary rows with right-hand side 0 are dropped from a real block,
-        # and their own Gram pivots still find a dependence among them
+        # imaginary rows, even with right-hand side 0, are solved on a complex
+        # block, and the Gram pivots find a dependence among them
         dtypes = spy_dtypes(monkeypatch)
         for pins in ([(np.eye(2), 1.0), (SY, 0.0), (SY, 0.0)],
                      [(np.eye(2), 1.0), (SY, 0.0), (2 * SY, 0.0)]):
@@ -125,7 +125,7 @@ class TestSolve:
                 sdp.SdpError, match="linearly dependent: status dependent_rows after 0 iterations"
             ):
                 feasibility(2, pins)
-        assert dtypes == [float] * 4
+        assert dtypes == [complex] * 4
 
     @staticmethod
     def assert_numerical_failure(monkeypatch, capsys, corrupt):
@@ -487,19 +487,19 @@ class TestFeasibility:
 
 
 class TestPathSelection:
-    """A program is solved on a real block exactly when every row is real or
-    purely imaginary and every purely imaginary row has right-hand side 0."""
+    """A program is solved on a real block exactly when every coefficient has a
+    zero imaginary part, whatever the dtype of the array that holds it."""
 
     def test_real_data_takes_the_real_path(self, monkeypatch):
         dtypes = spy_dtypes(monkeypatch)
-        rows = sdp._Rows((2,), (whole_block([(np.eye(2), 1.0), (SX, 0.5), (SY, 0.0)]),))
-        assert rows.dtype is float and rows.m == 2
-        assert rows.kept_rows.tolist() == [True, True, False]
-        rep = feasibility(2, [(np.eye(2), 1.0), (SX, 0.5), (SY, 0.0)])
+        pins = [(np.eye(2), 1.0), (SX, 0.5), (SZ, 0.1)]  # complex-typed, real-valued
+        rows = sdp._Rows((2,), (whole_block(pins),))
+        assert rows.dtype is float and rows.m == 3
+        assert [c.dtype for c in rows.coeffs] == [np.float64]
+        rep = feasibility(2, pins)
         assert rep.verdict == sdp.FEASIBLE
         assert dtypes == [float]
-        # the dual vector covers every row, with an exact 0 on the dropped one
-        assert rep.dual_certificate.shape == (3,) and rep.dual_certificate[2] == 0.0
+        assert rep.dual_certificate.shape == (3,)
         assert rep.witness.dtype == complex and not rep.witness.imag.any()
 
     @pytest.mark.parametrize("pins, verdict", [
@@ -507,7 +507,9 @@ class TestPathSelection:
         ([(np.eye(2), 1.0), (SX + SY, 1.6)], sdp.INFEASIBLE),  # past its eigenvalue sqrt 2
         ([(np.eye(2), 1.0), (SY, 0.3), (SZ, 0.3)], sdp.FEASIBLE),  # imaginary, rhs not 0
         ([(np.eye(2), 1.0), (SY, 1.5)], sdp.INFEASIBLE),
-    ], ids=["mixed", "mixed-infeasible", "imaginary-rhs", "imaginary-rhs-infeasible"])
+        ([(np.eye(2), 1.0), (SY, 0.0), (SX, 0.3)], sdp.FEASIBLE),  # imaginary, rhs 0
+    ], ids=["mixed", "mixed-infeasible", "imaginary-rhs", "imaginary-rhs-infeasible",
+            "imaginary-rhs-zero"])
     def test_complex_rows_take_the_complex_path(self, monkeypatch, pins, verdict):
         dtypes = spy_dtypes(monkeypatch)
         assert feasibility(2, pins).verdict == verdict
@@ -515,7 +517,8 @@ class TestPathSelection:
 
     def test_imaginary_noise_in_a_target_takes_the_complex_path(self, monkeypatch):
         # 1e-17 of imaginary noise makes the imaginary rows' right-hand sides
-        # nonzero: the program is no longer conjugation invariant
+        # nonzero: the program is no longer conjugation invariant, so
+        # marginals passes every row and the solve runs on a complex block
         dtypes = spy_dtypes(monkeypatch)
         rho = np.diag([0.7, 0.3]).astype(complex)
         reports = []
@@ -535,9 +538,9 @@ def assert_weak_duality(rep):
 
 
 class TestHandBuiltComplexVerdicts:
-    """Hand-built Hermitian instances with known verdicts. Rows with real data
-    are solved on a real block; the (SY, 0.3) and (SY, 1.5) pins, imaginary
-    rows with a nonzero right-hand side, keep their cases on a complex one."""
+    """Hand-built Hermitian instances with known verdicts. Rows with real
+    coefficients are solved on a real block; the cases with an SY row are
+    solved on a complex one."""
 
     FEASIBLE_CASES = [
         [(np.eye(2), 1.0)],
