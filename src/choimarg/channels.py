@@ -97,8 +97,13 @@ class Channel:
     def _trusted(cls, in_dim: int, out_dims: tuple[int, ...], choi: np.ndarray) -> Channel:
         """A channel whose Choi matrix is CPTP by construction; runs no checks.
 
-        Only for Hermitian complex arrays that no caller can write to afterwards,
-        built from validated inputs (Kraus operators, tensor factors).
+        Only for complex arrays that no caller can write to afterwards, built
+        from validated inputs (Kraus operators, tensor factors). They are
+        Hermitian only to rounding, not exactly as ``Channel(...)``'s Hermitian
+        part is: max |C - C^H| is 5.6e-17 for a random qutrit unitary channel.
+        A consumer that needs an exactly Hermitian matrix takes (C + C^H)/2, as
+        the marginal decisions do; without it, complex qutrit compatibility
+        slacks move by up to 5e-9 and iteration counts by 1.
         """
         c = object.__new__(cls)
         choi.setflags(write=False)

@@ -158,9 +158,7 @@ def chsh_scan(theta_min: float, theta_max: float, steps: int) -> np.ndarray:
     """
     if not (0 <= theta_min < theta_max < np.inf):
         raise ValueError(f"invalid scan range [{theta_min}, {theta_max}]")
-    steps = check_dim(steps, "steps")
-    if steps < 2:
-        raise ValueError("need at least two grid points")
+    steps = check_dim(steps, "steps", minimum=2)
     u1, u2, _v1, _v2 = theta_family(theta_min)
     c11, c21 = unitary_channel(u1), unitary_channel(u2)
     rho, a = _validated(max_entangled(2), None, 4)

@@ -83,11 +83,11 @@ def check_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def check_dim(value: object, name: str = "dimension") -> int:
-    """A dimension: an integral number (not a bool) of at least 1, as an int."""
+def check_dim(value: object, name: str = "dimension", minimum: int = 1) -> int:
+    """A dimension: an integral number (not a bool) of at least ``minimum``, as an int."""
     integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral or value < 1:
-        raise ValueError(f"{name} {value!r} is not an integer of at least 1")
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ValueError(f"{name} {value!r} is not an integer of at least {minimum}")
     return int(value)
 
 

@@ -34,6 +34,11 @@ vector covers every basis row in group order, with exact zeros on the
 omitted rows, which are the duals a complex solve gives them on such data.
 Any other target passes every row, and the solve runs on a complex block.
 
+What a solve takes from the dims, the kept sets and the choice of a real
+solve alone is built once per shape (:func:`_solver_rows`); a decision
+computes only the right-hand sides. Specs built from validated channels and
+states skip the checks of ``MarginalSpec(...)``; user specs get them all.
+
 A witness is rescaled to the exact normalization (a joint channel is also
 projected onto exact trace preservation) and validated once, after that.
 
@@ -48,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,7 +69,7 @@ from .linalg import (
     kron,
     partial_trace,
 )
-from .sdp import BAND, FEASIBLE, INFEASIBLE, Report, RowGroup, _group_feasibility
+from .sdp import BAND, FEASIBLE, INFEASIBLE, Report, RowGroup, _group_feasibility, _Operator, _Rows
 
 __all__ = [
     "MarginalSpec",
@@ -146,6 +151,36 @@ class MarginalSpec:
         object.__setattr__(self, "targets", tuple(cleaned))
         object.__setattr__(self, "normalization", float(norm))
 
+    @classmethod
+    def _trusted(
+        cls,
+        dims: tuple[int, ...],
+        targets: tuple[tuple[tuple[int, ...], np.ndarray], ...],
+        normalization: float,
+    ) -> MarginalSpec:
+        """A spec whose targets are the marginals of validated channels and
+        states; skips the checks of ``MarginalSpec(...)``.
+
+        Only for int dims, ascending kept sets and complex targets of matching
+        shapes whose traces and shared marginals agree by construction, to
+        the trace-preservation tolerance of the channels they come from:
+        :func:`_row_layout` keeps a row that two targets share only in the
+        first of them. Each target is replaced by its read-only Hermitian part
+        (t + t^H)/2, as the checks would: Choi matrices of
+        :func:`~choimarg.channels.choi_from_kraus` and
+        :func:`~choimarg.channels.tensor` are Hermitian only to rounding.
+        """
+        spec = object.__new__(cls)
+        hermitian = []
+        for kept, target in targets:
+            target = (target + target.conj().T) / 2
+            target.setflags(write=False)
+            hermitian.append((kept, target))
+        object.__setattr__(spec, "dims", dims)
+        object.__setattr__(spec, "targets", tuple(hermitian))
+        object.__setattr__(spec, "normalization", float(normalization))
+        return spec
+
 
 def _reduced(
     dims: tuple[int, ...], kept: tuple[int, ...], target: np.ndarray, shared: set[int]
@@ -200,6 +235,47 @@ def _target_rows(spec: MarginalSpec) -> list[RowGroup]:
     ]
 
 
+@lru_cache(maxsize=64)
+def _real_rows(
+    dims: tuple[int, ...], kept_sets: tuple[tuple[int, ...], ...]
+) -> tuple[np.ndarray, ...]:
+    """Per target, the read-only mask of its fresh rows that are real (B_p real
+    symmetric); the others are purely imaginary."""
+    masks = tuple(~coeffs.imag.any(axis=1) for coeffs in _row_layout(dims, kept_sets))
+    for mask in masks:
+        mask.setflags(write=False)
+    return masks
+
+
+class _Solver(NamedTuple):
+    """What the solve of a decision takes from its shape alone: the
+    :class:`~choimarg.sdp._Operator` of the rows that reach the solver and
+    their positions among all basis rows, where the dual vector scatters."""
+
+    operator: _Operator
+    index: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _solver_rows(
+    dims: tuple[int, ...], kept_sets: tuple[tuple[int, ...], ...], real: bool
+) -> _Solver:
+    """The solver side of every decision on the same dims and kept sets: only
+    the real rows, in float64, when real, else every row. Built at the first
+    such decision and shared, read-only, by the later ones."""
+    coeffs = layout = _row_layout(dims, kept_sets)
+    index = np.arange(sum(len(c) for c in layout))
+    if real:
+        masks = _real_rows(dims, kept_sets)
+        coeffs = tuple(c.real[mask] for c, mask in zip(layout, masks))
+        for c in coeffs:
+            c.setflags(write=False)
+        index = index[np.concatenate(masks)]
+    index.setflags(write=False)
+    groups = [(tuple(k - 1 for k in kept), c) for kept, c in zip(kept_sets, coeffs)]
+    return _Solver(_Operator(dims, groups), index)
+
+
 def _exact_trace(spec: MarginalSpec, x: np.ndarray) -> np.ndarray:
     """The finishing map of a spec's witness: rescaled to the exact required
     trace (preserves positivity, moves the marginal residuals by a relative
@@ -219,19 +295,23 @@ def _decide(
     (default: rescaled to the exact trace) and its dual vector on every basis row.
 
     Rows that a real solve meets exactly are left out of it (see the module
-    docstring) and get an exact 0 in the dual vector.
+    docstring) and get an exact 0 in the dual vector. Everything but the
+    right-hand sides comes from :func:`_solver_rows`, once per shape.
     """
     groups = _target_rows(spec)
-    real = [~g.coeffs.imag.any(axis=1) for g in groups]
-    if any(g.rhs[~r].any() for g, r in zip(groups, real)):
-        real = [np.ones_like(r) for r in real]
-    else:
-        groups = [RowGroup(g.kept, g.coeffs.real[r], g.rhs[r]) for g, r in zip(groups, real)]
+    kept_sets = tuple(kept for kept, _ in spec.targets)
+    masks = _real_rows(spec.dims, kept_sets)
+    real = not any(g.rhs[~mask].any() for g, mask in zip(groups, masks))
+    solver = _solver_rows(spec.dims, kept_sets, real)
+    rhs = np.concatenate([g.rhs[mask] if real else g.rhs for g, mask in zip(groups, masks)])
     report = _group_feasibility(
-        spec.dims, groups, words=words, eps=eps, finish=finish or partial(_exact_trace, spec)
+        _Rows(solver.operator, rhs),
+        words=words,
+        eps=eps,
+        finish=finish or partial(_exact_trace, spec),
     )
-    dual = np.zeros(sum(len(r) for r in real))
-    dual[np.concatenate(real)] = report.dual_certificate
+    dual = np.zeros(sum(len(g.rhs) for g in groups))
+    dual[solver.index] = report.dual_certificate
     return replace(report, dual_certificate=dual)
 
 
@@ -267,11 +347,7 @@ def _compat_spec(c1: Channel, c2: Channel) -> MarginalSpec:
     if c1.in_dim != c2.in_dim:
         raise ValueError(f"channels have different input dimensions {c1.in_dim} != {c2.in_dim}")
     d1, d2, din = c1.out_dim, c2.out_dim, c1.in_dim
-    return MarginalSpec(
-        dims=(d1, d2, din),
-        targets=(((1, 3), c1.choi), ((2, 3), c2.choi)),
-        normalization=float(din),
-    )
+    return MarginalSpec._trusted((d1, d2, din), (((1, 3), c1.choi), ((2, 3), c2.choi)), din)
 
 
 def _dual_per_target(spec: MarginalSpec, report: Report) -> list[np.ndarray]:
@@ -339,11 +415,7 @@ def state_steerable(
     ident = identity_channel(d_c)
     t1 = _apply(tensor(ident, c1), rho)
     t2 = _apply(tensor(ident, c2), rho)
-    spec = MarginalSpec(
-        dims=(d_c, c1.out_dim, c2.out_dim),
-        targets=(((1, 2), t1), ((1, 3), t2)),
-        normalization=1.0,
-    )
+    spec = MarginalSpec._trusted((d_c, c1.out_dim, c2.out_dim), (((1, 2), t1), ((1, 3), t2)), 1.0)
     return _decide(spec, ("unsteerable", "steerable"), eps)
 
 
@@ -376,10 +448,8 @@ def bell_local(
         ((2, 3), _apply(tensor(c21, c12), rho)),
         ((2, 4), _apply(tensor(c21, c22), rho)),
     )
-    spec = MarginalSpec(
-        dims=(c11.out_dim, c21.out_dim, c12.out_dim, c22.out_dim),
-        targets=targets,
-        normalization=1.0,
+    spec = MarginalSpec._trusted(
+        (c11.out_dim, c21.out_dim, c12.out_dim, c22.out_dim), targets, 1.0
     )
     return _decide(spec, ("local", "nonlocal"), eps)
 

@@ -18,8 +18,8 @@ solve (iterations, gap, residuals, dual objective). Callers pass linearly
 independent rows that fix the trace; the rows of :mod:`choimarg.marginals`
 are independent by construction, so nothing here prunes or probes them.
 Dependent rows, which every inconsistent system has, show as a collapsed
-pivot when the rows' Gram matrix is factored, once per solve, and end the
-solve before its first iteration with status dependent_rows.
+pivot when the rows' Gram matrix is factored, and end the solve before its
+first iteration with status dependent_rows.
 
 The one tolerance a caller sets is ``eps`` (default :data:`BAND`), the
 half-width of the marginal band around zero slack; it must be finite and
@@ -66,7 +66,7 @@ threshold takes 6 iterations; a qutrit pair takes 5-6 (depolarizing), 7
 Real data. When every coefficient a caller passes has a zero imaginary part
 (every B_p real symmetric), X -> conj(X) maps the feasible set onto itself
 and keeps the smallest eigenvalue, so Re X is optimal whenever X is:
-:class:`_Rows` holds the coefficients in float64 and the solve runs on a
+:class:`_Operator` holds the coefficients in float64 and the solve runs on a
 real symmetric block, the symmetry reduction of an SDP (Gatermann and
 Parrilo 2004). Any nonzero imaginary coefficient keeps the complex
 Hermitian block. The choice is made from the input alone.
@@ -79,7 +79,7 @@ to each group's partial trace Tr_R X and A*(y) the sum of the lifts of
 y_g P, both through one flat gather (scatter) index per group. The HKM
 Schur block of groups s and t is Re P_s T_st P_t^T, where T_st contracts
 Z^-1 and X over the factors outside K_s and K_t in one GEMM (see
-:meth:`_Rows.schur`). A pair costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) +
+:meth:`_Operator.schur`). A pair costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) +
 m_s m_t d_Kt^2) instead of the O(m n^3 + m^2 n^2) of dense rows on a block
 of dimension n. At one BLAS thread on a 2-vCPU Xeon guest an iteration
 takes ~0.26 ms on a real qubit compatibility decision (m = 17, n = 8),
@@ -89,9 +89,18 @@ qutrit compatibility one (m = 84, n = 27), ~1.4 ms on a complex one
 ``default_rng(11)`` (m = 289, n = 81), the O(m^3) Cholesky factorization of
 S included. The corrector step is projected onto the
 primal equations with the rows' Gram matrix (the kernel at Z^-1 = X = 1),
-factored once per solve, so rounding in the Schur solve cannot leave a
-primal residual that the path no longer reduces; the predictor, along which
-no step is taken, is not.
+so rounding in the Schur solve cannot leave a primal residual that the path
+no longer reduces; the predictor, along which no step is taken, is not.
+
+Per-shape costs are paid once. An :class:`_Operator` holds everything the
+coefficients fix: the gather indices, the coefficients in the solve's
+dtype, the free coefficients a and the Gram factor with its dependent-row
+result. A :class:`_Rows` is an operator and one problem's right-hand sides
+b. :mod:`choimarg.marginals` keeps one operator per (dims, kept sets, real
+or complex) in a bounded cache (64 shapes, as for its row layout), so a
+decision on a shape seen before supplies only b. Sharing is safe: every
+array an operator holds is read-only, and the cache keys are dimensions and
+factor indices, never object identities.
 """
 
 from __future__ import annotations
@@ -211,7 +220,7 @@ class _Part(NamedTuple):
 
 
 class _Pair(NamedTuple):
-    """Flat gather indices of the Schur block of parts i <= j (see :meth:`_Rows.schur`)."""
+    """Flat gather indices of the Schur block of parts i <= j (see :meth:`_Operator.schur`)."""
 
     i: int
     j: int
@@ -220,7 +229,7 @@ class _Pair(NamedTuple):
     t: np.ndarray
 
 
-def _frozen_index(a: np.ndarray) -> np.ndarray:
+def _read_only(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
@@ -247,7 +256,7 @@ def _structure(
             full.append(index.transpose(kept + rest).reshape(d_kept, d_rest))
             take = full[-1].T[:, :, None] * n + full[-1].T[:, None, :]
             parts.append(_Part(
-                slice(start, start + m_g), _frozen_index(take.reshape(d_rest, -1)), d_kept, d_rest
+                slice(start, start + m_g), _read_only(take.reshape(d_rest, -1)), d_kept, d_rest
             ))
         start += m_g
     pairs = []
@@ -262,30 +271,40 @@ def _structure(
         x = ft.T[None, :, :, None] * n + fs.T[:, None, None, :]
         t = np.arange(ks * kt * kt * ks).reshape(ks, kt, kt, ks).transpose(3, 0, 1, 2)
         pairs.append(_Pair(
-            i, j, _frozen_index(zinv.reshape(ks * kt, rs * rt)),
-            _frozen_index(x.reshape(rs * rt, kt * ks)), _frozen_index(t.reshape(ks * ks, kt * kt)),
+            i, j, _read_only(zinv.reshape(ks * kt, rs * rt)),
+            _read_only(x.reshape(rs * rt, kt * ks)), _read_only(t.reshape(ks * ks, kt * kt)),
         ))
     return start, tuple(parts), tuple(pairs)
 
 
-class _Rows:
-    """The equality operator of a problem, applied through its row groups.
+class _Operator:
+    """The equality operator A of row groups and what a solve derives from A alone.
 
-    When every coefficient has a zero imaginary part, the coefficients are held
-    in float64 and dtype is float: the solve runs on a real symmetric block
-    (see the module docstring). Otherwise dtype is complex.
+    groups are (kept, coeffs) pairs, as in :class:`RowGroup` without the
+    right-hand sides. When every coefficient has a zero imaginary part, the
+    coefficients are held in float64 and dtype is float: the solve runs on a
+    real symmetric block (see the module docstring). Otherwise dtype is
+    complex. free holds the free coefficients a; gram is the Cholesky factor
+    of the rows' Gram matrix, and gram_status is None, numerical_failure when
+    it has no factor (every row is zero) or dependent_rows when a pivot
+    collapses. free and gram are read-only; an operator shared between solves
+    (:mod:`choimarg.marginals` keeps one per shape) is given read-only
+    coefficients too.
     """
 
-    def __init__(self, dims: Sequence[int], groups: Sequence[RowGroup]):
+    def __init__(self, dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]):
         dims = tuple(int(d) for d in dims)
-        layout = tuple((len(g.rhs), tuple(int(k) for k in g.kept)) for g in groups)
+        layout = tuple((len(c), tuple(int(k) for k in kept)) for kept, c in groups)
         self.m, self.parts, self.pairs = _structure(dims, layout)
         self.n = prod(dims)
-        coeffs = [np.asarray(g.coeffs) for g in groups if len(g.rhs)]
+        coeffs = [np.asarray(c) for _, c in groups if len(c)]
         real = not any(np.iscomplexobj(c) and c.imag.any() for c in coeffs)
         self.dtype: type = float if real else complex
-        self.coeffs = [np.ascontiguousarray(c.real if real else c, dtype=self.dtype) for c in coeffs]
-        self.rhs = np.concatenate([np.asarray(g.rhs, dtype=float) for g in groups])
+        self.coeffs = tuple(
+            np.ascontiguousarray(c.real if real else c, dtype=self.dtype) for c in coeffs
+        )
+        self.free = _read_only(self.free_coeffs())
+        self.gram, self.gram_status = self._gram_factor()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """A(X): each group's coefficients of its partial trace."""
@@ -339,6 +358,41 @@ class _Rows:
                 schur[t.rows, s.rows] = block.T
         return schur
 
+    def _gram_factor(self) -> tuple[np.ndarray | None, str | None]:
+        """The Cholesky factor of the rows' Gram matrix (the Schur complement at
+        Z^-1 = X = 1) with their free-scalar coefficients, regularised as a
+        Schur complement is, and its gram_status."""
+        eye = np.eye(self.n, dtype=self.dtype)
+        gram = self.schur(eye, eye) + np.outer(self.free, self.free)
+        if not np.isfinite(gram).all():
+            raise ValueError("array must not contain infs or NaNs")
+        trace = np.trace(gram)
+        gram.flat[:: self.m + 1] += 1e-14 * trace / self.m
+        try:
+            factor = _cholesky(gram)
+        except np.linalg.LinAlgError:
+            # every row is zero: there are no equations to iterate on
+            return None, NUMERICAL_FAILURE
+        factor.setflags(write=False)
+        # a collapsed pivot means a row lies in the span of the rows before
+        # it: the system is dependent, and inconsistent unless the right-hand
+        # sides happen to agree
+        if float(np.min(np.diagonal(factor))) ** 2 <= DEPENDENT_PIVOT * trace / self.m:
+            return factor, DEPENDENT_ROWS
+        return factor, None
+
+
+class _Rows:
+    """The rows of one problem: the operator A of its row groups, which may be
+    shared by every problem of their shape, and the right-hand sides b, in
+    group order."""
+
+    def __init__(self, op: _Operator, rhs: np.ndarray):
+        if len(rhs) != op.m:
+            raise ValueError(f"{len(rhs)} right-hand sides for {op.m} rows")
+        self.op = op
+        self.rhs = np.asarray(rhs, dtype=float)
+
     def holds(self, x: np.ndarray) -> bool:
         """Every row holds to WITNESS_RESIDUAL and X is PSD to -WITNESS_PSD.
 
@@ -346,11 +400,11 @@ class _Rows:
         purely imaginary rows of a program invariant under X -> conj(X) (as
         :mod:`choimarg.marginals` does) relies on this for those rows to hold.
         """
-        if self.dtype is float:
+        if self.op.dtype is float:
             if x.imag.any():
                 return False
             x = x.real
-        if float(np.max(np.abs(self(x) - self.rhs))) > WITNESS_RESIDUAL:
+        if float(np.max(np.abs(self.op(x) - self.rhs))) > WITNESS_RESIDUAL:
             return False
         return float(np.linalg.eigvalsh(x)[0]) >= -WITNESS_PSD
 
@@ -447,7 +501,7 @@ def _advance(
 
 
 def _newton(
-    rows: _Rows,
+    op: _Operator,
     a_free: np.ndarray,
     cho: np.ndarray,
     w: np.ndarray,
@@ -463,10 +517,10 @@ def _newton(
     and w = S^-1 a; residuals are (r_p, r_d, r_f).
     """
     r_p, r_d, r_f = residuals
-    u = _cho_solve(cho, rows(core) - r_p)
+    u = _cho_solve(cho, op(core) - r_p)
     dt = (r_f - float(a_free @ u)) / float(a_free @ w)
     dy = u + dt * w
-    lifted = rows.adjoint(dy)
+    lifted = op.adjoint(dy)
     return core - _herm(zinv @ lifted @ x), dy, lifted - r_d, dt
 
 
@@ -484,12 +538,10 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
     dependent_rows; a non-finite mu, Schur matrix or step length ends it with
     numerical_failure.
     """
-    n = rows.n
-    m = rows.m
-    b = rows.rhs
-    a_free = rows.free_coeffs()
+    op, b = rows.op, rows.rhs
+    n, m, a_free = op.n, op.m, op.free
     b_scale = 1.0 + sqrt(float(b @ b))
-    eye = np.eye(n, dtype=rows.dtype)
+    eye = np.eye(n, dtype=op.dtype)
 
     # start at the multiple of the identity that best fits the rows, s* = a.b / a.a
     # (N/n for a marginal spec of trace N); all-zero rows fail below
@@ -506,28 +558,15 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
     it = 0
     pinf = dinf = relgap = np.inf
     dual = 0.0
-    r_p = b - rows(x)
-    r_d = z - rows.adjoint(y)
+    r_p = b - op(x)
+    r_d = z - op.adjoint(y)
     r_f = 1.0
 
-    # Gram matrix of the rows with their free-scalar coefficients, regularised
-    # as the Schur complement is: it projects each step onto the primal equations
-    gram = rows.schur(eye, eye) + np.outer(a_free, a_free)
-    if not np.isfinite(gram).all():
-        raise ValueError("array must not contain infs or NaNs")
-    trace = np.trace(gram)
-    gram.flat[:: m + 1] += 1e-14 * trace / m
-    try:
-        gram_cho = _cholesky(gram)
-    except np.linalg.LinAlgError:
-        # every row is zero: there are no equations to iterate on
-        max_iterations, status = 0, NUMERICAL_FAILURE
-    else:
-        # a collapsed pivot means a row lies in the span of the rows before
-        # it: the system is dependent, and inconsistent unless the right-hand
-        # sides happen to agree
-        if float(np.min(np.diagonal(gram_cho))) ** 2 <= DEPENDENT_PIVOT * trace / m:
-            max_iterations, status = 0, DEPENDENT_ROWS
+    # the Gram factor projects each step onto the primal equations; without
+    # one, or with a collapsed pivot, there is nothing to iterate on
+    gram_cho = op.gram
+    if op.gram_status is not None:
+        max_iterations, status = 0, op.gram_status
 
     for it in range(1, max_iterations + 1):
         residuals = (r_p, r_d, r_f)
@@ -536,7 +575,7 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
             lzinv, lxinv = _inverse_factor(lz), _inverse_factor(lx)
             zinv = lzinv.conj().T @ lzinv
             mu = np.vdot(z, x).real / n
-            schur = rows.schur(zinv, x)
+            schur = op.schur(zinv, x)
             if not (0.0 < mu < np.inf and np.isfinite(schur).all()):
                 raise np.linalg.LinAlgError("mu or the Schur complement is not finite")
             schur.flat[:: m + 1] += 1e-14 * np.trace(schur) / m
@@ -548,7 +587,7 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
             # predictor: the affine direction (target 0) sets the centering and
             # the second-order term; it is not projected, as no step is taken
             base = _herm(zinv @ r_d @ x) - x
-            dx_aff, _, dz_aff, _ = _newton(rows, a_free, cho, w, zinv, x, base, residuals)
+            dx_aff, _, dz_aff, _ = _newton(op, a_free, cho, w, zinv, x, base, residuals)
             alpha_p = min(1.0, _step_to_boundary(lxinv, dx_aff))
             alpha_d = min(1.0, _step_to_boundary(lzinv, dz_aff))
             mu_aff = np.vdot(z + alpha_d * dz_aff, x + alpha_p * dx_aff).real / n
@@ -559,9 +598,9 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
 
             # corrector: centering sigma*mu and the second-order term
             core = base + sigma * mu * zinv - _herm(zinv @ dz_aff @ dx_aff)
-            dx, dy, dz, dt = _newton(rows, a_free, cho, w, zinv, x, core, residuals)
-            correction = _cho_solve(gram_cho, r_p - rows(dx) - a_free * dt)
-            dx = dx + rows.adjoint(correction)
+            dx, dy, dz, dt = _newton(op, a_free, cho, w, zinv, x, core, residuals)
+            correction = _cho_solve(gram_cho, r_p - op(dx) - a_free * dt)
+            dx = dx + op.adjoint(correction)
             dt += float(a_free @ correction)
 
             alpha_p = min(1.0, gamma * _step_to_boundary(lxinv, dx))
@@ -576,8 +615,8 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
         t = t + alpha_p * dt
 
         dual = float(b @ y)
-        r_p = b - rows(x) - a_free * t
-        r_d = z - rows.adjoint(y)
+        r_p = b - op(x) - a_free * t
+        r_d = z - op.adjoint(y)
         r_f = 1.0 - float(a_free @ y)
         pinf = sqrt(float(r_p @ r_p)) / b_scale
         dinf = max(float(np.max(np.abs(r_d))), abs(r_f))
@@ -612,20 +651,17 @@ def _clip_psd(x: np.ndarray) -> np.ndarray:
 
 
 def _group_feasibility(
-    dims: Sequence[int],
-    groups: Sequence[RowGroup],
+    rows: _Rows,
     *,
     words: tuple[str, str],
     eps: float = BAND,
     finish: Callable[[np.ndarray], np.ndarray] = lambda x: x,
     max_iterations: int = 200,
 ) -> Report:
-    """Decide existence of a PSD operator satisfying row groups.
+    """Decide existence of a PSD operator satisfying the rows of row groups.
 
-    dims are the operator's tensor factor dimensions, which the groups' kept
-    sets index. words are the question's verdicts for a feasible and an
-    infeasible program. The dual certificate is indexed by the rows in group
-    order.
+    words are the question's verdicts for a feasible and an infeasible
+    program. The dual certificate is indexed by the rows in group order.
 
     Unless t <= -eps, the witness X = Y + t*1 (eigenvalue-clipped when
     |t| < eps) goes through finish, the caller's last change to it, and is
@@ -641,7 +677,6 @@ def _group_feasibility(
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and strictly positive, got {eps!r}")
-    rows = _Rows(dims, groups)
     solve = _ipm(rows, gap_tol=min(GAP_TOL, eps / 10.0), max_iterations=max_iterations)
     if solve.verdict != OPTIMAL:
         reason = (
@@ -659,7 +694,7 @@ def _group_feasibility(
     t_hat = solve.slack
     if t_hat <= -eps:
         return replace(solve, verdict=infeasible, witness=None)
-    x = solve.witness + t_hat * np.eye(rows.n)
+    x = solve.witness + t_hat * np.eye(rows.op.n)
     x = finish(np.asarray(x if t_hat >= eps else _clip_psd(x), dtype=complex))
     if rows.holds(x):
         return replace(solve, verdict=feasible, witness=x)

@@ -32,8 +32,18 @@ def spy_dtypes(monkeypatch):
     dtypes, ipm = [], sdp._ipm
 
     def spy(rows, **kwargs):
-        dtypes.append(rows.dtype)
+        dtypes.append(rows.op.dtype)
         return ipm(rows, **kwargs)
 
     monkeypatch.setattr(sdp, "_ipm", spy)
     return dtypes
+
+
+def operator_of(dims, groups):
+    """The equality operator of row groups, built for them alone."""
+    return sdp._Operator(dims, [(g.kept, g.coeffs) for g in groups])
+
+
+def rows_of(dims, groups):
+    """The rows of row groups: their own operator and their right-hand sides."""
+    return sdp._Rows(operator_of(dims, groups), np.concatenate([g.rhs for g in groups]))

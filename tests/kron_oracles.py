@@ -1,6 +1,6 @@
 """Kronecker-product oracles for the structured row operators.
 
-The package applies a row group's lifts through index maps (``sdp._Rows``);
+The package applies a row group's lifts through index maps (``sdp._Operator``);
 these build the same operators densely from ``np.kron`` and a transpose of
 tensor factors, so tests can check one against the other.
 """

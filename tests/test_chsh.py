@@ -198,6 +198,12 @@ class TestScan:
         with pytest.raises(ValueError, match="steps"):
             chsh.chsh_scan(1.0, 10.0, steps)
 
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_fewer_than_two_steps(self, steps):
+        # one message for every count below the minimum of 2
+        with pytest.raises(ValueError, match=f"^steps {steps} is not an integer of at least 2$"):
+            chsh.chsh_scan(1.0, 10.0, steps)
+
     @pytest.mark.parametrize("steps", [np.int64(3), 3.0])
     def test_integral_steps_of_any_type(self, steps):
         rows = chsh.chsh_scan(1.0, 10.0, steps)

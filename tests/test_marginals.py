@@ -27,7 +27,7 @@ from choimarg.sampling import (
     random_unitary,
 )
 from choimarg.sdp import FEASIBLE, MARGINAL
-from conftest import HADAMARD, SX, SZ, depolarize, spy_dtypes
+from conftest import HADAMARD, SX, SZ, depolarize, rows_of, spy_dtypes
 from kron_oracles import embed
 
 
@@ -472,17 +472,115 @@ class TestRealRows:
         monkeypatch.setattr(mg, "_target_rows", lambda spec: specs.append(spec) or target_rows(spec))
         rep = decide()
         [(rows, solve)], [spec] = solves, specs
-        assert rows.dtype is dtype and rows.m == m
+        assert rows.op.dtype is dtype and rows.op.m == m
         groups = target_rows(spec)
         solved = [~g.coeffs.imag.any(axis=1) if dtype is float else np.ones(len(g.rhs), bool)
                   for g in groups]
-        for c, g, kept in zip(rows.coeffs, groups, solved):
+        for c, g, kept in zip(rows.op.coeffs, groups, solved):
             assert c.dtype == np.dtype(dtype) and np.array_equal(c, g.coeffs[kept])
         assert np.array_equal(rows.rhs, np.concatenate([g.rhs[k] for g, k in zip(groups, solved)]))
         solved = np.concatenate(solved)
         assert rep.dual_certificate.shape == (m_all,) and solved.sum() == m
         assert np.array_equal(rep.dual_certificate[solved], solve.dual_certificate)
         assert not rep.dual_certificate[~solved].any()
+
+
+def clear_shape_caches():
+    for cache in (mg._solver_rows, mg._real_rows, mg._row_layout, sdp._structure):
+        cache.cache_clear()
+
+
+def report_fields(rep):
+    """Every field of a report as exact bytes: arrays with their dtype and shape."""
+    def exact(v):
+        if isinstance(v, np.ndarray):
+            return v.dtype.str, v.shape, v.tobytes()
+        if isinstance(v, tuple):
+            return tuple(exact(a) for a in v)
+        return v.hex() if isinstance(v, float) else v
+
+    fields = ["verdict", "slack", "witness", "dual_certificate", "iterations", "gap",
+              "primal_residual", "dual_residual", "dual_objective"]
+    if isinstance(rep, mg.CompatReport):
+        fields += ["dual_witness", "dual_value"]
+    return {f: exact(getattr(rep, f)) for f in fields}
+
+
+def bell_rng11():
+    rng = np.random.default_rng(11)
+    rho = random_separable(3, 3, rng)
+    return mg.bell_local(rho, *(random_channel(3, 3, rng, kraus_rank=2) for _ in range(4)))
+
+
+class TestShapeCaches:
+    """What only the shape of a decision fixes (its solver rows, their operator
+    and Gram factor) is built once and shared read-only; results do not depend
+    on whether it was built by the call or before it."""
+
+    DECISIONS = {
+        "qutrit-compat-real": lambda: mg.channels_compatible(
+            depolarizing_channel(3, 0.36), depolarizing_channel(3, 0.36)),
+        "qutrit-compat-complex": lambda: mg.channels_compatible(
+            *(random_channel(3, 3, np.random.default_rng(5), kraus_rank=2) for _ in range(2))),
+        "qubit-steer": lambda: mg.state_steerable(*steer_preset("w-state")),
+        "qubit-bell": lambda: mg.bell_local(*bell_preset("max-entangled")),
+        "qutrit-bell-rng11": bell_rng11,
+    }
+
+    @pytest.mark.parametrize("name", list(DECISIONS))
+    def test_cold_and_warm_caches_give_identical_reports(self, name):
+        # shapes A and B cold, then both again on a warm cache
+        decide = self.DECISIONS[name]
+
+        def other():
+            return mg.effects_compatible(smeared(SX, 0.5), smeared(SZ, 0.5))
+
+        clear_shape_caches()
+        cold = report_fields(decide()), report_fields(other())
+        warm = report_fields(decide()), report_fields(other())
+        assert warm == cold
+
+    def test_cached_arrays_reject_writes(self, monkeypatch):
+        clear_shape_caches()
+        solvers, solver_rows = [], mg._solver_rows
+
+        def record(*key):
+            solvers.append((key, solver_rows(*key)))
+            return solvers[-1][1]
+
+        monkeypatch.setattr(mg, "_solver_rows", record)
+        for decide in self.DECISIONS.values():
+            decide()
+        assert {s.operator.dtype for _, s in solvers} == {float, complex}
+        for key, solver in solvers:
+            op = solver.operator
+            arrays = [solver.index, *op.coeffs, op.free, op.gram]
+            arrays += [*mg._real_rows(*key[:2]), *mg._row_layout(*key[:2])]
+            arrays += [part.take for part in op.parts]
+            arrays += [a for pair in op.pairs for a in (pair.zinv, pair.x, pair.t)]
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0
+
+    def test_a_cached_shape_builds_no_gram_matrix(self, monkeypatch):
+        dep = depolarizing_channel(2, 0.4)
+        clear_shape_caches()
+        built, schur = [], sdp._Operator.schur
+
+        def counted(self, zinv, x):
+            built.append(None)
+            return schur(self, zinv, x)
+
+        monkeypatch.setattr(sdp._Operator, "schur", counted)
+        first = mg.channels_compatible(dep, dep)
+        # cold: the Gram matrix of the shape's operator, then one Schur matrix per iteration
+        assert len(built) == 1 + first.iterations
+        built.clear()
+        dep = depolarizing_channel(2, 0.35)
+        second = mg.channels_compatible(dep, dep)
+        assert len(built) == second.iterations
+        assert mg._solver_rows.cache_info().misses == 1
 
 
 class TestConjugationSymmetry:
@@ -515,26 +613,36 @@ class TestConjugationSymmetry:
         calls, group_feasibility = [], sdp._group_feasibility
         specs, target_rows = [], mg._target_rows
 
-        def spy_groups(dims, groups, **kwargs):
-            calls.append((dims, groups, kwargs))
-            return group_feasibility(dims, groups, **kwargs)
+        def spy_groups(rows, **kwargs):
+            calls.append((rows, kwargs))
+            return group_feasibility(rows, **kwargs)
 
         monkeypatch.setattr(mg, "_group_feasibility", spy_groups)
         monkeypatch.setattr(mg, "_target_rows", lambda spec: specs.append(spec) or target_rows(spec))
         dtypes = spy_dtypes(monkeypatch)
         rep = self.CASES[name]()
-        [(dims, solved, kwargs)], [spec] = calls, specs
-        groups = target_rows(spec)
-        assert sum(len(g.rhs) for g in solved) < sum(len(g.rhs) for g in groups)
+        [(solved, kwargs)], [spec] = calls, specs
+        dims, groups = spec.dims, target_rows(spec)
+        assert len(solved.rhs) < sum(len(g.rhs) for g in groups)
         rng = np.random.default_rng(17)
         unitaries = [random_unitary(d, rng) for d in dims]
-        turned = sdp._group_feasibility(dims, rotated(groups, unitaries), **kwargs)
+        turned = sdp._group_feasibility(rows_of(dims, rotated(groups, unitaries)), **kwargs)
         assert dtypes == [float, complex]
         assert turned.verdict == rep.verdict
         assert abs(turned.slack - rep.slack) <= 1e-7
 
 
 class TestSteering:
+    def test_inputs_at_their_tolerances_are_decided(self):
+        # a state and a channel each inside its own trace tolerance give targets
+        # whose trace drifts by the sum; the decisions used to reject these valid
+        # inputs as "inconsistent target traces"
+        rho = max_entangled(2) * (1 + 0.9e-9)
+        ident = identity_channel(2)
+        c = Channel(in_dim=2, out_dims=(2,), choi=np.asarray(ident.choi) * (1 + 0.9e-9))
+        assert mg.state_steerable(rho, c, c).verdict == "steerable"
+        assert mg.bell_local(rho, c, c, c, c).verdict == "nonlocal"
+
     def test_separable_not_steerable(self):
         rep = mg.state_steerable(np.eye(4) / 4, identity_channel(2), identity_channel(2))
         assert rep.verdict == "unsteerable"

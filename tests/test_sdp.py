@@ -15,7 +15,7 @@ from choimarg import marginals as mg
 from choimarg.channels import depolarizing_channel, identity_channel
 from choimarg.marginals import MarginalSpec
 from choimarg.sampling import random_channel
-from conftest import SX, SY, SZ, random_hermitian, spy_dtypes
+from conftest import SX, SY, SZ, operator_of, random_hermitian, rows_of, spy_dtypes
 from kron_oracles import embed
 
 
@@ -27,13 +27,15 @@ def whole_block(pins):
 
 def feasibility(d, pins):
     """Feasibility of one d x d Hermitian PSD variable under the given pins."""
-    return sdp._group_feasibility((d,), (whole_block(pins),), words=(sdp.FEASIBLE, sdp.INFEASIBLE))
+    return sdp._group_feasibility(
+        rows_of((d,), (whole_block(pins),)), words=(sdp.FEASIBLE, sdp.INFEASIBLE)
+    )
 
 
 def slack_program(d, group):
     """The IPM's report of the slack program of one group on a whole d x d block: its
     verdict is the solver status, its slack t and its witness the last Y."""
-    return sdp._ipm(sdp._Rows((d,), (group,)), gap_tol=sdp.GAP_TOL, max_iterations=200)
+    return sdp._ipm(rows_of((d,), (group,)), gap_tol=sdp.GAP_TOL, max_iterations=200)
 
 
 class TestSolve:
@@ -50,14 +52,14 @@ class TestSolve:
         a1 = np.diag([1.0, 1.0])
         a2 = np.array([[1.0, 0.5], [0.5, -1.0]])
         group = whole_block([(a1, 1.0), (a2, 0.1)])
-        rows = sdp._Rows((2,), (group,))
+        op = operator_of((2,), (group,))
         sol = slack_program(2, group)
         assert sol.verdict == sdp.OPTIMAL
         assert abs(sol.slack - sol.dual_objective) <= 1e-6 * (1 + abs(sol.slack))
         assert sol.primal_residual <= 1e-7
         assert np.linalg.eigvalsh(sol.witness)[0] >= -1e-8
-        assert np.linalg.eigvalsh(rows.adjoint(sol.dual_certificate))[0] >= -1e-7
-        assert abs(rows.free_coeffs() @ sol.dual_certificate - 1.0) <= 1e-7
+        assert np.linalg.eigvalsh(op.adjoint(sol.dual_certificate))[0] >= -1e-7
+        assert abs(op.free @ sol.dual_certificate - 1.0) <= 1e-7
 
     def test_determinism(self):
         group = whole_block([(np.eye(2), 1.0), (np.array([[1.0, 0.2], [0.2, -0.3]]), 0.1)])
@@ -130,25 +132,36 @@ class TestSolve:
     @staticmethod
     def assert_numerical_failure(monkeypatch, capsys, corrupt):
         """Corrupt the Schur matrix of iteration 2: SdpError naming
-        numerical_failure from the API, exit 3 from the CLI."""
-        schur = sdp._Rows.schur
+        numerical_failure from the API, exit 3 from the CLI, whether the
+        shape's operator (and its Gram matrix) is built by the call or cached."""
+        schur, ipm = sdp._Operator.schur, sdp._ipm
 
         def corrupt_iteration_two():
-            calls = []
+            calls, solving = [], []
 
             def patched(self, zinv, x):
-                calls.append(None)
                 out = schur(self, zinv, x)
-                if len(calls) == 3:  # the Gram matrix, then iterations 1 and 2
-                    corrupt(out)
+                if solving:
+                    calls.append(None)
+                    if len(calls) == 2:
+                        corrupt(out)
                 return out
 
-            monkeypatch.setattr(sdp._Rows, "schur", patched)
+            def solve(rows, **kwargs):
+                # count from the solve on: the Gram matrix is built with the
+                # operator, and not at all when the shape's operator is cached
+                solving.append(None)
+                return ipm(rows, **kwargs)
+
+            monkeypatch.setattr(sdp._Operator, "schur", patched)
+            monkeypatch.setattr(sdp, "_ipm", solve)
 
         dep = depolarizing_channel(2)
-        corrupt_iteration_two()
-        with pytest.raises(sdp.SdpError, match="status numerical_failure after 2 iterations"):
-            mg.channels_compatible(dep, dep)
+        mg._solver_rows.cache_clear()
+        for _ in range(2):  # the shape's operator built by the call, then cached
+            corrupt_iteration_two()
+            with pytest.raises(sdp.SdpError, match="status numerical_failure after 2 iterations"):
+                mg.channels_compatible(dep, dep)
         corrupt_iteration_two()
         assert cli.main(["compat", "--preset", "depolarizing-pair"]) == cli.EXIT_SOLVER_ERROR == 3
         assert "numerical_failure" in capsys.readouterr().err
@@ -349,11 +362,11 @@ class TestSchurKernel:
             for k in [int(np.prod([dims[i] for i in g.kept]))]
             for c in g.coeffs
         ]
-        rows = sdp._Rows(dims, groups)
+        op = operator_of(dims, groups)
         x = self.hpd(rng, n, imag)
         zinv = self.herm(np.linalg.inv(self.hpd(rng, n, imag)))
         core = self.herm(self.gauss(rng, n, imag))
-        y = rng.standard_normal(rows.m)
+        y = rng.standard_normal(op.m)
 
         expected = np.array(
             [[vec(ai).conj() @ np.kron(x.T, zinv) @ vec(aj) for aj in dense] for ai in dense]
@@ -361,10 +374,10 @@ class TestSchurKernel:
         expected_rhs = np.array([np.trace(ai @ core) for ai in dense]).real
         # entries that cancel to ~1e-4 of the largest carry its rounding, hence the atol
         scale = float(np.max(np.abs(expected)))
-        np.testing.assert_allclose(rows.schur(zinv, x), expected, rtol=1e-12, atol=1e-12 * scale)
-        np.testing.assert_allclose(rows(core), expected_rhs, rtol=1e-12)
+        np.testing.assert_allclose(op.schur(zinv, x), expected, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(op(core), expected_rhs, rtol=1e-12)
         np.testing.assert_allclose(
-            rows.adjoint(y), np.tensordot(y, np.array(dense), 1), rtol=1e-12, atol=1e-14
+            op.adjoint(y), np.tensordot(y, np.array(dense), 1), rtol=1e-12, atol=1e-14
         )
 
     def test_matches_kronecker_formula(self):
@@ -389,9 +402,9 @@ class TestSchurKernel:
         # as exact transposes, so symmetrizing the whole matrix changes no bit
         rng = np.random.default_rng(8)
         n = int(np.prod(dims))
-        rows = sdp._Rows(dims, self.lifted_groups(rng, dims, kept_sets, 1.0))
+        op = operator_of(dims, self.lifted_groups(rng, dims, kept_sets, 1.0))
         zinv = self.herm(np.linalg.inv(self.hpd(rng, n, 1.0)))
-        schur = rows.schur(zinv, self.hpd(rng, n, 1.0))
+        schur = op.schur(zinv, self.hpd(rng, n, 1.0))
         assert np.array_equal(schur, (schur + schur.T) / 2)
 
 
@@ -399,7 +412,7 @@ class TestFeasibility:
     def test_failure_reports_iterations_residuals_and_gap(self):
         ident = identity_channel(2)
         spec = mg._compat_spec(ident, ident)
-        groups = mg._target_rows(spec)
+        rows = rows_of(spec.dims, mg._target_rows(spec))
         number = r"[-+.e\d]+|inf"
         with pytest.raises(
             sdp.SdpError,
@@ -408,7 +421,7 @@ class TestFeasibility:
                 rf"dual residual ({number}), gap ({number})\)"
             ),
         ):
-            sdp._group_feasibility(spec.dims, groups, words=("yes", "no"), max_iterations=2)
+            sdp._group_feasibility(rows, words=("yes", "no"), max_iterations=2)
 
     def test_scalar_pin(self):
         rep = feasibility(1, [(np.array([[1.0]]), 5.0)])
@@ -493,9 +506,9 @@ class TestPathSelection:
     def test_real_data_takes_the_real_path(self, monkeypatch):
         dtypes = spy_dtypes(monkeypatch)
         pins = [(np.eye(2), 1.0), (SX, 0.5), (SZ, 0.1)]  # complex-typed, real-valued
-        rows = sdp._Rows((2,), (whole_block(pins),))
-        assert rows.dtype is float and rows.m == 3
-        assert [c.dtype for c in rows.coeffs] == [np.float64]
+        op = operator_of((2,), (whole_block(pins),))
+        assert op.dtype is float and op.m == 3
+        assert [c.dtype for c in op.coeffs] == [np.float64]
         rep = feasibility(2, pins)
         assert rep.verdict == sdp.FEASIBLE
         assert dtypes == [float]
@@ -588,11 +601,11 @@ class TestWitnessAudit:
 
     def test_rejects_witness_perturbed_past_residual(self):
         target = np.diag([0.6, 0.4]).astype(complex)
-        rows = sdp._Rows((2,), (whole_block([(b, np.trace(b @ target).real) for b in hermitian_basis(2)]),))
+        rows = rows_of((2,), (whole_block([(b, np.trace(b @ target).real) for b in hermitian_basis(2)]),))
         assert rows.holds(target)
         nudge = np.diag([1.0, 0.0]) * 1.5 * sdp.WITNESS_RESIDUAL
         assert not rows.holds(target + nudge)
         assert rows.holds(target + nudge / 3)
         # a witness that satisfies every row but is not PSD is rejected too
-        trace_only = sdp._Rows((2,), (whole_block([(np.eye(2), 1.0)]),))
+        trace_only = rows_of((2,), (whole_block([(np.eye(2), 1.0)]),))
         assert not trace_only.holds(np.diag([1.5, -0.5]))
