@@ -257,7 +257,7 @@ def w_state() -> np.ndarray:
 #            "depolarizing", "in_dim": n, "out_dim": m, "data": ...}
 # States:   {"kind": "density", "dims": [d1, ...], "data": matrix}
 # Complex entries are two-element arrays [re, im]. Composite channel outputs
-# carry an optional "out_dims" list.
+# carry an optional "out_dims" list; "out_dim" then defaults to its product.
 
 
 def _matrix_to_json(m: np.ndarray) -> list:
@@ -336,7 +336,8 @@ def channel_from_dict(d: dict) -> Channel:
     if kind == "choi":
         choi = _field(d, "data", _matrix_from_json)
         out_dims = _field(d, "out_dims", _dims, (out_dim,))
-        if int(np.prod(out_dims)) != out_dim:
+        # out_dim, when given, must agree; absent, it is their product
+        if _field(d, "out_dim", check_dim, math.prod(out_dims)) != math.prod(out_dims):
             raise ValueError("out_dims do not multiply to out_dim")
         return Channel(in_dim=in_dim, out_dims=out_dims, choi=choi)
     if kind == "measure_prepare":

@@ -34,10 +34,14 @@ vector covers every basis row in group order, with exact zeros on the
 omitted rows, which are the duals a complex solve gives them on such data.
 Any other target passes every row, and the solve runs on a complex block.
 
-What a solve takes from the dims, the kept sets and the choice of a real
-solve alone is built once per shape (:func:`_solver_rows`); a decision
-computes only the right-hand sides. Specs built from validated channels and
-states skip the checks of ``MarginalSpec(...)``; user specs get them all.
+What a solve takes from the dims and the kept sets alone is one
+:class:`_Shape`: the basis rows' coefficient matrices, the mask of their
+purely imaginary rows and, each built at the first decision that needs it,
+the solver's operator of every row and of the real rows. One bounded cache
+of 64 shapes (:func:`_shape`) keeps it, so a decision on a shape seen
+before computes only the right-hand sides. Specs built from validated
+channels and states skip the checks of ``MarginalSpec(...)``; user specs get
+them all.
 
 A witness is rescaled to the exact normalization (a joint channel is also
 projected onto exact trace preservation) and validated once, after that.
@@ -51,9 +55,9 @@ local/nonlocal.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -69,7 +73,7 @@ from .linalg import (
     kron,
     partial_trace,
 )
-from .sdp import BAND, FEASIBLE, INFEASIBLE, Report, RowGroup, _group_feasibility, _Operator, _Rows
+from .sdp import BAND, FEASIBLE, INFEASIBLE, Report, _group_feasibility, _Operator, _Rows
 
 __all__ = [
     "MarginalSpec",
@@ -111,7 +115,7 @@ class MarginalSpec:
         cleaned = []
         traces = []
         for kept, target in self.targets:
-            kept = tuple(sorted(int(k) for k in kept))
+            kept = tuple(sorted(check_dim(k, "kept factor") for k in kept))
             if not kept or not set(kept) <= set(range(1, n + 1)) or len(set(kept)) != len(kept):
                 raise ValueError(f"kept factors {kept} not a valid subset of 1..{n}")
             d_kept = int(np.prod([dims[k - 1] for k in kept]))
@@ -164,8 +168,8 @@ class MarginalSpec:
         Only for int dims, ascending kept sets and complex targets of matching
         shapes whose traces and shared marginals agree by construction, to
         the trace-preservation tolerance of the channels they come from:
-        :func:`_row_layout` keeps a row that two targets share only in the
-        first of them. Each target is replaced by its read-only Hermitian part
+        :class:`_Shape` keeps a row that two targets share only in the first
+        of them. Each target is replaced by its read-only Hermitian part
         (t + t^H)/2, as the checks would: Choi matrices of
         :func:`~choimarg.channels.choi_from_kraus` and
         :func:`~choimarg.channels.tensor` are Hermitian only to rounding.
@@ -190,90 +194,59 @@ def _reduced(
     return partial_trace(target, [dims[k - 1] for k in kept], traced)
 
 
-@lru_cache(maxsize=64)
-def _row_layout(
-    dims: tuple[int, ...], kept_sets: tuple[tuple[int, ...], ...]
-) -> tuple[np.ndarray, ...]:
-    """Per target, the read-only coefficient matrix of its fresh rows: the
-    identity-first product basis of its kept factors, each lifted element once.
+class _Shape:
+    """What the dims and kept sets of a decision fix, whatever its targets.
 
-    A lifted element is keyed by its non-identity factors and their element
-    indices; a key already produced by an earlier target is the same operator
-    up to scale (the targets agree on shared marginals), so it is skipped.
+    coeffs holds, per target, the read-only coefficient matrix P of its fresh
+    rows: the identity-first product basis of its kept factors, each lifted
+    element once. A lifted element is keyed by its non-identity factors and
+    their element indices; a key already produced by an earlier target is the
+    same operator up to scale (the targets agree on shared marginals), so it
+    is skipped. imaginary is the read-only mask of the purely imaginary rows
+    among all basis rows, in target order; the others are real (B_p real
+    symmetric). every_row (complex) and real_rows (float64) are the
+    :class:`~choimarg.sdp._Operator` of every row and of the real rows alone,
+    each built at the first decision that needs it.
     """
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    layout = []
-    for kept in kept_sets:
-        kept_dims = [dims[k - 1] for k in kept]
-        fresh = []
-        for pos, idx in enumerate(product(*(range(d * d) for d in kept_dims))):
-            key = tuple((k, i) for k, i in zip(kept, idx) if i)
-            if key not in seen:
-                seen.add(key)
-                fresh.append(pos)
-        d_kept = int(np.prod(kept_dims))
-        coeffs = hermitian_product_basis(kept_dims).reshape(-1, d_kept * d_kept)[fresh]
-        coeffs.setflags(write=False)
-        layout.append(coeffs)
-    return tuple(layout)
 
-
-def _target_rows(spec: MarginalSpec) -> list[RowGroup]:
-    """One row group per target, with rhs P vec(target).
-
-    The coefficient matrices P come from :func:`_row_layout`, cached on the
-    dims and kept sets and shared, read-only, by every call. The rows are
-    pairwise orthogonal and the all-identity element is the single
-    normalization row (in the first target's group).
-    """
-    layout = _row_layout(spec.dims, tuple(kept for kept, _ in spec.targets))
-    return [
-        RowGroup(
-            tuple(k - 1 for k in kept), coeffs, coeffs.view(float) @ target.reshape(-1).view(float)
-        )
-        for (kept, target), coeffs in zip(spec.targets, layout)
-    ]
-
-
-@lru_cache(maxsize=64)
-def _real_rows(
-    dims: tuple[int, ...], kept_sets: tuple[tuple[int, ...], ...]
-) -> tuple[np.ndarray, ...]:
-    """Per target, the read-only mask of its fresh rows that are real (B_p real
-    symmetric); the others are purely imaginary."""
-    masks = tuple(~coeffs.imag.any(axis=1) for coeffs in _row_layout(dims, kept_sets))
-    for mask in masks:
-        mask.setflags(write=False)
-    return masks
-
-
-class _Solver(NamedTuple):
-    """What the solve of a decision takes from its shape alone: the
-    :class:`~choimarg.sdp._Operator` of the rows that reach the solver and
-    their positions among all basis rows, where the dual vector scatters."""
-
-    operator: _Operator
-    index: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def _solver_rows(
-    dims: tuple[int, ...], kept_sets: tuple[tuple[int, ...], ...], real: bool
-) -> _Solver:
-    """The solver side of every decision on the same dims and kept sets: only
-    the real rows, in float64, when real, else every row. Built at the first
-    such decision and shared, read-only, by the later ones."""
-    coeffs = layout = _row_layout(dims, kept_sets)
-    index = np.arange(sum(len(c) for c in layout))
-    if real:
-        masks = _real_rows(dims, kept_sets)
-        coeffs = tuple(c.real[mask] for c, mask in zip(layout, masks))
-        for c in coeffs:
+    def __init__(self, dims: tuple[int, ...], kept_sets: tuple[tuple[int, ...], ...]):
+        self.dims = dims
+        self.kept = tuple(tuple(k - 1 for k in kept) for kept in kept_sets)
+        seen: set[tuple[tuple[int, int], ...]] = set()
+        coeffs = []
+        for kept in kept_sets:
+            kept_dims = [dims[k - 1] for k in kept]
+            fresh = []
+            for pos, idx in enumerate(product(*(range(d * d) for d in kept_dims))):
+                key = tuple((k, i) for k, i in zip(kept, idx) if i)
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(pos)
+            d_kept = int(np.prod(kept_dims))
+            c = hermitian_product_basis(kept_dims).reshape(-1, d_kept * d_kept)[fresh]
             c.setflags(write=False)
-        index = index[np.concatenate(masks)]
-    index.setflags(write=False)
-    groups = [(tuple(k - 1 for k in kept), c) for kept, c in zip(kept_sets, coeffs)]
-    return _Solver(_Operator(dims, groups), index)
+            coeffs.append(c)
+        self.coeffs = tuple(coeffs)
+        self.imaginary = np.concatenate([c.imag.any(axis=1) for c in coeffs])
+        self.imaginary.setflags(write=False)
+
+    @cached_property
+    def every_row(self) -> _Operator:
+        return _Operator(self.dims, list(zip(self.kept, self.coeffs)))
+
+    @cached_property
+    def real_rows(self) -> _Operator:
+        real = [c.real[~c.imag.any(axis=1)] for c in self.coeffs]
+        for c in real:
+            c.setflags(write=False)
+        return _Operator(self.dims, list(zip(self.kept, real)))
+
+
+@lru_cache(maxsize=64)
+def _shape(dims: tuple[int, ...], kept_sets: tuple[tuple[int, ...], ...]) -> _Shape:
+    """The :class:`_Shape` of every decision on these dims and kept sets: built
+    at the first and shared, read-only, by the later ones."""
+    return _Shape(dims, kept_sets)
 
 
 def _exact_trace(spec: MarginalSpec, x: np.ndarray) -> np.ndarray:
@@ -296,22 +269,25 @@ def _decide(
 
     Rows that a real solve meets exactly are left out of it (see the module
     docstring) and get an exact 0 in the dual vector. Everything but the
-    right-hand sides comes from :func:`_solver_rows`, once per shape.
+    right-hand sides comes from the spec's :class:`_Shape`.
     """
-    groups = _target_rows(spec)
-    kept_sets = tuple(kept for kept, _ in spec.targets)
-    masks = _real_rows(spec.dims, kept_sets)
-    real = not any(g.rhs[~mask].any() for g, mask in zip(groups, masks))
-    solver = _solver_rows(spec.dims, kept_sets, real)
-    rhs = np.concatenate([g.rhs[mask] if real else g.rhs for g, mask in zip(groups, masks)])
+    shape = _shape(spec.dims, tuple(kept for kept, _ in spec.targets))
+    rhs = np.concatenate([
+        c.view(float) @ target.reshape(-1).view(float)
+        for c, (_, target) in zip(shape.coeffs, spec.targets)
+    ])
+    if rhs[shape.imaginary].any():
+        op, solved = shape.every_row, slice(None)
+    else:
+        op, solved = shape.real_rows, ~shape.imaginary
     report = _group_feasibility(
-        _Rows(solver.operator, rhs),
+        _Rows(op, rhs[solved]),
         words=words,
         eps=eps,
         finish=finish or partial(_exact_trace, spec),
     )
-    dual = np.zeros(sum(len(g.rhs) for g in groups))
-    dual[solver.index] = report.dual_certificate
+    dual = np.zeros(len(rhs))
+    dual[solved] = report.dual_certificate
     return replace(report, dual_certificate=dual)
 
 
@@ -352,7 +328,7 @@ def _compat_spec(c1: Channel, c2: Channel) -> MarginalSpec:
 
 def _dual_per_target(spec: MarginalSpec, report: Report) -> list[np.ndarray]:
     """Recombine the dual vector into one Hermitian matrix sum_p y_p B_p per target."""
-    layout = _row_layout(spec.dims, tuple(kept for kept, _ in spec.targets))
+    layout = _shape(spec.dims, tuple(kept for kept, _ in spec.targets)).coeffs
     ends = np.cumsum([len(p) for p in layout])
     return [
         (report.dual_certificate[end - len(p):end] @ p.view(float))

@@ -71,10 +71,10 @@ real symmetric block, the symmetry reduction of an SDP (Gatermann and
 Parrilo 2004). Any nonzero imaginary coefficient keeps the complex
 Hermitian block. The choice is made from the input alone.
 
-Constraint rows come in row groups (:class:`RowGroup`): row p of a group is
-lift(B_p), a Hermitian element B_p on the kept factors K of the block with
-the identity on the other factors R, and the group stores vec(B_p) as row p
-of a coefficient matrix P. A marginal target is one group. A(X) is P applied
+Constraint rows come in row groups: row p of a group is lift(B_p), a
+Hermitian element B_p on the kept factors K of the block with the identity
+on the other factors R, and the group stores vec(B_p) as row p of a
+coefficient matrix P. A marginal target is one group. A(X) is P applied
 to each group's partial trace Tr_R X and A*(y) the sum of the lifts of
 y_g P, both through one flat gather (scatter) index per group. The HKM
 Schur block of groups s and t is Re P_s T_st P_t^T, where T_st contracts
@@ -96,9 +96,9 @@ Per-shape costs are paid once. An :class:`_Operator` holds everything the
 coefficients fix: the gather indices, the coefficients in the solve's
 dtype, the free coefficients a and the Gram factor with its dependent-row
 result. A :class:`_Rows` is an operator and one problem's right-hand sides
-b. :mod:`choimarg.marginals` keeps one operator per (dims, kept sets, real
-or complex) in a bounded cache (64 shapes, as for its row layout), so a
-decision on a shape seen before supplies only b. Sharing is safe: every
+b. :mod:`choimarg.marginals` keeps the operators of a shape (dims and kept
+sets) on its one per-shape object, held in a bounded cache of 64 shapes, so
+a decision on a shape seen before supplies only b. Sharing is safe: every
 array an operator holds is read-only, and the cache keys are dimensions and
 factor indices, never object identities.
 """
@@ -106,7 +106,6 @@ factor indices, never object identities.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import prod, sqrt
 from typing import Callable, NamedTuple, Sequence
 
@@ -195,20 +194,6 @@ def _herm(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowGroup:
-    """Constraint rows that lift basis elements from kept factors of the block.
-
-    Row p reads Re<lift(B_p), X> = rhs[p]: row p of the complex array coeffs
-    is vec(B_p), row-major, on the 0-based ``kept`` factors (ascending), and
-    lift places the identity on the other factors.
-    """
-
-    kept: tuple[int, ...]
-    coeffs: np.ndarray
-    rhs: np.ndarray
-
-
 class _Part(NamedTuple):
     """One group's rows; take[r, (a, b)] is the flat index of X[(a, r), (b, r)]
     for kept row a, kept column b and rest r."""
@@ -235,7 +220,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=64)
 def _structure(
     dims: tuple[int, ...], layout: tuple[tuple[int, tuple[int, ...]], ...]
 ) -> tuple[int, tuple[_Part, ...], tuple[_Pair, ...]]:
@@ -280,16 +264,17 @@ def _structure(
 class _Operator:
     """The equality operator A of row groups and what a solve derives from A alone.
 
-    groups are (kept, coeffs) pairs, as in :class:`RowGroup` without the
-    right-hand sides. When every coefficient has a zero imaginary part, the
-    coefficients are held in float64 and dtype is float: the solve runs on a
-    real symmetric block (see the module docstring). Otherwise dtype is
-    complex. free holds the free coefficients a; gram is the Cholesky factor
-    of the rows' Gram matrix, and gram_status is None, numerical_failure when
-    it has no factor (every row is zero) or dependent_rows when a pivot
-    collapses. free and gram are read-only; an operator shared between solves
-    (:mod:`choimarg.marginals` keeps one per shape) is given read-only
-    coefficients too.
+    groups are (kept, coeffs) pairs: row p of the array coeffs is vec(B_p),
+    row-major, on the 0-based ``kept`` factors (ascending), and the row reads
+    Re<lift(B_p), X>, lift placing the identity on the other factors. When
+    every coefficient has a zero imaginary part, the coefficients are held in
+    float64 and dtype is float: the solve runs on a real symmetric block (see
+    the module docstring). Otherwise dtype is complex. free holds the free
+    coefficients a; gram is the Cholesky factor of the rows' Gram matrix, and
+    gram_status is None, numerical_failure when it has no factor (every row is
+    zero) or dependent_rows when a pivot collapses. free and gram are
+    read-only; an operator shared between solves (:mod:`choimarg.marginals`
+    keeps two per shape) is given read-only coefficients too.
     """
 
     def __init__(self, dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]):

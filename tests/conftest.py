@@ -1,6 +1,9 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
+from choimarg import marginals as mg
 from choimarg import sdp
 from choimarg.channels import Channel
 
@@ -37,6 +40,26 @@ def spy_dtypes(monkeypatch):
 
     monkeypatch.setattr(sdp, "_ipm", spy)
     return dtypes
+
+
+class RowGroup(NamedTuple):
+    """Constraint rows that lift basis elements from kept factors of the block:
+    row p reads Re<lift(B_p), X> = rhs[p], with vec(B_p) as row p of coeffs on
+    the 0-based ``kept`` factors (ascending)."""
+
+    kept: tuple
+    coeffs: np.ndarray
+    rhs: np.ndarray
+
+
+def target_rows(spec):
+    """One row group per target of a spec: the coefficient matrices of its
+    shape and rhs P vec(target), as the decisions compute them."""
+    shape = mg._shape(spec.dims, tuple(kept for kept, _ in spec.targets))
+    return [
+        RowGroup(kept, c, c.view(float) @ target.reshape(-1).view(float))
+        for kept, c, (_, target) in zip(shape.kept, shape.coeffs, spec.targets)
+    ]
 
 
 def operator_of(dims, groups):

@@ -298,6 +298,18 @@ class TestJson:
         back = ch.channel_from_dict(ch.channel_to_dict(c))
         assert np.max(np.abs(back.choi - c.choi)) <= 1e-12
 
+    def test_composite_choi_round_trip_without_out_dim(self, rng):
+        # out_dim used to default to in_dim, which rejected this file as
+        # "out_dims do not multiply to out_dim"
+        c = ch.Channel(in_dim=2, out_dims=(2, 2), choi=random_channel(2, 4, rng).choi)
+        data = ch.channel_to_dict(c)
+        del data["out_dim"]
+        back = ch.channel_from_dict(data)
+        assert back.in_dim == 2 and back.out_dims == (2, 2)
+        assert np.max(np.abs(back.choi - c.choi)) <= 1e-12
+        with pytest.raises(ValueError, match="out_dims do not multiply to out_dim"):
+            ch.channel_from_dict({**data, "out_dim": 2})
+
     def test_kind_constructors(self):
         ident = ch.channel_from_dict({"kind": "identity", "in_dim": 2, "out_dim": 2})
         assert np.allclose(ident.choi, choi_of_identity(2))

@@ -27,7 +27,7 @@ from choimarg.sampling import (
     random_unitary,
 )
 from choimarg.sdp import FEASIBLE, MARGINAL
-from conftest import HADAMARD, SX, SZ, depolarize, rows_of, spy_dtypes
+from conftest import HADAMARD, SX, SZ, RowGroup, depolarize, rows_of, spy_dtypes, target_rows
 from kron_oracles import embed
 
 
@@ -84,6 +84,12 @@ class TestMarginalSpec:
         # (0, 2) used to reach the solver, (2.5, 2) to be solved as (2, 2)
         with pytest.raises(ValueError, match=f"factor dimension {dims[0]!r} is not an integer"):
             mg.MarginalSpec(dims=dims, targets=(((2,), np.eye(2) / 2),))
+
+    @pytest.mark.parametrize("k", [1.5, True, "1"])
+    def test_rejects_malformed_kept_factors(self, k):
+        # each used to be read as factor 1
+        with pytest.raises(ValueError, match=f"kept factor {k!r} is not an integer"):
+            mg.MarginalSpec(dims=(2, 2, 2), targets=(((k, 3), np.eye(4) / 4),))
 
     def test_rejects_bad_kept_set(self):
         with pytest.raises(ValueError, match="kept"):
@@ -271,7 +277,7 @@ class TestTargetRows:
     def lifted_rows(spec):
         """The dense lift of every row of the spec's groups, in row order."""
         lifted = []
-        for group in mg._target_rows(spec):
+        for group in target_rows(spec):
             d = int(np.prod([spec.dims[k] for k in group.kept]))
             lifted += [embed(c.reshape(d, d), spec.dims, [k + 1 for k in group.kept]) for c in group.coeffs]
         return lifted
@@ -280,7 +286,7 @@ class TestTargetRows:
         specs = self.specs(rng, monkeypatch)
         assert [len(self.lifted_rows(spec)) for spec in specs] == [28, 153, 48, 48, 49]
         for spec in specs:
-            groups = mg._target_rows(spec)
+            groups = target_rows(spec)
             assert len(groups) == len(spec.targets)
             rows = self.lifted_rows(spec)
             vecs = np.array([h.reshape(-1) for h in rows])
@@ -303,8 +309,14 @@ class TestTargetRows:
 
     def test_rows_built_once_per_decision(self, monkeypatch):
         calls = []
-        original = mg._target_rows
-        monkeypatch.setattr(mg, "_target_rows", lambda spec: calls.append(spec) or original(spec))
+        init = mg._Shape.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(mg._Shape, "__init__", counted)
+        mg._shape.cache_clear()
         ident = identity_channel(2)
         rep = mg.channels_compatible(ident, ident)
         assert rep.verdict == mg.INCOMPATIBLE and rep.dual_witness is not None
@@ -315,7 +327,7 @@ class TestTargetRows:
         # the rhs is computed per call
         s1 = mg._compat_spec(random_channel(2, 3, rng), random_channel(2, 2, rng))
         s2 = mg._compat_spec(random_channel(2, 3, rng), random_channel(2, 2, rng))
-        g1, g2 = mg._target_rows(s1), mg._target_rows(s2)
+        g1, g2 = target_rows(s1), target_rows(s2)
         for a, b, (_, target) in zip(g1, g2, s2.targets):
             assert a.coeffs is b.coeffs
             assert not a.coeffs.flags.writeable
@@ -422,7 +434,7 @@ class TestDualWitness:
         dtypes = spy_dtypes(monkeypatch)
         rep = mg.channels_compatible(c, c)
         assert dtypes == [float] and rep.verdict == verdict
-        groups = mg._target_rows(mg._compat_spec(c, c))
+        groups = target_rows(mg._compat_spec(c, c))
         imaginary = np.concatenate([~g.coeffs.real.any(axis=1) for g in groups])
         assert rep.dual_certificate.shape == imaginary.shape
         assert imaginary.any() and not rep.dual_certificate[imaginary].any()
@@ -442,7 +454,7 @@ def rotated(groups, unitaries):
         u = reduce(np.kron, [unitaries[k] for k in g.kept])
         d = len(u)
         coeffs = np.array([(u @ c.reshape(d, d) @ u.conj().T).ravel() for c in g.coeffs])
-        out.append(sdp.RowGroup(g.kept, coeffs, g.rhs))
+        out.append(RowGroup(g.kept, coeffs, g.rhs))
     return out
 
 
@@ -462,14 +474,13 @@ class TestRealRows:
     ], ids=["qubit-compat", "qubit-bell", "qutrit-compat", "qubit-compat-complex"])
     def test_rows_reaching_the_solver(self, monkeypatch, decide, dtype, m, m_all):
         solves, ipm = [], sdp._ipm
-        specs, target_rows = [], mg._target_rows
+        specs = spy_specs(monkeypatch)
 
         def spy(rows, **kwargs):
             solves.append((rows, ipm(rows, **kwargs)))
             return solves[-1][1]
 
         monkeypatch.setattr(sdp, "_ipm", spy)
-        monkeypatch.setattr(mg, "_target_rows", lambda spec: specs.append(spec) or target_rows(spec))
         rep = decide()
         [(rows, solve)], [spec] = solves, specs
         assert rows.op.dtype is dtype and rows.op.m == m
@@ -485,9 +496,25 @@ class TestRealRows:
         assert not rep.dual_certificate[~solved].any()
 
 
+def spy_specs(monkeypatch):
+    """The list that records the spec of every later decision."""
+    specs, decide = [], mg._decide
+
+    def spy(spec, *args, **kwargs):
+        specs.append(spec)
+        return decide(spec, *args, **kwargs)
+
+    monkeypatch.setattr(mg, "_decide", spy)
+    return specs
+
+
 def clear_shape_caches():
-    for cache in (mg._solver_rows, mg._real_rows, mg._row_layout, sdp._structure):
-        cache.cache_clear()
+    mg._shape.cache_clear()
+
+
+def operators(shape):
+    """The operators a shape has built so far."""
+    return [vars(shape)[name] for name in ("every_row", "real_rows") if name in vars(shape)]
 
 
 def report_fields(rep):
@@ -513,8 +540,8 @@ def bell_rng11():
 
 
 class TestShapeCaches:
-    """What only the shape of a decision fixes (its solver rows, their operator
-    and Gram factor) is built once and shared read-only; results do not depend
+    """What only the shape of a decision fixes (its basis rows, their operators
+    and Gram factors) is built once and shared read-only; results do not depend
     on whether it was built by the call or before it."""
 
     DECISIONS = {
@@ -540,28 +567,51 @@ class TestShapeCaches:
         warm = report_fields(decide()), report_fields(other())
         assert warm == cold
 
-    def test_cached_arrays_reject_writes(self, monkeypatch):
-        clear_shape_caches()
-        solvers, solver_rows = [], mg._solver_rows
-
-        def record(*key):
-            solvers.append((key, solver_rows(*key)))
-            return solvers[-1][1]
-
-        monkeypatch.setattr(mg, "_solver_rows", record)
-        for decide in self.DECISIONS.values():
-            decide()
-        assert {s.operator.dtype for _, s in solvers} == {float, complex}
-        for key, solver in solvers:
-            op = solver.operator
-            arrays = [solver.index, *op.coeffs, op.free, op.gram]
-            arrays += [*mg._real_rows(*key[:2]), *mg._row_layout(*key[:2])]
+    @staticmethod
+    def assert_read_only(shape):
+        """Every array the shape holds, and those of the operators it has built,
+        rejects writes."""
+        arrays = [shape.imaginary, *shape.coeffs]
+        for op in operators(shape):
+            arrays += [*op.coeffs, op.free, op.gram]
             arrays += [part.take for part in op.parts]
             arrays += [a for pair in op.pairs for a in (pair.zinv, pair.x, pair.t)]
-            for a in arrays:
-                assert not a.flags.writeable
-                with pytest.raises(ValueError):
-                    a[...] = 0
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_cached_arrays_reject_writes(self, monkeypatch):
+        clear_shape_caches()
+        shapes, shape = [], mg._shape
+
+        def record(*key):
+            shapes.append(shape(*key))
+            return shapes[-1]
+
+        monkeypatch.setattr(mg, "_shape", record)
+        for decide in self.DECISIONS.values():
+            decide()
+        assert {op.dtype for s in shapes for op in operators(s)} == {float, complex}
+        for s in shapes:
+            self.assert_read_only(s)
+
+    def test_one_shape_builds_each_operator_at_its_first_use(self, monkeypatch):
+        # a complex and a real decision on dims (3, 3, 3) share one shape, and
+        # each builds only the operator its own solve takes
+        clear_shape_caches()
+        dtypes = spy_dtypes(monkeypatch)
+        kraus = random_channel(3, 3, np.random.default_rng(5), kraus_rank=2)
+        mg.channels_compatible(kraus, kraus)
+        shape = mg._shape((3, 3, 3), ((1, 3), (2, 3)))
+        assert "every_row" in vars(shape) and "real_rows" not in vars(shape)
+        dep = depolarizing_channel(3, 0.36)
+        mg.channels_compatible(dep, dep)
+        assert "real_rows" in vars(shape)
+        assert dtypes == [complex, float]
+        assert shape.every_row.dtype is complex and shape.real_rows.dtype is float
+        assert mg._shape.cache_info().misses == 1
+        self.assert_read_only(shape)
 
     def test_a_cached_shape_builds_no_gram_matrix(self, monkeypatch):
         dep = depolarizing_channel(2, 0.4)
@@ -580,7 +630,7 @@ class TestShapeCaches:
         dep = depolarizing_channel(2, 0.35)
         second = mg.channels_compatible(dep, dep)
         assert len(built) == second.iterations
-        assert mg._solver_rows.cache_info().misses == 1
+        assert mg._shape.cache_info().misses == 1
 
 
 class TestConjugationSymmetry:
@@ -611,14 +661,13 @@ class TestConjugationSymmetry:
     @pytest.mark.parametrize("name", list(CASES))
     def test_rotation_keeps_verdict_and_slack(self, monkeypatch, name):
         calls, group_feasibility = [], sdp._group_feasibility
-        specs, target_rows = [], mg._target_rows
+        specs = spy_specs(monkeypatch)
 
         def spy_groups(rows, **kwargs):
             calls.append((rows, kwargs))
             return group_feasibility(rows, **kwargs)
 
         monkeypatch.setattr(mg, "_group_feasibility", spy_groups)
-        monkeypatch.setattr(mg, "_target_rows", lambda spec: specs.append(spec) or target_rows(spec))
         dtypes = spy_dtypes(monkeypatch)
         rep = self.CASES[name]()
         [(solved, kwargs)], [spec] = calls, specs

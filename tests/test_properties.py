@@ -167,7 +167,7 @@ def assert_certified_marginals(rep, words, dims, targets):
         for kept, target in targets:
             assert np.max(np.abs(marginal(rep.witness, dims, kept) - target)) <= 1e-6
         return rep.verdict
-    layout = mg._row_layout(dims, tuple(kept for kept, _ in targets))
+    layout = mg._shape(dims, tuple(kept for kept, _ in targets)).coeffs
     ends = np.cumsum([len(p) for p in layout])
     cone = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
     value = 0.0

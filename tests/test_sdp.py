@@ -15,14 +15,16 @@ from choimarg import marginals as mg
 from choimarg.channels import depolarizing_channel, identity_channel
 from choimarg.marginals import MarginalSpec
 from choimarg.sampling import random_channel
-from conftest import SX, SY, SZ, operator_of, random_hermitian, rows_of, spy_dtypes
+from conftest import (
+    SX, SY, SZ, RowGroup, operator_of, random_hermitian, rows_of, spy_dtypes, target_rows,
+)
 from kron_oracles import embed
 
 
 def whole_block(pins):
     """One row group pinning <H, X> = value on the whole block."""
     coeffs = np.array([np.asarray(h, dtype=complex).ravel() for h, _ in pins])
-    return sdp.RowGroup((0,), coeffs, np.array([float(v) for _, v in pins]))
+    return RowGroup((0,), coeffs, np.array([float(v) for _, v in pins]))
 
 
 def feasibility(d, pins):
@@ -157,7 +159,7 @@ class TestSolve:
             monkeypatch.setattr(sdp, "_ipm", solve)
 
         dep = depolarizing_channel(2)
-        mg._solver_rows.cache_clear()
+        mg._shape.cache_clear()
         for _ in range(2):  # the shape's operator built by the call, then cached
             corrupt_iteration_two()
             with pytest.raises(sdp.SdpError, match="status numerical_failure after 2 iterations"):
@@ -347,7 +349,7 @@ class TestSchurKernel:
         for g, kept in enumerate(kept_sets):
             k = int(np.prod([dims[i] for i in kept]))
             c = np.array([self.herm(self.gauss(rng, k, imag)).ravel() for _ in range(3 + g)])
-            groups.append(sdp.RowGroup(kept, c, np.zeros(len(c))))
+            groups.append(RowGroup(kept, c, np.zeros(len(c))))
         return groups
 
     def check(self, rng, dims, groups, imag):
@@ -386,14 +388,14 @@ class TestSchurKernel:
             # whole-block rows
             for d in (3, 4):
                 coeffs = np.array([self.herm(self.gauss(rng, d, imag)).ravel() for _ in range(7)])
-                self.check(rng, (d,), (sdp.RowGroup((0,), coeffs, np.zeros(7)),), imag)
+                self.check(rng, (d,), (RowGroup((0,), coeffs, np.zeros(7)),), imag)
             # lifted groups with different kept sets, and a whole-block group beside them
             for dims, kept_sets in self.LIFTED_CASES:
                 groups = self.lifted_groups(rng, dims, kept_sets, imag)
                 self.check(rng, dims, groups, imag)
                 n = int(np.prod(dims))
                 c = np.array([self.herm(self.gauss(rng, n, imag)).ravel() for _ in range(2)])
-                groups.append(sdp.RowGroup(tuple(range(len(dims))), c, np.zeros(2)))
+                groups.append(RowGroup(tuple(range(len(dims))), c, np.zeros(2)))
                 self.check(rng, dims, groups, imag)
 
     @pytest.mark.parametrize("dims, kept_sets", LIFTED_CASES, ids=["compat", "steer", "bell"])
@@ -412,7 +414,7 @@ class TestFeasibility:
     def test_failure_reports_iterations_residuals_and_gap(self):
         ident = identity_channel(2)
         spec = mg._compat_spec(ident, ident)
-        rows = rows_of(spec.dims, mg._target_rows(spec))
+        rows = rows_of(spec.dims, target_rows(spec))
         number = r"[-+.e\d]+|inf"
         with pytest.raises(
             sdp.SdpError,
