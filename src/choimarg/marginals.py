@@ -73,7 +73,9 @@ from .linalg import (
     kron,
     partial_trace,
 )
-from .sdp import BAND, FEASIBLE, INFEASIBLE, Report, _group_feasibility, _Operator, _Rows
+from .sdp import (
+    BAND, FEASIBLE, INFEASIBLE, Report, _group_feasibility, _operator, _Operator, _Rows,
+)
 
 __all__ = [
     "MarginalSpec",
@@ -114,7 +116,15 @@ class MarginalSpec:
             raise ValueError("at least one marginal target is required")
         cleaned = []
         traces = []
-        for kept, target in self.targets:
+        for i, item in enumerate(self.targets):
+            try:
+                kept, target = item
+                kept = tuple(kept)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"target {i} is not a pair (kept factors, matrix) "
+                    "with a sequence of kept factors"
+                ) from None
             kept = tuple(sorted(check_dim(k, "kept factor") for k in kept))
             if not kept or not set(kept) <= set(range(1, n + 1)) or len(set(kept)) != len(kept):
                 raise ValueError(f"kept factors {kept} not a valid subset of 1..{n}")
@@ -205,8 +215,11 @@ class _Shape:
     is skipped. imaginary is the read-only mask of the purely imaginary rows
     among all basis rows, in target order; the others are real (B_p real
     symmetric). every_row (complex) and real_rows (float64) are the
-    :class:`~choimarg.sdp._Operator` of every row and of the real rows alone,
-    each built at the first decision that needs it.
+    operators of every row and of the real rows alone, each built at the
+    first decision that needs it by :func:`~choimarg.sdp._operator`: a
+    :class:`~choimarg.sdp._DenseOperator` when its lifted rows are small (on
+    qubit compatibility, steering and Bell shapes, both properties), else the
+    grouped :class:`~choimarg.sdp._Operator` (on (3, 3, 3), both properties).
     """
 
     def __init__(self, dims: tuple[int, ...], kept_sets: tuple[tuple[int, ...], ...]):
@@ -232,14 +245,14 @@ class _Shape:
 
     @cached_property
     def every_row(self) -> _Operator:
-        return _Operator(self.dims, list(zip(self.kept, self.coeffs)))
+        return _operator(self.dims, list(zip(self.kept, self.coeffs)))
 
     @cached_property
     def real_rows(self) -> _Operator:
         real = [c.real[~c.imag.any(axis=1)] for c in self.coeffs]
         for c in real:
             c.setflags(write=False)
-        return _Operator(self.dims, list(zip(self.kept, real)))
+        return _operator(self.dims, list(zip(self.kept, real)))
 
 
 @lru_cache(maxsize=64)

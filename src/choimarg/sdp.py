@@ -81,22 +81,37 @@ Schur block of groups s and t is Re P_s T_st P_t^T, where T_st contracts
 Z^-1 and X over the factors outside K_s and K_t in one GEMM (see
 :meth:`_Operator.schur`). A pair costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) +
 m_s m_t d_Kt^2) instead of the O(m n^3 + m^2 n^2) of dense rows on a block
-of dimension n. At one BLAS thread on a 2-vCPU Xeon guest an iteration
-takes ~0.26 ms on a real qubit compatibility decision (m = 17, n = 8),
-~0.43 ms on a real qubit Bell one (m = 29, n = 16), ~0.66 ms on a real
-qutrit compatibility one (m = 84, n = 27), ~1.4 ms on a complex one
-(m = 153, n = 27) and ~7.5 ms on the complex qutrit Bell decision of
-``default_rng(11)`` (m = 289, n = 81), the O(m^3) Cholesky factorization of
-S included. The corrector step is projected onto the
-primal equations with the rows' Gram matrix (the kernel at Z^-1 = X = 1),
-so rounding in the Schur solve cannot leave a primal residual that the path
-no longer reduces; the predictor, along which no step is taken, is not.
+of dimension n. On small blocks the group loop's Python calls cost more
+than that arithmetic, so :func:`_operator` holds the rows densely instead
+(:class:`_DenseOperator`: the stack of the m lifts lift(B_p), A(X) and
+A*(y) one matrix product each, the Schur complement a few) whenever the
+stack has at most :data:`DENSE_ENTRIES` floats: m n^2, doubled on a complex
+block. Its last Schur product is taken in row blocks below the size at
+which OpenBLAS starts threads for a matrix product (:data:`SERIAL_GEMM`);
+threads cost more than they save at these sizes, and the blocks round the
+same at any thread count. The choice is made from n, m and the dtype
+alone, as Fujisawa, Kojima and Nakata (1997) choose the Schur formula per
+problem from its cost. Qubit compatibility, steering and Bell
+decisions (n = 8 and 16) take dense rows; qutrit compatibility (n = 27) and
+complex qubit-to-qutrit compatibility (n = 18, m = 68) keep row groups,
+where the dense Schur build costs more than the loop. At one BLAS thread
+on a 2-vCPU Xeon guest an iteration takes ~0.14 ms on a real qubit
+compatibility decision (m = 17, n = 8, dense), ~0.22 ms on a real qubit
+Bell one (m = 29, n = 16, dense), ~0.66 ms on a real qutrit compatibility
+one (m = 84, n = 27), ~1.4 ms on a complex one (m = 153, n = 27) and
+~7.5 ms on the complex qutrit Bell decision of ``default_rng(11)``
+(m = 289, n = 81), the O(m^3) Cholesky factorization of S included. The
+corrector step is projected onto the primal equations with the rows' Gram
+matrix (the kernel at Z^-1 = X = 1), so rounding in the Schur solve cannot
+leave a primal residual that the path no longer reduces; the predictor,
+along which no step is taken, is not.
 
 Per-shape costs are paid once. An :class:`_Operator` holds everything the
 coefficients fix: the gather indices, the coefficients in the solve's
-dtype, the free coefficients a and the Gram factor with its dependent-row
-result. A :class:`_Rows` is an operator and one problem's right-hand sides
-b. :mod:`choimarg.marginals` keeps the operators of a shape (dims and kept
+dtype (and, on a :class:`_DenseOperator`, the lifted rows), the free
+coefficients a and the Gram factor with its dependent-row result. A
+:class:`_Rows` is an operator and one problem's right-hand sides b.
+:mod:`choimarg.marginals` keeps the operators of a shape (dims and kept
 sets) on its one per-shape object, held in a bounded cache of 64 shapes, so
 a decision on a shape seen before supplies only b. Sharing is safe: every
 array an operator holds is read-only, and the cache keys are dimensions and
@@ -142,6 +157,17 @@ WITNESS_PSD = 1e-8
 
 WITNESS_RESIDUAL = 1e-6
 """Largest constraint residual every reported witness may have."""
+
+DENSE_ENTRIES = 32768
+"""Largest number of floats (m n^2 rows of n x n lifts, doubled on a complex
+block: 256 KB) held as one dense row matrix; larger operators keep row groups."""
+
+SERIAL_GEMM = 1 << 18
+"""Multiply-adds of the largest matrix product OpenBLAS runs on one thread
+(65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4). The dense Schur
+product is taken in row blocks of at most this size: at these sizes waking
+BLAS threads costs more than it saves, and a block on one thread rounds the
+same whatever thread count the caller set."""
 
 DEPENDENT_PIVOT = 1e-10
 """Squared Gram pivot, relative to the mean squared row norm, at or below which
@@ -214,6 +240,11 @@ class _Pair(NamedTuple):
     t: np.ndarray
 
 
+def _real(coeffs: Sequence[np.ndarray]) -> bool:
+    """Every coefficient has a zero imaginary part."""
+    return not any(np.iscomplexobj(c) and np.asarray(c).imag.any() for c in coeffs)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -278,18 +309,24 @@ class _Operator:
     """
 
     def __init__(self, dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]):
+        self._set_groups(dims, groups)
+        self.gram, self.gram_status = self._gram_factor()
+
+    def _set_groups(
+        self, dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]
+    ) -> None:
+        """The row groups' gather structure, coefficients, dtype and free coefficients."""
         dims = tuple(int(d) for d in dims)
         layout = tuple((len(c), tuple(int(k) for k in kept)) for kept, c in groups)
         self.m, self.parts, self.pairs = _structure(dims, layout)
         self.n = prod(dims)
         coeffs = [np.asarray(c) for _, c in groups if len(c)]
-        real = not any(np.iscomplexobj(c) and c.imag.any() for c in coeffs)
+        real = _real(coeffs)
         self.dtype: type = float if real else complex
         self.coeffs = tuple(
             np.ascontiguousarray(c.real if real else c, dtype=self.dtype) for c in coeffs
         )
         self.free = _read_only(self.free_coeffs())
-        self.gram, self.gram_status = self._gram_factor()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """A(X): each group's coefficients of its partial trace."""
@@ -365,6 +402,64 @@ class _Operator:
         if float(np.min(np.diagonal(factor))) ** 2 <= DEPENDENT_PIVOT * trace / self.m:
             return factor, DEPENDENT_ROWS
         return factor, None
+
+
+class _DenseOperator(_Operator):
+    """An :class:`_Operator` whose rows are held densely: the read-only stack
+    lifted[p] = lift(B_p) of shape (m, n, n), built once from the grouped
+    adjoint (row p is A*(e_p)), so the coefficients have one source of truth.
+
+    flat is the stack as an m x n^2 float matrix, real and imaginary parts
+    interleaved on a complex block. A(X) is flat @ vec X, A*(y) is y @ flat
+    and the Schur complement is Re<A_p, Z^-1 A_q X>, from one GEMM for every
+    A_q X, one batched product with Z^-1 and flat times the result in row
+    blocks of at most SERIAL_GEMM multiply-adds, symmetrized exactly. The Gram
+    factor comes from this operator's own schur(1, 1). It keeps the grouped
+    structure and coefficients it is built from; only the lifted stack is
+    added to them.
+    """
+
+    def __init__(self, dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]):
+        self._set_groups(dims, groups)
+        self.lifted = _read_only(np.array([_Operator.adjoint(self, e) for e in np.eye(self.m)]))
+        flat = self.lifted.reshape(self.m, -1)
+        self.flat = flat if self.dtype is float else flat.view(float)
+        self.gram, self.gram_status = self._gram_factor()
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """A(X) = flat @ vec X."""
+        x = np.asarray(x).reshape(-1)
+        # Re<B, X> = <B, Re X> for real B
+        x = x.real if self.dtype is float else x.astype(complex, copy=False).view(float)
+        return self.flat @ x
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A*(y) = y @ flat."""
+        return (y @ self.flat).view(self.dtype).reshape(self.n, self.n)
+
+    def schur(self, zinv: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """HKM Schur complement S_pq = Re<A_p, Z^-1 A_q X>, exactly symmetric."""
+        m, n = self.m, self.n
+        w = (zinv @ (self.lifted.reshape(m * n, n) @ x).reshape(m, n, n)).reshape(m, -1)
+        # Re<A_p, W_q>: over interleaved real and imaginary parts when A is complex
+        w = w.real if self.dtype is float else w.view(float)
+        rows = max(1, SERIAL_GEMM // w.size)
+        if rows >= m:
+            schur = self.flat @ w.T
+        else:
+            schur = np.concatenate([self.flat[p:p + rows] @ w.T for p in range(0, m, rows)])
+        return (schur + schur.T) / 2
+
+
+def _operator(
+    dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]
+) -> _Operator:
+    """The operator of row groups: a :class:`_DenseOperator` when its lifted rows
+    hold at most DENSE_ENTRIES floats (m n^2, twice that on a complex block),
+    else the grouped :class:`_Operator`."""
+    n, m = prod(int(d) for d in dims), sum(len(c) for _, c in groups)
+    entries = m * n * n * (1 if _real([c for _, c in groups]) else 2)
+    return (_DenseOperator if entries <= DENSE_ENTRIES else _Operator)(dims, groups)
 
 
 class _Rows:

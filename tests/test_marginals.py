@@ -91,6 +91,17 @@ class TestMarginalSpec:
         with pytest.raises(ValueError, match=f"kept factor {k!r} is not an integer"):
             mg.MarginalSpec(dims=(2, 2, 2), targets=(((k, 3), np.eye(4) / 4),))
 
+    @pytest.mark.parametrize("target", [
+        (1, np.eye(2) / 2),  # an int kept set, used to raise a bare TypeError
+        ((1,), np.eye(2) / 2, 0.0),  # three items, used to raise "too many values to unpack"
+        ((1,),),  # one item, used to raise "not enough values to unpack"
+    ], ids=["int-kept-set", "three-items", "one-item"])
+    def test_rejects_a_target_that_is_not_a_kept_set_matrix_pair(self, target):
+        with pytest.raises(
+            ValueError, match=r"target 1 is not a pair \(kept factors, matrix\) with a sequence"
+        ):
+            mg.MarginalSpec(dims=(2,), targets=(((1,), np.eye(2) / 2), target))
+
     def test_rejects_bad_kept_set(self):
         with pytest.raises(ValueError, match="kept"):
             mg.MarginalSpec(dims=(2, 2), targets=(((3,), np.eye(2)),))
@@ -549,6 +560,8 @@ class TestShapeCaches:
             depolarizing_channel(3, 0.36), depolarizing_channel(3, 0.36)),
         "qutrit-compat-complex": lambda: mg.channels_compatible(
             *(random_channel(3, 3, np.random.default_rng(5), kraus_rank=2) for _ in range(2))),
+        "qubit-compat-complex": lambda: mg.channels_compatible(
+            *(random_channel(2, 2, np.random.default_rng(5), kraus_rank=2) for _ in range(2))),
         "qubit-steer": lambda: mg.state_steerable(*steer_preset("w-state")),
         "qubit-bell": lambda: mg.bell_local(*bell_preset("max-entangled")),
         "qutrit-bell-rng11": bell_rng11,
@@ -574,6 +587,8 @@ class TestShapeCaches:
         arrays = [shape.imaginary, *shape.coeffs]
         for op in operators(shape):
             arrays += [*op.coeffs, op.free, op.gram]
+            if isinstance(op, sdp._DenseOperator):
+                arrays += [op.lifted, op.flat]
             arrays += [part.take for part in op.parts]
             arrays += [a for pair in op.pairs for a in (pair.zinv, pair.x, pair.t)]
         for a in arrays:
@@ -592,7 +607,9 @@ class TestShapeCaches:
         monkeypatch.setattr(mg, "_shape", record)
         for decide in self.DECISIONS.values():
             decide()
-        assert {op.dtype for s in shapes for op in operators(s)} == {float, complex}
+        built = {(type(op), op.dtype) for s in shapes for op in operators(s)}
+        assert built == {(kind, dtype) for kind in (sdp._DenseOperator, sdp._Operator)
+                         for dtype in (float, complex)}
         for s in shapes:
             self.assert_read_only(s)
 
@@ -614,23 +631,143 @@ class TestShapeCaches:
         self.assert_read_only(shape)
 
     def test_a_cached_shape_builds_no_gram_matrix(self, monkeypatch):
-        dep = depolarizing_channel(2, 0.4)
-        clear_shape_caches()
-        built, schur = [], sdp._Operator.schur
+        # on a qubit shape, whose operator is dense, and a qutrit one, whose
+        # operator keeps row groups; the count patches the class the shape builds
+        for d, kind in ((2, sdp._DenseOperator), (3, sdp._Operator)):
+            dep = depolarizing_channel(d, 0.4)
+            clear_shape_caches()
+            built, schur = [], kind.schur
 
-        def counted(self, zinv, x):
-            built.append(None)
-            return schur(self, zinv, x)
+            def counted(self, zinv, x):
+                built.append(None)
+                return schur(self, zinv, x)
 
-        monkeypatch.setattr(sdp._Operator, "schur", counted)
-        first = mg.channels_compatible(dep, dep)
-        # cold: the Gram matrix of the shape's operator, then one Schur matrix per iteration
-        assert len(built) == 1 + first.iterations
-        built.clear()
-        dep = depolarizing_channel(2, 0.35)
-        second = mg.channels_compatible(dep, dep)
-        assert len(built) == second.iterations
-        assert mg._shape.cache_info().misses == 1
+            monkeypatch.setattr(kind, "schur", counted)
+            first = mg.channels_compatible(dep, dep)
+            assert type(mg._shape((d, d, d), ((1, 3), (2, 3))).real_rows) is kind
+            # cold: the Gram matrix of the shape's operator, then one Schur matrix per iteration
+            assert len(built) == 1 + first.iterations
+            built.clear()
+            dep = depolarizing_channel(d, 0.35)
+            second = mg.channels_compatible(dep, dep)
+            assert len(built) == second.iterations
+            assert mg._shape.cache_info().misses == 1
+            monkeypatch.undo()
+
+
+def spy_operators(monkeypatch):
+    """The list that records the class and dtype of the operator of every later IPM solve."""
+    built, ipm = [], sdp._ipm
+
+    def spy(rows, **kwargs):
+        built.append((type(rows.op), rows.op.dtype))
+        return ipm(rows, **kwargs)
+
+    monkeypatch.setattr(sdp, "_ipm", spy)
+    return built
+
+
+def random_qubit_channels(seed, count):
+    rng = np.random.default_rng(seed)
+    return [random_channel(2, 2, rng, kraus_rank=2) for _ in range(count)]
+
+
+class TestDenseOperator:
+    """A shape takes dense rows when its lifted rows hold at most
+    sdp.DENSE_ENTRIES floats, else row groups; both give the same decisions."""
+
+    SELECTION = {
+        "qubit-compat-real": (lambda: mg.channels_compatible(*compat_preset("depolarizing-pair")),
+                              sdp._DenseOperator, float),
+        "qubit-compat-complex": (lambda: mg.channels_compatible(*random_qubit_channels(1, 2)),
+                                 sdp._DenseOperator, complex),
+        "qubit-steer-real": (lambda: mg.state_steerable(*steer_preset("w-state")),
+                             sdp._DenseOperator, float),
+        "qubit-steer-complex": (
+            lambda: mg.state_steerable(random_density(4, np.random.default_rng(2)),
+                                       *random_qubit_channels(3, 2)),
+            sdp._DenseOperator, complex),
+        "qubit-bell-w-state": (lambda: mg.bell_local(*bell_preset("w-state")),
+                               sdp._DenseOperator, float),
+        "qubit-bell-max-entangled": (lambda: mg.bell_local(*bell_preset("max-entangled")),
+                                     sdp._DenseOperator, float),
+        "qutrit-compat-real": (lambda: mg.channels_compatible(
+            depolarizing_channel(3, 0.36), depolarizing_channel(3, 0.36)), sdp._Operator, float),
+        "qutrit-compat-complex": (lambda: mg.channels_compatible(
+            *(random_channel(3, 3, np.random.default_rng(5), kraus_rank=2) for _ in range(2))),
+            sdp._Operator, complex),
+    }
+
+    @pytest.mark.parametrize("name", list(SELECTION))
+    def test_selection(self, monkeypatch, name):
+        decide, kind, dtype = self.SELECTION[name]
+        built = spy_operators(monkeypatch)
+        decide()
+        assert built == [(kind, dtype)]
+
+    def test_the_factory_compares_entries_with_the_constant(self, monkeypatch):
+        # a real qubit compatibility shape: 17 rows of 8 x 8 lifts; complex: 28 rows, doubled
+        shape = mg._Shape((2, 2, 2), ((1, 3), (2, 3)))
+        real = [c.real[~c.imag.any(axis=1)] for c in shape.coeffs]
+        for coeffs, entries in ((real, 17 * 64), (shape.coeffs, 2 * 28 * 64)):
+            groups = list(zip(shape.kept, coeffs))
+            monkeypatch.setattr(sdp, "DENSE_ENTRIES", entries)
+            assert type(sdp._operator(shape.dims, groups)) is sdp._DenseOperator
+            monkeypatch.setattr(sdp, "DENSE_ENTRIES", entries - 1)
+            assert type(sdp._operator(shape.dims, groups)) is sdp._Operator
+
+    PARITY = {
+        **{f"compat-{name}": (lambda eps, name=name: mg.channels_compatible(
+            *compat_preset(name), eps=eps)) for name in ("identity-pair", "depolarizing-pair")},
+        **{f"steer-{name}": (lambda eps, name=name: mg.state_steerable(
+            *steer_preset(name), eps=eps)) for name in ("max-entangled", "w-state")},
+        **{f"bell-{name}": (lambda eps, name=name: mg.bell_local(*bell_preset(name), eps=eps))
+           for name in ("max-entangled", "w-state", "theta-family:1.0", "theta-family:5.5")},
+        **{f"bisect-{offset:+g}": (lambda eps, offset=offset: mg.channels_compatible(
+            depolarizing_channel(2, 1 / 3 + offset), depolarizing_channel(2, 1 / 3 + offset),
+            eps=eps)) for offset in (-1e-3, -1e-6, 1e-6, 1e-3)},
+        "compat-complex": lambda eps: mg.channels_compatible(
+            *random_qubit_channels(1, 2), eps=eps),
+        "steer-complex": lambda eps: mg.state_steerable(
+            random_density(4, np.random.default_rng(2)), *random_qubit_channels(3, 2), eps=eps),
+        "bell-complex": lambda eps: mg.bell_local(
+            random_density(4, np.random.default_rng(4)),
+            *(unitary_channel(random_unitary(2, np.random.default_rng(s))) for s in range(6, 10)),
+            eps=eps),
+    }
+
+    @pytest.mark.parametrize("name", list(PARITY))
+    def test_dense_and_grouped_decisions_agree(self, monkeypatch, name):
+        built = spy_operators(monkeypatch)
+
+        limit = sdp.DENSE_ENTRIES
+
+        def both(eps):
+            """The decision on the shape's dense operator, then on its row groups."""
+            clear_shape_caches()
+            dense = self.PARITY[name](eps)
+            monkeypatch.setattr(sdp, "DENSE_ENTRIES", 0)
+            clear_shape_caches()
+            grouped = self.PARITY[name](eps)
+            monkeypatch.setattr(sdp, "DENSE_ENTRIES", limit)
+            clear_shape_caches()
+            return dense, grouped
+
+        dense, grouped = both(sdp.BAND)
+        assert [kind for kind, _ in built] == [sdp._DenseOperator, sdp._Operator]
+        assert built[0][1] is built[1][1]
+        assert (dense.verdict, dense.iterations) == (grouped.verdict, grouped.iterations)
+        # a slack is exact to its own solve's relative gap (below eps / 10), which
+        # reaches several 1e-9 where the optimal witness is not unique, and rounding
+        # decides where in it a solve stops: two solves differ by up to both gaps
+        scale = 1 + abs(grouped.slack)
+        assert abs(dense.slack - grouped.slack) <= (1e-9 + dense.gap + grouped.gap) * scale
+        # solved to a relative gap of 1e-11, the slacks agree to 1e-9 (iteration
+        # counts of that end game depend on rounding and are not compared)
+        dense, grouped = both(1e-10)
+        assert [kind for kind, _ in built[2:]] == [sdp._DenseOperator, sdp._Operator]
+        assert dense.verdict == grouped.verdict
+        assert abs(dense.slack - grouped.slack) <= 1e-9 * (1 + abs(grouped.slack))
 
 
 class TestConjugationSymmetry:

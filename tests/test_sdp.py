@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import choimarg
 from choimarg import cli, sdp
 from choimarg.linalg import hermitian_basis
 from choimarg import marginals as mg
-from choimarg.channels import depolarizing_channel, identity_channel
+from choimarg.channels import channel_to_dict, depolarizing_channel, identity_channel
 from choimarg.marginals import MarginalSpec
 from choimarg.sampling import random_channel
 from conftest import (
@@ -132,52 +133,64 @@ class TestSolve:
         assert dtypes == [complex] * 4
 
     @staticmethod
-    def assert_numerical_failure(monkeypatch, capsys, corrupt):
+    def assert_numerical_failure(monkeypatch, capsys, tmp_path, corrupt):
         """Corrupt the Schur matrix of iteration 2: SdpError naming
         numerical_failure from the API, exit 3 from the CLI, whether the
-        shape's operator (and its Gram matrix) is built by the call or cached."""
-        schur, ipm = sdp._Operator.schur, sdp._ipm
+        shape's operator (and its Gram matrix) is built by the call or cached,
+        on a qubit pair (a dense operator) and a qutrit pair (row groups)."""
+        qutrit = depolarizing_channel(3)
+        paths = [str(tmp_path / "qutrit.json")]
+        Path(paths[0]).write_text(json.dumps(channel_to_dict(qutrit)))
+        cases = [
+            (depolarizing_channel(2), sdp._DenseOperator, ["--preset", "depolarizing-pair"]),
+            (qutrit, sdp._Operator, paths * 2),
+        ]
+        for dep, kind, argv in cases:
+            schur, ipm = kind.schur, sdp._ipm
 
-        def corrupt_iteration_two():
-            calls, solving = [], []
+            def corrupt_iteration_two():
+                calls, solving = [], []
 
-            def patched(self, zinv, x):
-                out = schur(self, zinv, x)
-                if solving:
-                    calls.append(None)
-                    if len(calls) == 2:
-                        corrupt(out)
-                return out
+                def patched(self, zinv, x):
+                    out = schur(self, zinv, x)
+                    if solving:
+                        calls.append(None)
+                        if len(calls) == 2:
+                            corrupt(out)
+                    return out
 
-            def solve(rows, **kwargs):
-                # count from the solve on: the Gram matrix is built with the
-                # operator, and not at all when the shape's operator is cached
-                solving.append(None)
-                return ipm(rows, **kwargs)
+                def solve(rows, **kwargs):
+                    assert type(rows.op) is kind
+                    # count from the solve on: the Gram matrix is built with the
+                    # operator, and not at all when the shape's operator is cached
+                    solving.append(None)
+                    return ipm(rows, **kwargs)
 
-            monkeypatch.setattr(sdp._Operator, "schur", patched)
-            monkeypatch.setattr(sdp, "_ipm", solve)
+                monkeypatch.setattr(kind, "schur", patched)
+                monkeypatch.setattr(sdp, "_ipm", solve)
 
-        dep = depolarizing_channel(2)
-        mg._shape.cache_clear()
-        for _ in range(2):  # the shape's operator built by the call, then cached
+            mg._shape.cache_clear()
+            for _ in range(2):  # the shape's operator built by the call, then cached
+                corrupt_iteration_two()
+                with pytest.raises(sdp.SdpError, match="status numerical_failure after 2 iterations"):
+                    mg.channels_compatible(dep, dep)
             corrupt_iteration_two()
-            with pytest.raises(sdp.SdpError, match="status numerical_failure after 2 iterations"):
-                mg.channels_compatible(dep, dep)
-        corrupt_iteration_two()
-        assert cli.main(["compat", "--preset", "depolarizing-pair"]) == cli.EXIT_SOLVER_ERROR == 3
-        assert "numerical_failure" in capsys.readouterr().err
+            assert cli.main(["compat", *argv]) == cli.EXIT_SOLVER_ERROR == 3
+            assert "numerical_failure" in capsys.readouterr().err
+            monkeypatch.undo()
 
-    def test_non_finite_value_is_a_numerical_failure(self, monkeypatch, capsys):
+    def test_non_finite_value_is_a_numerical_failure(self, monkeypatch, capsys, tmp_path):
         # a NaN inside the iteration is the solver's failure, not bad input
         self.assert_numerical_failure(
-            monkeypatch, capsys, lambda schur: schur.__setitem__((0, 0), np.nan)
+            monkeypatch, capsys, tmp_path, lambda schur: schur.__setitem__((0, 0), np.nan)
         )
 
-    def test_indefinite_schur_complement_is_a_numerical_failure(self, monkeypatch, capsys):
+    def test_indefinite_schur_complement_is_a_numerical_failure(
+        self, monkeypatch, capsys, tmp_path
+    ):
         # finite, with a negative leading pivot: the Cholesky factorization fails
         self.assert_numerical_failure(
-            monkeypatch, capsys, lambda schur: schur.__setitem__((0, 0), -schur[0, 0])
+            monkeypatch, capsys, tmp_path, lambda schur: schur.__setitem__((0, 0), -schur[0, 0])
         )
 
     def test_step_halved_when_rounding_leaves_the_cone(self):
@@ -190,13 +203,14 @@ class TestSolve:
             sdp._advance(x, np.diag([0.0, -1.0]).astype(complex), 1e12)
 
 
-def run_fresh(code: str) -> str:
-    """stdout of code run in a fresh interpreter that imports this checkout's choimarg."""
+def run_fresh(code: str, **env: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this checkout's
+    choimarg, with the extra environment variables env."""
     src = str(Path(choimarg.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": path, **env},
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -352,8 +366,9 @@ class TestSchurKernel:
             groups.append(RowGroup(kept, c, np.zeros(len(c))))
         return groups
 
-    def check(self, rng, dims, groups, imag):
-        """Compare the group kernel, A and A* with the Kronecker formula on lifted rows."""
+    def check(self, rng, dims, groups, imag, kind=sdp._Operator):
+        """Compare the Schur kernel, A and A* of an operator class with the
+        Kronecker formula on lifted rows."""
         def vec(mat):
             return mat.reshape(-1, order="F")
 
@@ -364,7 +379,7 @@ class TestSchurKernel:
             for k in [int(np.prod([dims[i] for i in g.kept]))]
             for c in g.coeffs
         ]
-        op = operator_of(dims, groups)
+        op = kind(dims, [(g.kept, g.coeffs) for g in groups])
         x = self.hpd(rng, n, imag)
         zinv = self.herm(np.linalg.inv(self.hpd(rng, n, imag)))
         core = self.herm(self.gauss(rng, n, imag))
@@ -389,25 +404,76 @@ class TestSchurKernel:
             for d in (3, 4):
                 coeffs = np.array([self.herm(self.gauss(rng, d, imag)).ravel() for _ in range(7)])
                 self.check(rng, (d,), (RowGroup((0,), coeffs, np.zeros(7)),), imag)
-            # lifted groups with different kept sets, and a whole-block group beside them
+            # lifted groups with different kept sets, and a whole-block group beside
+            # them, through row groups and through the dense rows
             for dims, kept_sets in self.LIFTED_CASES:
                 groups = self.lifted_groups(rng, dims, kept_sets, imag)
-                self.check(rng, dims, groups, imag)
+                for kind in (sdp._Operator, sdp._DenseOperator):
+                    self.check(rng, dims, groups, imag, kind)
                 n = int(np.prod(dims))
                 c = np.array([self.herm(self.gauss(rng, n, imag)).ravel() for _ in range(2)])
                 groups.append(RowGroup(tuple(range(len(dims))), c, np.zeros(2)))
-                self.check(rng, dims, groups, imag)
+                for kind in (sdp._Operator, sdp._DenseOperator):
+                    self.check(rng, dims, groups, imag, kind)
 
     @pytest.mark.parametrize("dims, kept_sets", LIFTED_CASES, ids=["compat", "steer", "bell"])
     def test_bitwise_symmetric(self, dims, kept_sets):
-        # only the diagonal pair blocks are symmetrized; the others are stored
-        # as exact transposes, so symmetrizing the whole matrix changes no bit
+        # the group kernel symmetrizes only the diagonal pair blocks and stores
+        # the others as exact transposes, the dense one symmetrizes the whole
+        # matrix: symmetrizing again changes no bit
         rng = np.random.default_rng(8)
         n = int(np.prod(dims))
-        op = operator_of(dims, self.lifted_groups(rng, dims, kept_sets, 1.0))
+        groups = [(g.kept, g.coeffs) for g in self.lifted_groups(rng, dims, kept_sets, 1.0)]
         zinv = self.herm(np.linalg.inv(self.hpd(rng, n, 1.0)))
-        schur = op.schur(zinv, self.hpd(rng, n, 1.0))
-        assert np.array_equal(schur, (schur + schur.T) / 2)
+        x = self.hpd(rng, n, 1.0)
+        for kind in (sdp._Operator, sdp._DenseOperator):
+            schur = kind(dims, groups).schur(zinv, x)
+            assert np.array_equal(schur, (schur + schur.T) / 2)
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
+    @pytest.mark.parametrize("dims, kept_sets", LIFTED_CASES, ids=["compat", "steer", "bell"])
+    def test_dense_gram_factor_matches_grouped(self, dims, kept_sets, imag):
+        rng = np.random.default_rng(9)
+        groups = [(g.kept, g.coeffs) for g in self.lifted_groups(rng, dims, kept_sets, imag)]
+        grouped, dense = sdp._Operator(dims, groups), sdp._DenseOperator(dims, groups)
+        assert dense.dtype is grouped.dtype is (float if imag == 0 else complex)
+        assert dense.gram_status is grouped.gram_status is None
+        np.testing.assert_allclose(dense.gram, grouped.gram, rtol=1e-12, atol=1e-12 * np.max(
+            np.abs(grouped.gram)))
+        np.testing.assert_array_equal(dense.free, grouped.free)
+
+    @pytest.mark.skipif(
+        "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+        reason="the row blocks follow OpenBLAS's threading threshold",
+    )
+    def test_dense_schur_rounds_the_same_at_one_and_two_blas_threads(self):
+        # the complex qubit Bell shape: 49 rows of 16 x 16 lifts, whose last Schur
+        # product is taken in 5 row blocks, each below OpenBLAS's threading size
+        code = """
+            import hashlib
+            import numpy as np
+            from choimarg import marginals as mg
+            op = mg._shape((2, 2, 2, 2), ((1, 3), (1, 4), (2, 3), (2, 4))).every_row
+            g = np.random.default_rng(0).standard_normal((16, 32)).view(complex)
+            x = g @ g.conj().T + np.eye(16)
+            schur = op.schur(np.linalg.inv(x + np.eye(16)), x)
+            print(type(op).__name__, hashlib.sha256(schur.tobytes()).hexdigest())
+        """
+        one, two = (run_fresh(code, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+        assert one.startswith("_DenseOperator ") and one == two
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
+    def test_dense_arrays_reject_writes(self, imag):
+        dims, kept_sets = self.LIFTED_CASES[2]
+        rng = np.random.default_rng(10)
+        groups = [(g.kept, g.coeffs) for g in self.lifted_groups(rng, dims, kept_sets, imag)]
+        op = sdp._DenseOperator(dims, groups)
+        assert op.lifted.shape == (op.m, op.n, op.n)
+        assert op.flat.shape == (op.m, op.n * op.n * (1 if imag == 0 else 2))
+        for a in (op.lifted, op.flat, op.free, op.gram):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
 
 
 class TestFeasibility:
