@@ -43,13 +43,23 @@ gamma = 0.9 + 0.099*min(alpha_p_aff, alpha_d_aff) of the way to the cone
 boundary, at most 0.999 (SDPT3's 0.09 caps it at 0.99, which holds the
 final iterations to a 100-fold cut of mu each), halved while rounding leaves
 an iterate that is not numerically positive definite. The solve starts at
-Z = 1 and X = s*1, where s = a.b / a.a (at least 1e-2) is the multiple of
-the identity that best fits the rows, N/n for marginal rows of trace N. A
-step length takes only the smallest eigenvalue of L^-1 dS L^-H (LAPACK
-zheevr over one index, dsyevr on a real block), with L the Cholesky factor
-of the current X or Z. The factorizations (zpotrf or dpotrf), the inverse
-factors (ztrtri or dtrtri), the solves and that eigenvalue call LAPACK
-directly, and every info is checked. scipy's LAPACK bindings are imported at the first
+a strictly feasible, centred point built from the rows' Gram matrix G (with
+the free coefficients a), as Helmberg, Rendl, Vanderbei and Wolkowicz
+(1996) do. The dual start is y = u / a.u with u = G^-1 a and Z = A*(y):
+a.y = 1, and Z = 1/n whenever the rows fix the trace; both, and Z's
+Cholesky factor, are fixed by the operator and held by it. The primal
+start is the least-norm solution (A*(v), a.v) of the rows, v = G^-1 b,
+shifted along (-1, +1), which keeps every row, until the spectrum of Y
+lies in [delta, 2 delta]; delta is the larger of its spread and s = a.b /
+a.a (at least 1e-2), the multiple of the identity that best fits the rows.
+Rows that do not fix the trace have no such dual start (a.u <= 0, or a Z
+that is not positive definite), and their solve ends before its first
+iteration with status numerical_failure. A step length takes only the
+smallest eigenvalue of L^-1 dS L^-H (LAPACK zheevr over one index, dsyevr
+on a real block), with L the Cholesky factor of the current X or Z. The
+factorizations (zpotrf or dpotrf), the inverse factors (ztrtri or dtrtri),
+the solves and that eigenvalue call LAPACK directly, and every info is
+checked. scipy's LAPACK bindings are imported at the first
 call that needs them, not with this module, so a process that never solves
 does not load scipy.linalg. A non-finite mu, mu_aff, Schur complement or
 step length, or a Schur complement that is not positive definite, ends the
@@ -58,10 +68,10 @@ The free scalar t is eliminated inside the Schur system. It works on one
 block directly, as SDPT3 and SeDuMi do: a real symmetric one when the
 coefficients are real (below), else a complex Hermitian one. It is written
 for the problem sizes of this package (block dimensions up to ~81, a few
-hundred constraint rows at most). It is deterministic: fixed initialization and no
-randomized pivoting. A qubit depolarizing pair near its compatibility
-threshold takes 6 iterations; a qutrit pair takes 5-6 (depolarizing), 7
-(unitary) or 11-14 (random Kraus rank 2 or 3).
+hundred constraint rows at most). It is deterministic: a closed-form start and no
+randomized pivoting. A qubit depolarizing pair takes 4 iterations, at its
+compatibility threshold and away from it; a qutrit pair takes 4
+(depolarizing or unitary) or 10-13 (random Kraus rank 2 or 3).
 
 Real data. When every coefficient a caller passes has a zero imaginary part
 (every B_p real symmetric), X -> conj(X) maps the feasible set onto itself
@@ -95,13 +105,15 @@ problem from its cost. Qubit compatibility, steering and Bell
 decisions (n = 8 and 16) take dense rows; qutrit compatibility (n = 27) and
 complex qubit-to-qutrit compatibility (n = 18, m = 68) keep row groups,
 where the dense Schur build costs more than the loop. At one BLAS thread
-on a 2-vCPU Xeon guest an iteration takes ~0.14 ms on a real qubit
-compatibility decision (m = 17, n = 8, dense), ~0.22 ms on a real qubit
-Bell one (m = 29, n = 16, dense), ~0.66 ms on a real qutrit compatibility
-one (m = 84, n = 27), ~1.4 ms on a complex one (m = 153, n = 27) and
-~7.5 ms on the complex qutrit Bell decision of ``default_rng(11)``
-(m = 289, n = 81), the O(m^3) Cholesky factorization of S included. The
-corrector step is projected onto the primal equations with the rows' Gram
+on a 2-vCPU Xeon guest, in a fast host period, a whole decision (rows,
+solve and validated witness) takes ~1.3 ms on a real qubit compatibility
+one (m = 17, n = 8, dense; 4 iterations), ~1.6 ms on a real qubit Bell one
+(m = 29, n = 16, dense; 5), ~3.2 ms on a real qutrit compatibility one
+(m = 84, n = 27; 4 on a depolarizing pair), ~5.7 ms on a complex one
+(m = 153, n = 27; 4 on a unitary pair, ~14 ms and 10 on a random
+Kraus-rank-3 pair) and ~65 ms on the complex qutrit Bell decision of
+``default_rng(11)`` (m = 289, n = 81; 8 iterations of ~8 ms, the O(m^3)
+Cholesky factorization of S included). The corrector step is projected onto the primal equations with the rows' Gram
 matrix (the kernel at Z^-1 = X = 1), so rounding in the Schur solve cannot
 leave a primal residual that the path no longer reduces; the predictor,
 along which no step is taken, is not.
@@ -301,16 +313,19 @@ class _Operator:
     every coefficient has a zero imaginary part, the coefficients are held in
     float64 and dtype is float: the solve runs on a real symmetric block (see
     the module docstring). Otherwise dtype is complex. free holds the free
-    coefficients a; gram is the Cholesky factor of the rows' Gram matrix, and
-    gram_status is None, numerical_failure when it has no factor (every row is
-    zero) or dependent_rows when a pivot collapses. free and gram are
-    read-only; an operator shared between solves (:mod:`choimarg.marginals`
-    keeps two per shape) is given read-only coefficients too.
+    coefficients a; gram is the Cholesky factor of the rows' Gram matrix; y0,
+    z0 = A*(y0) and z0's lower Cholesky factor lz0 are the dual start of every
+    solve (see :meth:`_factor`). status is None, or the status of a solve that
+    cannot start: numerical_failure when the Gram matrix has no factor (every
+    row is zero) or the rows do not fix the trace (no dual start), and
+    dependent_rows when a pivot collapses. These arrays are read-only; an
+    operator shared between solves (:mod:`choimarg.marginals` keeps two per
+    shape) is given read-only coefficients too.
     """
 
     def __init__(self, dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]):
         self._set_groups(dims, groups)
-        self.gram, self.gram_status = self._gram_factor()
+        self._factor()
 
     def _set_groups(
         self, dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]
@@ -380,10 +395,38 @@ class _Operator:
                 schur[t.rows, s.rows] = block.T
         return schur
 
+    def _factor(self) -> None:
+        """Set gram, status and the dual start y0, z0, lz0 (each None when status is set).
+
+        With G the Gram matrix and u = G^-1 a, y0 = u / a.u meets a.y0 = 1 and
+        z0 = A*(y0) is strictly feasible: when the rows fix the trace, a = A(1)
+        and A(A*(u) - (1 - a.u) 1) = 0 put A*(u) at (1 - a.u) 1, so z0 = 1/n
+        (Helmberg, Rendl, Vanderbei and Wolkowicz 1996). An a.u that is not
+        positive or a z0 that is not positive definite means the rows do not
+        fix the trace: status is then numerical_failure.
+        """
+        self.gram, self.status = self._gram_factor()
+        self.y0 = self.z0 = self.lz0 = None
+        if self.status is not None:
+            return
+        u = _cho_solve(self.gram, self.free)
+        fit = float(self.free @ u)
+        if not fit > 0:  # a = 0
+            self.status = NUMERICAL_FAILURE
+            return
+        y0 = u / fit
+        z0 = _herm(self.adjoint(y0))
+        try:
+            lz0 = _lower_factor(z0)
+        except np.linalg.LinAlgError:
+            self.status = NUMERICAL_FAILURE
+            return
+        self.y0, self.z0, self.lz0 = _read_only(y0), _read_only(z0), _read_only(lz0)
+
     def _gram_factor(self) -> tuple[np.ndarray | None, str | None]:
         """The Cholesky factor of the rows' Gram matrix (the Schur complement at
         Z^-1 = X = 1) with their free-scalar coefficients, regularised as a
-        Schur complement is, and its gram_status."""
+        Schur complement is, and the status of a solve on the rows."""
         eye = np.eye(self.n, dtype=self.dtype)
         gram = self.schur(eye, eye) + np.outer(self.free, self.free)
         if not np.isfinite(gram).all():
@@ -414,9 +457,9 @@ class _DenseOperator(_Operator):
     and the Schur complement is Re<A_p, Z^-1 A_q X>, from one GEMM for every
     A_q X, one batched product with Z^-1 and flat times the result in row
     blocks of at most SERIAL_GEMM multiply-adds, symmetrized exactly. The Gram
-    factor comes from this operator's own schur(1, 1). It keeps the grouped
-    structure and coefficients it is built from; only the lifted stack is
-    added to them.
+    factor comes from this operator's own schur(1, 1), the dual start from its
+    own adjoint. It keeps the grouped structure and coefficients it is built
+    from; only the lifted stack is added to them.
     """
 
     def __init__(self, dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]):
@@ -424,7 +467,7 @@ class _DenseOperator(_Operator):
         self.lifted = _read_only(np.array([_Operator.adjoint(self, e) for e in np.eye(self.m)]))
         flat = self.lifted.reshape(self.m, -1)
         self.flat = flat if self.dtype is float else flat.view(float)
-        self.gram, self.gram_status = self._gram_factor()
+        self._factor()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """A(X) = flat @ vec X."""
@@ -527,6 +570,13 @@ def _cholesky(s: np.ndarray) -> np.ndarray:
     return factor
 
 
+def _lower_factor(s: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a Hermitian positive definite s, real when s is."""
+    factor, info = (lapack.zpotrf if s.dtype.kind == "c" else lapack.dpotrf)(s, lower=1)
+    _checked(info, "matrix is not positive definite")
+    return factor
+
+
 def _cho_solve(factor: np.ndarray, r: np.ndarray) -> np.ndarray:
     u, info = lapack.dpotrs(factor, r)
     _checked(info)
@@ -571,12 +621,10 @@ def _advance(
     """
     for _ in range(30):
         moved = _herm(x + alpha * step)
-        factor, info = (lapack.zpotrf if moved.dtype.kind == "c" else lapack.dpotrf)(moved, lower=1)
-        if info > 0:  # not numerically positive definite
+        try:
+            return moved, _lower_factor(moved), alpha
+        except np.linalg.LinAlgError:  # not numerically positive definite
             alpha /= 2
-            continue
-        _checked(info)
-        return moved, factor, alpha
     raise np.linalg.LinAlgError("no step length keeps the iterate positive definite")
 
 
@@ -604,6 +652,24 @@ def _newton(
     return core - _herm(zinv @ lifted @ x), dy, lifted - r_d, dt
 
 
+def _primal_start(op: _Operator, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """A strictly feasible primal start (Y0, Y0's lower Cholesky factor, t0).
+
+    v = G^-1 b gives the least-norm solution (A*(v), a.v) of A(Y) + a*t = b.
+    It is shifted along (-1, +1), which keeps every row as a = A(1), until
+    Y0's spectrum lies in [delta, 2 delta]: delta is the larger of its spread
+    and s = a.b / a.a (at least 1e-2), the multiple of the identity that best
+    fits the rows.
+    """
+    v = _cho_solve(op.gram, b)
+    y = _herm(op.adjoint(v))
+    lo, hi = np.linalg.eigvalsh(y)[[0, -1]]
+    a_free = op.free
+    delta = max(hi - lo, float(a_free @ b) / float(a_free @ a_free), 1e-2)
+    x = y + (delta - lo) * np.eye(op.n)
+    return x, _lower_factor(x), float(a_free @ v + lo - delta)
+
+
 def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
     """Run the interior-point method on the slack program of row groups.
 
@@ -615,38 +681,34 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
     Nothing is pruned, so the dual vector is indexed by the rows in group
     order. Linearly dependent rows, which an inconsistent equality system
     always has, end the solve before the first iteration with status
-    dependent_rows; a non-finite mu, Schur matrix or step length ends it with
-    numerical_failure.
+    dependent_rows; rows that do not fix the trace (the operator has no dual
+    start) end it there with numerical_failure, as a non-finite mu, Schur
+    matrix or step length ends it later. The start is strictly feasible and
+    centred: the operator's dual start y0, Z0 = A*(y0) (1/n on marginal rows)
+    and the primal start of :func:`_primal_start`, so every row holds from
+    the first iterate on and no iteration is spent reaching feasibility.
     """
     op, b = rows.op, rows.rhs
     n, m, a_free = op.n, op.m, op.free
     b_scale = 1.0 + sqrt(float(b @ b))
-    eye = np.eye(n, dtype=op.dtype)
-
-    # start at the multiple of the identity that best fits the rows, s* = a.b / a.a
-    # (N/n for a marginal spec of trace N); all-zero rows fail below
-    fit = float(a_free @ a_free)
-    init_scale = max(float(a_free @ b) / fit if fit > 0 else 0.0, 1e-2)
-    x = init_scale * eye
-    z = eye
-    # the Cholesky factors of the two scaled identities
-    lx = np.sqrt(init_scale) * eye
-    lz = eye
-    y = np.zeros(m)
-    t = 0.0
     status = MAX_ITERATIONS
     it = 0
     pinf = dinf = relgap = np.inf
     dual = 0.0
-    r_p = b - op(x)
-    r_d = z - op.adjoint(y)
-    r_f = 1.0
 
-    # the Gram factor projects each step onto the primal equations; without
-    # one, or with a collapsed pivot, there is nothing to iterate on
+    # the Gram factor projects each step onto the primal equations and gives
+    # the start; without one, with a collapsed pivot, or without a dual start
+    # (rows that do not fix the trace), there is nothing to iterate on
     gram_cho = op.gram
-    if op.gram_status is not None:
-        max_iterations, status = 0, op.gram_status
+    if op.status is not None:
+        max_iterations, status = 0, op.status
+        x, y, t = np.zeros((n, n), dtype=op.dtype), np.zeros(m), 0.0
+    else:
+        x, lx, t = _primal_start(op, b)
+        y, z, lz = op.y0, op.z0, op.lz0
+        r_p = b - op(x) - a_free * t
+        r_d = z - op.adjoint(y)
+        r_f = 1.0 - float(a_free @ y)
 
     for it in range(1, max_iterations + 1):
         residuals = (r_p, r_d, r_f)
@@ -751,9 +813,10 @@ def _group_feasibility(
 
     Precondition: the rows are linearly independent and their span fixes the
     trace. Dependent rows, and so every inconsistent system, raise SdpError
-    with status dependent_rows before the first iteration. The span is not
-    checked: an unbounded slack program (such as a lone traceless row) does
-    not converge and raises SdpError.
+    with status dependent_rows before the first iteration. Rows whose span
+    does not fix the trace (such as a lone traceless row, whose slack
+    program is unbounded) have no strictly feasible dual start and raise
+    SdpError with status numerical_failure before it.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and strictly positive, got {eps!r}")

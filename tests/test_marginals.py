@@ -582,11 +582,11 @@ class TestShapeCaches:
 
     @staticmethod
     def assert_read_only(shape):
-        """Every array the shape holds, and those of the operators it has built,
-        rejects writes."""
+        """Every array the shape holds, and those of the operators it has built
+        (the dual start among them), rejects writes."""
         arrays = [shape.imaginary, *shape.coeffs]
         for op in operators(shape):
-            arrays += [*op.coeffs, op.free, op.gram]
+            arrays += [*op.coeffs, op.free, op.gram, op.y0, op.z0, op.lz0]
             if isinstance(op, sdp._DenseOperator):
                 arrays += [op.lifted, op.flat]
             arrays += [part.take for part in op.parts]
