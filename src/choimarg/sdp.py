@@ -37,8 +37,11 @@ and Mehrotra's predictor-corrector (Mehrotra 1992) with the SDPT3
 safeguards (Toh, Todd and Tutuncu 1999). Each iteration factors the Schur
 complement once and solves with it twice. The predictor is the affine
 direction (target 0); its step lengths give mu_aff and the centering
-sigma = clamp(mu_aff/mu, 0, 1)^3. The corrector targets sigma*mu and
-subtracts the second-order term herm(Z^-1 dZ_aff dX_aff). It goes a fraction
+sigma = clamp(mu_aff/mu, 0, 1)^e. The exponent e = max(1, 3 min(alpha_p_aff,
+alpha_d_aff)^2) adapts to the affine step as in SDPT3 (Toh, Todd and
+Tutuncu 1999; Tutuncu, Toh and Todd 2003): Mehrotra's cube after a full
+affine step, a milder cut of mu after a short one. The corrector targets
+sigma*mu and subtracts the second-order term herm(Z^-1 dZ_aff dX_aff). It goes a fraction
 gamma = 0.9 + 0.099*min(alpha_p_aff, alpha_d_aff) of the way to the cone
 boundary, at most 0.999 (SDPT3's 0.09 caps it at 0.99, which holds the
 final iterations to a 100-fold cut of mu each), halved while rounding leaves
@@ -54,13 +57,18 @@ lies in [delta, 2 delta]; delta is the larger of its spread and s = a.b /
 a.a (at least 1e-2), the multiple of the identity that best fits the rows.
 Rows that do not fix the trace have no such dual start (a.u <= 0, or a Z
 that is not positive definite), and their solve ends before its first
-iteration with status numerical_failure. A step length takes only the
-smallest eigenvalue of L^-1 dS L^-H (LAPACK zheevr over one index, dsyevr
+iteration with status numerical_failure. The dual iterate stays on
+Z = A*(y) by construction: the start is exactly dual feasible and every
+step moves Z by A*(dy), so no iteration forms or removes a dual residual.
+The drift max|Z - A*(y)| is measured once, at the iterate that passes every
+other stopping test, where it still gates optimal. A step length takes only
+the smallest eigenvalue of L^-1 dS L^-H (LAPACK zheevr over one index, dsyevr
 on a real block), with L the Cholesky factor of the current X or Z. The
 factorizations (zpotrf or dpotrf), the inverse factors (ztrtri or dtrtri),
-the solves and that eigenvalue call LAPACK directly, and every info is
-checked. scipy's LAPACK bindings are imported at the first
-call that needs them, not with this module, so a process that never solves
+the solves with the Schur and Gram factors (two triangular dtrtrs each,
+which on one right-hand side take about half of dpotrs's time) and that
+eigenvalue call LAPACK directly, and every info is checked. scipy's LAPACK
+bindings are imported at the first call that needs them, not with this module, so a process that never solves
 does not load scipy.linalg. A non-finite mu, mu_aff, Schur complement or
 step length, or a Schur complement that is not positive definite, ends the
 solve with status numerical_failure, and the iteration cap is 200.
@@ -71,7 +79,7 @@ for the problem sizes of this package (block dimensions up to ~81, a few
 hundred constraint rows at most). It is deterministic: a closed-form start and no
 randomized pivoting. A qubit depolarizing pair takes 4 iterations, at its
 compatibility threshold and away from it; a qutrit pair takes 4
-(depolarizing or unitary) or 10-13 (random Kraus rank 2 or 3).
+(depolarizing or unitary) or 8-11 (random Kraus rank 2 or 3).
 
 Real data. When every coefficient a caller passes has a zero imaginary part
 (every B_p real symmetric), X -> conj(X) maps the feasible set onto itself
@@ -106,14 +114,15 @@ decisions (n = 8 and 16) take dense rows; qutrit compatibility (n = 27) and
 complex qubit-to-qutrit compatibility (n = 18, m = 68) keep row groups,
 where the dense Schur build costs more than the loop. At one BLAS thread
 on a 2-vCPU Xeon guest, in a fast host period, a whole decision (rows,
-solve and validated witness) takes ~1.3 ms on a real qubit compatibility
-one (m = 17, n = 8, dense; 4 iterations), ~1.6 ms on a real qubit Bell one
-(m = 29, n = 16, dense; 5), ~3.2 ms on a real qutrit compatibility one
-(m = 84, n = 27; 4 on a depolarizing pair), ~5.7 ms on a complex one
-(m = 153, n = 27; 4 on a unitary pair, ~14 ms and 10 on a random
-Kraus-rank-3 pair) and ~65 ms on the complex qutrit Bell decision of
-``default_rng(11)`` (m = 289, n = 81; 8 iterations of ~8 ms, the O(m^3)
-Cholesky factorization of S included). The corrector step is projected onto the primal equations with the rows' Gram
+solve and validated witness) takes ~0.7 ms on a real qubit compatibility
+one (m = 17, n = 8, dense; 4 iterations), ~1.5 ms on a real qubit Bell one
+(m = 29, n = 16, dense; 5), ~2.2 ms on a real qutrit compatibility one
+(m = 84, n = 27; 4 on a depolarizing pair), ~4.8 ms on a complex one
+(m = 153, n = 27; 4 on a unitary pair, ~10 ms and 9 on a random
+Kraus-rank-3 pair, ~1.15 ms per iteration) and ~54 ms on the complex qutrit
+Bell decision of ``default_rng(11)`` (m = 289, n = 81; 8 iterations of
+~6.7 ms, the O(m^3) Cholesky factorization of S included). The corrector
+step is projected onto the primal equations with the rows' Gram
 matrix (the kernel at Z^-1 = X = 1), so rounding in the Schur solve cannot
 leave a primal residual that the path no longer reduces; the predictor,
 along which no step is taken, is not.
@@ -578,8 +587,16 @@ def _lower_factor(s: np.ndarray) -> np.ndarray:
 
 
 def _cho_solve(factor: np.ndarray, r: np.ndarray) -> np.ndarray:
-    u, info = lapack.dpotrs(factor, r)
-    _checked(info)
+    """S^-1 r, given the upper Cholesky factor U of S = U^T U (:func:`_cholesky`).
+
+    Two triangular solves (dtrtrs), U^T z = r and then U u = z, which read only
+    U's upper triangle: on one right-hand side they take about half of dpotrs's
+    time at m = 153 and m = 289.
+    """
+    z, info = lapack.dtrtrs(factor, r, trans=1)
+    _checked(info, "a Cholesky factor is singular")
+    u, info = lapack.dtrtrs(factor, z, overwrite_b=1)
+    _checked(info, "a Cholesky factor is singular")
     return u
 
 
@@ -636,20 +653,22 @@ def _newton(
     zinv: np.ndarray,
     x: np.ndarray,
     core: np.ndarray,
-    residuals: tuple[np.ndarray, np.ndarray, float],
+    residuals: tuple[np.ndarray, float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """The HKM direction (dX, dy, dZ, dt) whose linearized complementarity is core.
 
     core is the dX the direction would take at dy = 0. cho is the Cholesky
     factor of the Schur complement, a_free holds the rows' free coefficients a
-    and w = S^-1 a; residuals are (r_p, r_d, r_f).
+    and w = S^-1 a; residuals are (r_p, r_f), with r_f = 1 - a.y. The dual
+    iterate is kept on Z = A*(y), so the direction has no dual residual to
+    remove and dZ = A*(dy).
     """
-    r_p, r_d, r_f = residuals
+    r_p, r_f = residuals
     u = _cho_solve(cho, op(core) - r_p)
     dt = (r_f - float(a_free @ u)) / float(a_free @ w)
     dy = u + dt * w
-    lifted = op.adjoint(dy)
-    return core - _herm(zinv @ lifted @ x), dy, lifted - r_d, dt
+    dz = op.adjoint(dy)
+    return core - _herm(zinv @ dz @ x), dy, dz, dt
 
 
 def _primal_start(op: _Operator, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -670,6 +689,22 @@ def _primal_start(op: _Operator, b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return x, _lower_factor(x), float(a_free @ v + lo - delta)
 
 
+def _measures(
+    op: _Operator, b: np.ndarray, x: np.ndarray, y: np.ndarray, t: float
+) -> tuple[np.ndarray, float, float, float, float]:
+    """r_p = b - A(X) - a*t, r_f = 1 - a.y, the primal residual |r_p| / (1 + |b|),
+    the relative gap |b.y - t| / (1 + |t|) and the dual objective b.y of an iterate."""
+    r_p = b - op(x) - op.free * t
+    dual = float(b @ y)
+    pinf = sqrt(float(r_p @ r_p)) / (1.0 + sqrt(float(b @ b)))
+    return r_p, 1.0 - float(op.free @ y), pinf, abs(dual - t) / (1.0 + abs(t)), dual
+
+
+def _dual_residual(op: _Operator, y: np.ndarray, z: np.ndarray, r_f: float) -> float:
+    """max(max|Z - A*(y)|, |r_f|)."""
+    return max(float(np.max(np.abs(z - op.adjoint(y)))), abs(r_f))
+
+
 def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
     """Run the interior-point method on the slack program of row groups.
 
@@ -687,14 +722,16 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
     centred: the operator's dual start y0, Z0 = A*(y0) (1/n on marginal rows)
     and the primal start of :func:`_primal_start`, so every row holds from
     the first iterate on and no iteration is spent reaching feasibility.
+
+    The dual iterate stays on Z = A*(y), whose drift is measured only where
+    every other stopping test passes, and the centering exponent adapts to
+    the affine step (see the module docstring). A report after any number
+    of iterations, 0 included, carries the residuals and gap of its iterate.
     """
     op, b = rows.op, rows.rhs
     n, m, a_free = op.n, op.m, op.free
-    b_scale = 1.0 + sqrt(float(b @ b))
     status = MAX_ITERATIONS
     it = 0
-    pinf = dinf = relgap = np.inf
-    dual = 0.0
 
     # the Gram factor projects each step onto the primal equations and gives
     # the start; without one, with a collapsed pivot, or without a dual start
@@ -702,16 +739,14 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
     gram_cho = op.gram
     if op.status is not None:
         max_iterations, status = 0, op.status
-        x, y, t = np.zeros((n, n), dtype=op.dtype), np.zeros(m), 0.0
+        x = z = np.zeros((n, n), dtype=op.dtype)
+        y, t = np.zeros(m), 0.0
     else:
         x, lx, t = _primal_start(op, b)
         y, z, lz = op.y0, op.z0, op.lz0
-        r_p = b - op(x) - a_free * t
-        r_d = z - op.adjoint(y)
-        r_f = 1.0 - float(a_free @ y)
+    r_p, r_f, pinf, relgap, dual = _measures(op, b, x, y, t)
 
     for it in range(1, max_iterations + 1):
-        residuals = (r_p, r_d, r_f)
         try:
             # inverse Cholesky factors: Z^-1 and the four step lengths use them
             lzinv, lxinv = _inverse_factor(lz), _inverse_factor(lx)
@@ -728,19 +763,19 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
 
             # predictor: the affine direction (target 0) sets the centering and
             # the second-order term; it is not projected, as no step is taken
-            base = _herm(zinv @ r_d @ x) - x
-            dx_aff, _, dz_aff, _ = _newton(op, a_free, cho, w, zinv, x, base, residuals)
+            dx_aff, _, dz_aff, _ = _newton(op, a_free, cho, w, zinv, x, -x, (r_p, r_f))
             alpha_p = min(1.0, _step_to_boundary(lxinv, dx_aff))
             alpha_d = min(1.0, _step_to_boundary(lzinv, dz_aff))
             mu_aff = np.vdot(z + alpha_d * dz_aff, x + alpha_p * dx_aff).real / n
             if not np.isfinite(mu_aff):
                 raise np.linalg.LinAlgError("the predicted mu is not finite")
-            sigma = min(max(mu_aff / mu, 0.0), 1.0) ** 3
-            gamma = 0.9 + 0.099 * min(alpha_p, alpha_d)
+            step_aff = min(alpha_p, alpha_d)
+            sigma = min(max(mu_aff / mu, 0.0), 1.0) ** max(1.0, 3.0 * step_aff**2)
+            gamma = 0.9 + 0.099 * step_aff
 
             # corrector: centering sigma*mu and the second-order term
-            core = base + sigma * mu * zinv - _herm(zinv @ dz_aff @ dx_aff)
-            dx, dy, dz, dt = _newton(op, a_free, cho, w, zinv, x, core, residuals)
+            core = sigma * mu * zinv - x - _herm(zinv @ dz_aff @ dx_aff)
+            dx, dy, dz, dt = _newton(op, a_free, cho, w, zinv, x, core, (r_p, r_f))
             correction = _cho_solve(gram_cho, r_p - op(dx) - a_free * dt)
             dx = dx + op.adjoint(correction)
             dt += float(a_free @ correction)
@@ -756,17 +791,14 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
         y = y + alpha_d * dy
         t = t + alpha_p * dt
 
-        dual = float(b @ y)
-        r_p = b - op(x) - a_free * t
-        r_d = z - op.adjoint(y)
-        r_f = 1.0 - float(a_free @ y)
-        pinf = sqrt(float(r_p @ r_p)) / b_scale
-        dinf = max(float(np.max(np.abs(r_d))), abs(r_f))
-        relgap = abs(dual - t) / (1.0 + abs(t))
-
-        if pinf <= FEAS_TOL and dinf <= FEAS_TOL and relgap <= gap_tol:
-            status = OPTIMAL
-            break
+        r_p, r_f, pinf, relgap, dual = _measures(op, b, x, y, t)
+        if pinf <= FEAS_TOL and abs(r_f) <= FEAS_TOL and relgap <= gap_tol:
+            dinf = _dual_residual(op, y, z, r_f)
+            if dinf <= FEAS_TOL:
+                status = OPTIMAL
+                break
+    if status != OPTIMAL:
+        dinf = _dual_residual(op, y, z, r_f)
 
     return Report(
         verdict=status,
@@ -816,17 +848,18 @@ def _group_feasibility(
     with status dependent_rows before the first iteration. Rows whose span
     does not fix the trace (such as a lone traceless row, whose slack
     program is unbounded) have no strictly feasible dual start and raise
-    SdpError with status numerical_failure before it.
+    SdpError with status numerical_failure before it; its reason names the
+    broken precondition, where a solve that fails later did not converge.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and strictly positive, got {eps!r}")
     solve = _ipm(rows, gap_tol=min(GAP_TOL, eps / 10.0), max_iterations=max_iterations)
     if solve.verdict != OPTIMAL:
-        reason = (
-            "the constraint rows are linearly dependent"
-            if solve.verdict == DEPENDENT_ROWS
-            else "feasibility solve did not converge"
-        )
+        # a set operator status is the precondition that kept the solve from starting
+        reason = {
+            DEPENDENT_ROWS: "the constraint rows are linearly dependent",
+            NUMERICAL_FAILURE: "the constraint rows do not fix the trace",
+        }.get(rows.op.status, "feasibility solve did not converge")
         raise SdpError(
             f"{reason}: status {solve.verdict} after "
             f"{solve.iterations} iterations (primal residual {solve.primal_residual:.3e}, "

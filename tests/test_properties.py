@@ -7,10 +7,13 @@ verdict and slack must agree up to the solver's accuracy, and more
 depolarizing noise on one channel never makes a compatible pair
 incompatible. Every verdict's witness or dual certificate is re-checked with
 numpy alone, independently of the package: for compatibility, and for
-steering and Bell locality on seeded random qubit states and channels.
+steering and Bell locality on seeded random qubit states and channels. The
+dual vector of every verdict, feasible ones included, is checked to be dual
+feasible on every preset and on a real and a complex qutrit pair.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,7 @@ from choimarg.channels import (
     unitary_channel,
 )
 from choimarg.linalg import kron
+from choimarg.presets import bell_preset, compat_preset, steer_preset
 from choimarg.sampling import random_channel, random_density, random_separable, random_unitary
 from conftest import depolarize
 from kron_oracles import embed
@@ -151,22 +155,9 @@ def marginal(x, dims, kept):
     return t.reshape(d, d)
 
 
-def assert_certified_marginals(rep, words, dims, targets):
-    """Re-check a steering or locality verdict against fresh targets; return it.
-
-    words are the question's verdicts for a feasible and an infeasible program.
-
-    A feasible verdict's witness must be PSD and reproduce every target. An
-    infeasible one's dual vector, recombined with the rows' coefficient
-    matrices into one Hermitian W_k per target, must give sum_k lift(W_k) >= 0
-    and sum_k Tr(W_k T_k) < 0, which no PSD operator with these marginals allows.
-    """
-    assert rep.verdict in words
-    if rep.verdict == words[0]:
-        assert np.linalg.eigvalsh(rep.witness)[0] >= -1e-8
-        for kept, target in targets:
-            assert np.max(np.abs(marginal(rep.witness, dims, kept) - target)) <= 1e-6
-        return rep.verdict
+def dual_cone(rep, dims, targets):
+    """The dual vector recombined with the rows' coefficient matrices into one
+    Hermitian W_k per target: sum_k lift(W_k) and sum_k Tr(W_k T_k)."""
     layout = mg._shape(dims, tuple(kept for kept, _ in targets)).coeffs
     ends = np.cumsum([len(p) for p in layout])
     cone = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
@@ -176,30 +167,104 @@ def assert_certified_marginals(rep, words, dims, targets):
         assert np.max(np.abs(w - w.conj().T)) <= 1e-12
         cone += embed(w, dims, kept)
         value += np.trace(w @ target).real
+    return cone, value
+
+
+def assert_certified_marginals(rep, words, dims, targets):
+    """Re-check a steering or locality verdict against fresh targets; return it.
+
+    words are the question's verdicts for a feasible and an infeasible program.
+
+    A feasible verdict's witness must be PSD and reproduce every target. An
+    infeasible one's dual vector, recombined by :func:`dual_cone`, must give
+    sum_k lift(W_k) >= 0 and sum_k Tr(W_k T_k) < 0, which no PSD operator
+    with these marginals allows.
+    """
+    assert rep.verdict in words
+    if rep.verdict == words[0]:
+        assert np.linalg.eigvalsh(rep.witness)[0] >= -1e-8
+        for kept, target in targets:
+            assert np.max(np.abs(marginal(rep.witness, dims, kept) - target)) <= 1e-6
+        return rep.verdict
+    cone, value = dual_cone(rep, dims, targets)
     assert np.linalg.eigvalsh(cone)[0] >= -1e-8
     assert value < 0
     assert abs(value - rep.dual_objective) <= 1e-8
     return rep.verdict
 
 
-def assert_certified_steering(rho, c1, c2):
-    targets = (
-        ((1, 2), _apply(tensor(identity_channel(2), c1), rho)),
-        ((1, 3), _apply(tensor(identity_channel(2), c2), rho)),
+def compat_targets(c1, c2):
+    return (c1.out_dim, c2.out_dim, c1.in_dim), (((1, 3), c1.choi), ((2, 3), c2.choi))
+
+
+def steering_targets(rho, c1, c2):
+    dims = (rho.shape[0] // c1.in_dim, c1.out_dim, c2.out_dim)
+    ident = identity_channel(dims[0])
+    return dims, (
+        ((1, 2), _apply(tensor(ident, c1), rho)),
+        ((1, 3), _apply(tensor(ident, c2), rho)),
     )
-    rep = mg.state_steerable(rho, c1, c2)
-    return assert_certified_marginals(rep, ("unsteerable", "steerable"), (2, 2, 2), targets)
 
 
-def assert_certified_locality(rho, c11, c21, c12, c22):
-    targets = (
+def locality_targets(rho, c11, c21, c12, c22):
+    return (c11.out_dim, c21.out_dim, c12.out_dim, c22.out_dim), (
         ((1, 3), _apply(tensor(c11, c12), rho)),
         ((1, 4), _apply(tensor(c11, c22), rho)),
         ((2, 3), _apply(tensor(c21, c12), rho)),
         ((2, 4), _apply(tensor(c21, c22), rho)),
     )
+
+
+def assert_certified_steering(rho, c1, c2):
+    rep = mg.state_steerable(rho, c1, c2)
+    return assert_certified_marginals(
+        rep, ("unsteerable", "steerable"), *steering_targets(rho, c1, c2)
+    )
+
+
+def assert_certified_locality(rho, c11, c21, c12, c22):
     rep = mg.bell_local(rho, c11, c21, c12, c22)
-    return assert_certified_marginals(rep, ("local", "nonlocal"), (2, 2, 2, 2), targets)
+    return assert_certified_marginals(
+        rep, ("local", "nonlocal"), *locality_targets(rho, c11, c21, c12, c22)
+    )
+
+
+def random_qutrit_pair():
+    rng = np.random.default_rng(5)
+    return tuple(random_channel(3, 3, rng, kraus_rank=2) for _ in range(2))
+
+
+DUAL_FEASIBILITY_CASES = {
+    **{
+        f"compat-{name}": (mg.channels_compatible, compat_targets, lambda name=name: compat_preset(name))
+        for name in ("identity-pair", "depolarizing-pair")
+    },
+    **{
+        f"steer-{name}": (mg.state_steerable, steering_targets, lambda name=name: steer_preset(name))
+        for name in ("max-entangled", "w-state")
+    },
+    **{
+        f"bell-{name}": (mg.bell_local, locality_targets, lambda name=name: bell_preset(name))
+        for name in ("max-entangled", "w-state", "theta-family:2.5")
+    },
+    "qutrit-real": (
+        mg.channels_compatible, compat_targets,
+        lambda: (depolarizing_channel(3, 0.36), depolarizing_channel(3, 0.4)),
+    ),
+    "qutrit-complex": (mg.channels_compatible, compat_targets, random_qutrit_pair),
+}
+
+
+@pytest.mark.parametrize("name", list(DUAL_FEASIBILITY_CASES))
+def test_every_dual_vector_is_dual_feasible(name):
+    # feasible verdicts included: the dual vector y of every optimal solve
+    # meets a.y = 1 with A*(y) >= 0, so sum_k lift(W_k) is PSD with unit trace
+    decide, targets_of, inputs = DUAL_FEASIBILITY_CASES[name]
+    args = inputs()
+    cone, _ = dual_cone(decide(*args), *targets_of(*args))
+    lam = np.linalg.eigvalsh(cone)
+    assert lam[0] >= -1e-8 * np.abs(lam).max()
+    assert abs(np.trace(cone).real - 1.0) <= 1e-9
 
 
 @qubit_cases

@@ -173,7 +173,10 @@ class TestSolve:
             mg._shape.cache_clear()
             for _ in range(2):  # the shape's operator built by the call, then cached
                 corrupt_iteration_two()
-                with pytest.raises(sdp.SdpError, match="status numerical_failure after 2 iterations"):
+                with pytest.raises(
+                    sdp.SdpError,
+                    match="did not converge: status numerical_failure after 2 iterations",
+                ):
                     mg.channels_compatible(dep, dep)
             corrupt_iteration_two()
             assert cli.main(["compat", *argv]) == cli.EXIT_SOLVER_ERROR == 3
@@ -315,8 +318,12 @@ class TestIterationBudget:
     Started at Z = 1, X = (a.b / a.a) * 1 with the cap at 0.999, they took a
     mean of 12.4 at one BLAS thread and 12.5 at two (max 14), the self-pairs
     5-7 and a bisection step 6. From the strictly feasible, centred start
-    the random pairs take a mean of 10.9 at one and at two BLAS threads (max
-    13), and every self-pair and bisection step 4.
+    the random pairs took a mean of 10.9 at one and at two BLAS threads (max
+    13), and every self-pair and bisection step 4. With the centering
+    exponent adapted to the affine step (Mehrotra's cube after a full one)
+    and the dual iterate kept on A*(y), the random pairs take a mean of 9.13
+    at one BLAS thread and 9.17 at two (max 11); the self-pairs and
+    bisection steps, whose affine steps are full, keep 4.
     """
 
     def test_random_kraus_rank_two_and_three_qutrit_pairs(self):
@@ -325,8 +332,8 @@ class TestIterationBudget:
             rng = np.random.default_rng(9000 + s)
             c1, c2 = (random_channel(3, 3, rng, kraus_rank=2 + s % 2) for _ in range(2))
             counts.append(mg.channels_compatible(c1, c2).iterations)
-        assert np.mean(counts) <= 11.5
-        assert max(counts) <= 13
+        assert np.mean(counts) <= 9.5
+        assert max(counts) <= 11
 
     @pytest.mark.parametrize("d, threshold", [(2, 1.0 / 3.0), (3, 3.0 / 8.0)])
     def test_depolarizing_self_pairs(self, d, threshold):
@@ -385,8 +392,8 @@ class TestFeasibleStart:
         y = sol[:n2] if op.dtype is float else sol[:n2] + 1j * sol[n2:2 * n2]
         return y.reshape(op.n, op.n), sol[-1]
 
-    @pytest.mark.parametrize("name", list(DECISIONS))
-    def test_start_is_strictly_feasible_and_centred(self, monkeypatch, name):
+    def rows_of(self, monkeypatch, name):
+        """The rows the decision's one solve takes, checked for its operator kind."""
         decide, kind, dtype = self.DECISIONS[name]
         solves, ipm = [], sdp._ipm
 
@@ -396,9 +403,15 @@ class TestFeasibleStart:
 
         monkeypatch.setattr(sdp, "_ipm", spy)
         decide()
+        monkeypatch.undo()
         (rows,) = solves
+        assert (type(rows.op), rows.op.dtype, rows.op.status) == (kind, dtype, None)
+        return rows
+
+    @pytest.mark.parametrize("name", list(DECISIONS))
+    def test_start_is_strictly_feasible_and_centred(self, monkeypatch, name):
+        rows = self.rows_of(monkeypatch, name)
         op, b = rows.op, rows.rhs
-        assert (type(op), op.dtype, op.status) == (kind, dtype, None)
         n = op.n
         x, lx, t = sdp._primal_start(op, b)
 
@@ -421,6 +434,18 @@ class TestFeasibleStart:
         assert abs(t - (t_least - shift)) <= tol
         spectrum = np.linalg.eigvalsh(x)
         assert delta - tol <= spectrum[0] and spectrum[-1] <= 2 * delta + tol
+
+    @pytest.mark.parametrize("name", list(DECISIONS))
+    def test_zero_iteration_report_carries_the_start_residuals(self, monkeypatch, name):
+        rows = self.rows_of(monkeypatch, name)
+        op, b = rows.op, rows.rhs
+        sol = sdp._ipm(rows, gap_tol=1e-8, max_iterations=0)
+        assert (sol.verdict, sol.iterations) == (sdp.MAX_ITERATIONS, 0)
+        assert sol.primal_residual <= 1e-12 and sol.dual_residual <= 1e-12
+        # the gap and dual objective of the start itself: b.y0 against t0
+        _, _, t = sdp._primal_start(op, b)
+        assert sol.slack == t and sol.dual_objective == b @ op.y0
+        assert sol.gap == abs(b @ op.y0 - t) / (1 + abs(t))
 
 
 class TestSchurKernel:
@@ -640,8 +665,31 @@ class TestFeasibility:
             assert (op.status, op.y0, op.z0, op.lz0) == (sdp.NUMERICAL_FAILURE, None, None, None)
             sol = slack_program(2, whole_block(pins))
             assert (sol.verdict, sol.iterations) == (sdp.NUMERICAL_FAILURE, 0)
-            with pytest.raises(sdp.SdpError, match="status numerical_failure after 0 iterations"):
+            with pytest.raises(
+                sdp.SdpError, match="status numerical_failure after 0 iterations"
+            ) as raised:
                 feasibility(2, pins)
+            # the reason names the broken precondition: nothing was iterated
+            assert str(raised.value).startswith(
+                "the constraint rows do not fix the trace: status numerical_failure "
+                "after 0 iterations ("
+            )
+
+    @pytest.mark.parametrize("pins", [
+        [(SZ, 0.0), (SX, 0.3)],  # no dual start: numerical_failure
+        [(np.diag([1.0, 0.0]), 0.5)],  # no dual start: numerical_failure
+        [(np.eye(2), 1.0), (np.eye(2), 2.0)],  # dependent_rows
+        [(np.zeros((2, 2)), 0.0)],  # no Gram factor: numerical_failure
+    ])
+    def test_a_solve_that_cannot_start_reports_its_zero_iterate(self, pins):
+        # X = 0, y = 0, t = 0: r_p = b, r_f = 1 - a.y = 1, b.y = t = 0
+        sol = slack_program(2, whole_block(pins))
+        b = np.array([v for _, v in pins])
+        assert sol.iterations == 0 and sol.verdict != sdp.OPTIMAL
+        assert sol.primal_residual == pytest.approx(
+            np.linalg.norm(b) / (1 + np.linalg.norm(b)), rel=1e-15
+        )
+        assert (sol.dual_residual, sol.gap, sol.dual_objective, sol.slack) == (1.0, 0.0, 0.0, 0.0)
 
     def test_inconsistent_targets_infeasible(self):
         # overlapping targets that disagree on factor 1 are rejected up front
