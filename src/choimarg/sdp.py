@@ -117,15 +117,16 @@ on a 2-vCPU Xeon guest, in a fast host period, a whole decision (rows,
 solve and validated witness) takes ~0.7 ms on a real qubit compatibility
 one (m = 17, n = 8, dense; 4 iterations), ~1.5 ms on a real qubit Bell one
 (m = 29, n = 16, dense; 5), ~2.2 ms on a real qutrit compatibility one
-(m = 84, n = 27; 4 on a depolarizing pair), ~4.8 ms on a complex one
-(m = 153, n = 27; 4 on a unitary pair, ~10 ms and 9 on a random
-Kraus-rank-3 pair, ~1.15 ms per iteration) and ~54 ms on the complex qutrit
-Bell decision of ``default_rng(11)`` (m = 289, n = 81; 8 iterations of
-~6.7 ms, the O(m^3) Cholesky factorization of S included). The corrector
-step is projected onto the primal equations with the rows' Gram
-matrix (the kernel at Z^-1 = X = 1), so rounding in the Schur solve cannot
-leave a primal residual that the path no longer reduces; the predictor,
-along which no step is taken, is not.
+(m = 84, n = 27; 4 on a depolarizing pair, and ~2.4 ms with 4 on a
+unitary pair, which :mod:`choimarg.marginals` decides in a real gauge),
+~4.8 ms on a complex one (m = 153, n = 27; 4 on a unitary pair without the
+gauge, ~10 ms and 9 on a random Kraus-rank-3 pair, ~1.15 ms per iteration)
+and ~54 ms on the complex qutrit Bell decision of ``default_rng(11)``
+(m = 289, n = 81; 8 iterations of ~6.7 ms, the O(m^3) Cholesky
+factorization of S included). The corrector step is projected onto the
+primal equations with the rows' Gram matrix (the kernel at Z^-1 = X = 1),
+so rounding in the Schur solve cannot leave a primal residual that the path
+no longer reduces; the predictor, along which no step is taken, is not.
 
 Per-shape costs are paid once. An :class:`_Operator` holds everything the
 coefficients fix: the gather indices, the coefficients in the solve's
@@ -208,9 +209,12 @@ class Report:
     """Verdict of one prescribed-marginal question and the solve that decided it.
 
     verdict is the question's word for a feasible or an infeasible program, or
-    MARGINAL. slack is the optimal t of "max t s.t. X - t*1 >= 0, A(X) = b";
-    its sign decides outside the band |t| < eps. witness is the primal
-    matrix after the caller's last change to it, validated once (PSD to
+    MARGINAL. slack is the optimal t of "max t s.t. X - t*1 >= 0, A(X) = b",
+    exact only to the solve's relative gap (below min(GAP_TOL, eps/10), and
+    several 1e-9 at the default band), so two equivalent solves, or one after
+    a rounding-level change, may differ by a few 1e-9; its sign decides
+    outside the band |t| < eps. witness is the primal matrix after the
+    caller's last change to it, validated once (PSD to
     -WITNESS_PSD, residuals <= WITNESS_RESIDUAL), and None unless the
     verdict is the feasible word; an in-band slack whose eigenvalue-clipped
     witness fails that check is MARGINAL. dual_certificate is the dual
@@ -830,6 +834,7 @@ def _group_feasibility(
     words: tuple[str, str],
     eps: float = BAND,
     finish: Callable[[np.ndarray], np.ndarray] = lambda x: x,
+    holds: Callable[[np.ndarray], bool] | None = None,
     max_iterations: int = 200,
 ) -> Report:
     """Decide existence of a PSD operator satisfying the rows of row groups.
@@ -839,9 +844,10 @@ def _group_feasibility(
 
     Unless t <= -eps, the witness X = Y + t*1 (eigenvalue-clipped when
     |t| < eps) goes through finish, the caller's last change to it, and is
-    validated once: feasible if it holds, else SdpError when t >= eps and
-    MARGINAL in the band |t| < eps. An eps that is not finite and positive
-    raises ValueError.
+    validated once, by holds (default ``rows.holds``; a caller that solves
+    an equivalent program checks the finished witness on its own rows):
+    feasible if it holds, else SdpError when t >= eps and MARGINAL in the
+    band |t| < eps. An eps that is not finite and positive raises ValueError.
 
     Precondition: the rows are linearly independent and their span fixes the
     trace. Dependent rows, and so every inconsistent system, raise SdpError
@@ -872,7 +878,7 @@ def _group_feasibility(
         return replace(solve, verdict=infeasible, witness=None)
     x = solve.witness + t_hat * np.eye(rows.op.n)
     x = finish(np.asarray(x if t_hat >= eps else _clip_psd(x), dtype=complex))
-    if rows.holds(x):
+    if (holds or rows.holds)(x):
         return replace(solve, verdict=feasible, witness=x)
     if t_hat >= eps:
         raise SdpError("feasible verdict failed independent witness validation")

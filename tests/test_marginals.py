@@ -1,4 +1,4 @@
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from choimarg.channels import (
     Channel,
     _apply,
     apply,
+    channel_from_dict,
+    channel_to_dict,
     depolarizing_channel,
     identity_channel,
     max_entangled,
@@ -1120,3 +1122,103 @@ class TestCompatWitnessRevalidation:
             assert np.linalg.eigvalsh(witness)[0] >= -1e-8
             assert np.max(np.abs(partial_trace(witness, (2, 2, 2), {2}) - c1.choi)) <= 1e-6
             assert np.max(np.abs(partial_trace(witness, (2, 2, 2), {1}) - c2.choi)) <= 1e-6
+
+
+WORDS = (mg.COMPATIBLE, mg.INCOMPATIBLE)
+
+
+def seeded_unitary(d, seed):
+    return unitary_channel(random_unitary(d, np.random.default_rng(seed)))
+
+
+class TestUnitaryGauge:
+    """A pair with a complex unitary channel is decided in the gauge that turns
+    each unitary channel into the identity: on its real rows, with every
+    report field mapped back. Each decision is compared with the ungauged
+    complex solve of the original spec, and its certificate or witness is
+    re-checked with numpy on the original Choi matrices."""
+
+    UNITARY_PAIRS = {
+        f"{name}-unitary-pair": (lambda d=d, s=s: (seeded_unitary(d, s), seeded_unitary(d, s + 1)))
+        for name, d, s in (("qubit", 2, 41), ("qutrit", 3, 43), ("qutrit-2", 3, 45))
+    }
+    WITH_DEPOLARIZING = {
+        f"{name}-unitary-depolarizing-{p}": (
+            lambda d=d, p=p: (seeded_unitary(d, 47 + d), depolarizing_channel(d, p)))
+        for name, d in (("qubit", 2), ("qutrit", 3)) for p in (0.2, 0.5, 1.0)
+    }
+    PARITY = {**UNITARY_PAIRS, **WITH_DEPOLARIZING}
+
+    @pytest.mark.parametrize("name", list(PARITY))
+    def test_parity_with_the_complex_solve(self, monkeypatch, name):
+        c1, c2 = self.PARITY[name]()
+        dims = (c1.out_dim, c2.out_dim, c1.in_dim)
+        dtypes = spy_dtypes(monkeypatch)
+        complex_solve = mg._decide(mg._compat_spec(c1, c2), WORDS, sdp.BAND)
+        rep = mg.channels_compatible(c1, c2)
+        assert dtypes == [complex, float]
+        assert rep.verdict == complex_solve.verdict
+        assert abs(rep.slack - complex_solve.slack) <= 1e-8 * (1 + abs(complex_solve.slack))
+        assert abs(rep.dual_objective - complex_solve.dual_objective) <= 1e-8
+        # a unitary pair has one optimal dual vector, which both solves reach to
+        # rounding; next to a depolarizing channel the optimal duals form a face,
+        # and the real and the complex program stop at points of it up to ~3e-7
+        # apart, as they do on the identity channel with the same partner, where
+        # no gauge is involved
+        tol = 1e-8 if name in self.UNITARY_PAIRS else 1e-6
+        assert np.max(np.abs(rep.dual_certificate - complex_solve.dual_certificate)) <= tol
+        # dual_witness and dual_value come from the original Choi matrices
+        a, b = rep.dual_witness
+        assert np.linalg.eigvalsh(cone_matrix(c1, c2, a, b))[0] >= -1e-8
+        value = np.trace(a @ c1.choi).real + np.trace(b @ c2.choi).real
+        assert abs(value - rep.dual_value) <= 1e-9
+        if rep.verdict == mg.INCOMPATIBLE:
+            assert value < 0
+            return
+        assert name.endswith("-1.0")
+        x = rep.joint_choi.choi
+        assert np.max(np.abs(x - x.conj().T)) <= 1e-12
+        assert np.linalg.eigvalsh(x)[0] >= -1e-8
+        assert np.max(np.abs(np_partial_trace(x, dims, (0, 2)) - c1.choi)) <= 1e-6
+        assert np.max(np.abs(np_partial_trace(x, dims, (1, 2)) - c2.choi)) <= 1e-6
+
+    def test_unitary_pairs_have_the_identity_pairs_slack(self):
+        # two unitary channels are the identity pair in their gauge: no cloning,
+        # with the slack of the identity pair on every draw
+        for d in (2, 3):
+            ident = mg.channels_compatible(identity_channel(d), identity_channel(d))
+            for seed in range(60, 64):
+                rep = mg.channels_compatible(seeded_unitary(d, seed), seeded_unitary(d, seed + 10))
+                assert rep.verdict == mg.INCOMPATIBLE
+                assert abs(rep.slack - ident.slack) <= 1e-8 * (1 + abs(ident.slack))
+
+    LEFT_ALONE = {
+        "kraus-rank-2-pair": lambda: tuple(
+            random_channel(3, 3, np.random.default_rng(51), kraus_rank=2) for _ in range(2)),
+        "unitary-with-1e-6-noise": lambda: (
+            depolarize(seeded_unitary(3, 52), 1e-6), depolarizing_channel(3, 0.5)),
+        "unitary-with-kraus-rank-2": lambda: (
+            seeded_unitary(3, 53), random_channel(3, 3, np.random.default_rng(54), kraus_rank=2)),
+        "identity-pair": lambda: compat_preset("identity-pair"),
+    }
+
+    @pytest.mark.parametrize("name", list(LEFT_ALONE))
+    def test_inputs_the_gauge_leaves_alone(self, name):
+        c1, c2 = self.LEFT_ALONE[name]()
+        spec = mg._compat_spec(c1, c2)
+        ungauged = mg._decide(spec, WORDS, sdp.BAND, partial(mg._joint_finish, spec))
+        fields = report_fields(mg.channels_compatible(c1, c2))
+        assert {f: fields[f] for f in report_fields(ungauged)} == report_fields(ungauged)
+
+    def test_detection_reads_the_choi_matrix(self, monkeypatch):
+        # a unitary channel written to JSON and read back is a plain Choi matrix,
+        # validated by Channel(...); it is gauged all the same
+        u = seeded_unitary(3, 55)
+        back = channel_from_dict(channel_to_dict(u))
+        assert type(back) is Channel and back.choi.imag.any()
+        dep = depolarizing_channel(3, 0.3)
+        dtypes = spy_dtypes(monkeypatch)
+        built, read = mg.channels_compatible(u, dep), mg.channels_compatible(back, dep)
+        assert dtypes == [float, float]
+        assert read.verdict == built.verdict == mg.INCOMPATIBLE
+        assert abs(read.slack - built.slack) <= 1e-9
