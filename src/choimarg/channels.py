@@ -61,9 +61,12 @@ class Channel:
 
     ``Channel(...)`` validates the dimensions (each an integer of at least 1)
     and the Choi matrix in full, at the fixed tolerances of
-    :mod:`choimarg.linalg`; ``choi_from_kraus`` and
-    ``tensor`` skip that check, their results being CPTP by construction.
-    Immutable; safe to share between threads.
+    :mod:`choimarg.linalg`. Constructors whose results are CPTP by
+    construction skip it and check their inputs instead: ``choi_from_kraus``
+    (sum K^H K = 1), ``tensor`` (two channels), ``depolarizing_channel`` (CP
+    from its closed-form eigenvalues) and the ``joint_choi`` of
+    :func:`~choimarg.marginals.channels_compatible` (its witness, validated
+    on the rows and to this PSD bound). Immutable and thread-safe.
     """
 
     in_dim: int
@@ -97,13 +100,11 @@ class Channel:
     def _trusted(cls, in_dim: int, out_dims: tuple[int, ...], choi: np.ndarray) -> Channel:
         """A channel whose Choi matrix is CPTP by construction; runs no checks.
 
-        Only for complex arrays that no caller can write to afterwards, built
-        from validated inputs (Kraus operators, tensor factors). They are
-        Hermitian only to rounding, not exactly as ``Channel(...)``'s Hermitian
-        part is: max |C - C^H| is 5.6e-17 for a random qutrit unitary channel.
-        A consumer that needs an exactly Hermitian matrix takes (C + C^H)/2, as
-        the marginal decisions do; without it, complex qutrit compatibility
-        slacks move by up to 5e-9 and iteration counts by 1.
+        Only for complex arrays, which no caller writes to afterwards, of the
+        constructors the class docstring names. Those of Kraus operators and
+        tensor products are Hermitian only to rounding (5.6e-17 on a random
+        qutrit unitary channel): the marginal decisions take (C + C^H)/2, else
+        complex qutrit slacks would move by up to 5e-9.
         """
         c = object.__new__(cls)
         choi.setflags(write=False)
@@ -154,11 +155,26 @@ def unitary_channel(u: np.ndarray) -> Channel:
 
 
 def depolarizing_channel(d: int, p: float = 1.0) -> Channel:
-    """rho -> (1 - p) rho + p Tr(rho) 1/d; fully depolarizing at p = 1."""
+    """rho -> (1 - p) rho + p Tr(rho) 1/d; fully depolarizing at p = 1.
+
+    p must be a finite real number. The Choi matrix (1 - p)|Omega>><<Omega| +
+    (p/d) 1 is real symmetric and trace preserving for every p; CP is checked
+    on its eigenvalues p/d and (1 - p) d + p/d at the bound of ``Channel(...)``.
+    """
     d = check_dim(d)
-    ident = identity_channel(d).choi
-    mixed = np.eye(d * d, dtype=complex) / d
-    return Channel(in_dim=d, out_dims=(d,), choi=(1.0 - p) * ident + p * mixed)
+    try:
+        finite = not np.iscomplexobj(p) and math.isfinite(p)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise ValueError(f"p {p!r} is not a finite real number")
+    p = float(p)
+    lam = min(p / d, (1.0 - p) * d + p / d)
+    if lam < -PSD_TOL * d * d:
+        raise ValueError(f"Choi matrix is not CP: min eigenvalue {lam:.3e}")
+    omega = np.eye(d).reshape(-1)
+    choi = (1.0 - p) * np.outer(omega, omega) + p * (np.eye(d * d) / d)
+    return Channel._trusted(d, (d,), choi.astype(complex))
 
 
 def measure_prepare(

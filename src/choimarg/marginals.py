@@ -46,14 +46,10 @@ frame: the witness is (K_1 (x) K_2 (x) 1) X' (.)^H, finished and validated
 on the original rows, and each per-target dual W'_k becomes
 (K_k (x) 1) W'_k (.)^H, expanded on every basis row.
 
-What a solve takes from the dims and the kept sets alone is one
-:class:`_Shape`: the basis rows' coefficient matrices, the mask of their
-purely imaginary rows and, each built at the first decision that needs it,
-the solver's operator of every row and of the real rows. One bounded cache
-of 64 shapes (:func:`_shape`) keeps it, so a decision on a shape seen
-before computes only the right-hand sides. Specs built from validated
-channels and states skip the checks of ``MarginalSpec(...)``; user specs get
-them all.
+What the dims and kept sets fix is one cached :class:`_Shape`, so a
+decision on a shape seen before computes only the right-hand sides. Specs
+built from validated channels and states skip the checks of
+``MarginalSpec(...)``; user specs get them all.
 
 A witness is rescaled to the exact normalization (a joint channel is also
 projected onto exact trace preservation) and validated once, after that.
@@ -83,11 +79,11 @@ from .linalg import (
     check_hermitian,
     frozen,
     hermitian_product_basis,
-    kron,
     partial_trace,
 )
 from .sdp import (
-    BAND, FEASIBLE, INFEASIBLE, Report, _group_feasibility, _operator, _Operator, _Rows,
+    BAND, FEASIBLE, INFEASIBLE, WITNESS_PSD, Report, _group_feasibility, _operator, _Operator,
+    _Rows,
 )
 
 __all__ = [
@@ -228,11 +224,9 @@ class _Shape:
     is skipped. imaginary is the read-only mask of the purely imaginary rows
     among all basis rows, in target order; the others are real (B_p real
     symmetric). every_row (complex) and real_rows (float64) are the
-    operators of every row and of the real rows alone, each built at the
-    first decision that needs it by :func:`~choimarg.sdp._operator`: a
-    :class:`~choimarg.sdp._DenseOperator` when its lifted rows are small (on
-    qubit compatibility, steering and Bell shapes, both properties), else the
-    grouped :class:`~choimarg.sdp._Operator` (on (3, 3, 3), both properties).
+    operators of every row and of the real rows alone, each built by
+    :func:`~choimarg.sdp._operator` at the first decision that needs it (dense
+    on qubit shapes, grouped on (3, 3, 3)).
     """
 
     def __init__(self, dims: tuple[int, ...], kept_sets: tuple[tuple[int, ...], ...]):
@@ -298,14 +292,15 @@ def _decide(
     eps: float,
     finish: Callable[[np.ndarray], np.ndarray] | None = None,
     holds: Callable[[np.ndarray], bool] | None = None,
+    psd: float = WITNESS_PSD,
 ) -> Report:
     """The spec's feasibility in the caller's words, its witness through finish
     (default: rescaled to the exact trace) and its dual vector on every basis row.
 
     Rows that a real solve meets exactly are left out of it (see the module
     docstring) and get an exact 0 in the dual vector. Everything but the
-    right-hand sides comes from the spec's :class:`_Shape`. holds, when
-    given, replaces the solved rows' check of the finished witness.
+    right-hand sides comes from the spec's :class:`_Shape`. holds, when given,
+    replaces the solved rows' check (PSD to -psd) of the finished witness.
     """
     shape = _shape(spec.dims, tuple(kept for kept, _ in spec.targets))
     rhs = _rhs(shape, spec)
@@ -319,6 +314,7 @@ def _decide(
         eps=eps,
         finish=finish or partial(_exact_trace, spec),
         holds=holds,
+        psd=psd,
     )
     dual = np.zeros(len(rhs))
     dual[solved] = report.dual_certificate
@@ -342,7 +338,8 @@ class CompatReport(Report):
     marginal.
 
     joint_choi is the witness joint channel on (out_1 (x) out_2) for
-    compatible pairs; witness is its read-only Choi matrix, one copy.
+    compatible pairs; witness is its read-only Choi matrix, one copy, validated
+    once by the decision (see :func:`_joint_finish`), not again as a Channel.
     dual_witness is a pair (A, B) normalized to the Frobenius ball with
     lift(A) + 1 (x) B >= 0; its objective value Tr(C_1 A) + Tr(C_2 B) is
     dual_value, negative for incompatible pairs.
@@ -373,12 +370,16 @@ def _dual_per_target(spec: MarginalSpec, report: Report) -> list[np.ndarray]:
 
 def _joint_finish(spec: MarginalSpec, x: np.ndarray) -> np.ndarray:
     """The finishing map of a joint channel's Choi matrix on (out_1, out_2, in):
-    rescaled, then projected onto exact trace preservation, so that the
-    witness revalidates as a Channel."""
-    x = _exact_trace(spec, x)
-    d1, d2, din = spec.dims
+    rescaled, projected onto exact trace preservation and made exactly
+    Hermitian. The decision then checks it on the rows and PSD to
+    -min(WITNESS_PSD, PSD_TOL n), n its dimension: ``Channel(...)``'s bound
+    where that is the stricter one (n < 10), so it needs no re-validation."""
+    x = _exact_trace(spec, x)  # a new array: the normalization d_in is positive
+    d, din = spec.dims[0] * spec.dims[1], spec.dims[2]
     defect = partial_trace(x, spec.dims, {1, 2}) - np.eye(din)
-    return x - kron(np.eye(d1 * d2), defect) / (d1 * d2)
+    blocks = np.arange(d)
+    x.reshape(d, din, d, din)[blocks, :, blocks, :] -= defect / d
+    return (x + x.conj().T) / 2
 
 
 def _unitary_kraus(c: Channel) -> np.ndarray | None:
@@ -441,6 +442,7 @@ def _decide_gauged(
     words: tuple[str, str],
     eps: float,
     finish: Callable[[np.ndarray], np.ndarray],
+    psd: float,
 ) -> Report:
     """The spec decided by the solve of the gauged spec, whose target k is
     U_k^H T_k U_k (U_k the product of the per-factor units over its kept
@@ -454,7 +456,7 @@ def _decide_gauged(
         return finish((x + x.conj().T) / 2)
 
     report = _decide(
-        gauged, words, eps, rotated, holds=lambda x: _Rows(shape.every_row, rhs).holds(x)
+        gauged, words, eps, rotated, holds=lambda x: _Rows(shape.every_row, rhs).holds(x, psd)
     )
     dual = []
     for c, w, (kept, _) in zip(shape.coeffs, _dual_per_target(gauged, report), spec.targets):
@@ -469,11 +471,12 @@ def channels_compatible(c1: Channel, c2: Channel, *, eps: float = BAND) -> Compa
     a pair that :func:`_real_gauge` makes real is solved in that gauge."""
     spec = _compat_spec(c1, c2)
     words, finish = (COMPATIBLE, INCOMPATIBLE), partial(_joint_finish, spec)
+    psd = min(WITNESS_PSD, PSD_TOL * prod(spec.dims))
     gauge = _real_gauge(c1, c2)
     if gauge is None:
-        report = _decide(spec, words, eps, finish)
+        report = _decide(spec, words, eps, finish, psd=psd)
     else:
-        report = _decide_gauged(spec, *gauge, words, eps, finish)
+        report = _decide_gauged(spec, *gauge, words, eps, finish, psd)
     # a.y = 1 on the optimal dual vector, so the pair is not zero
     a, b = _dual_per_target(spec, report)
     scale = float(np.sqrt(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2)))
@@ -482,12 +485,10 @@ def channels_compatible(c1: Channel, c2: Channel, *, eps: float = BAND) -> Compa
         np.real(np.sum(np.conj(a) * c1.choi)) + np.real(np.sum(np.conj(b) * c2.choi))
     )
     joint = None
-    flat = vars(report)
     if report.witness is not None:
-        joint = Channel(in_dim=c1.in_dim, out_dims=(c1.out_dim, c2.out_dim), choi=report.witness)
-        # the report shares the joint channel's read-only Choi matrix: one copy
-        flat = {**flat, "witness": joint.choi}
-    return CompatReport(**flat, joint_choi=joint, dual_witness=(a, b), dual_value=dual_value)
+        # validated to Channel's bounds by the decision; the report shares its array
+        joint = Channel._trusted(c1.in_dim, (c1.out_dim, c2.out_dim), report.witness)
+    return CompatReport(**vars(report), joint_choi=joint, dual_witness=(a, b), dual_value=dual_value)
 
 
 # ---------------------------------------------------------------------------

@@ -46,32 +46,23 @@ gamma = 0.9 + 0.099*min(alpha_p_aff, alpha_d_aff) of the way to the cone
 boundary, at most 0.999 (SDPT3's 0.09 caps it at 0.99, which holds the
 final iterations to a 100-fold cut of mu each), halved while rounding leaves
 an iterate that is not numerically positive definite. The solve starts at
-a strictly feasible, centred point built from the rows' Gram matrix G (with
-the free coefficients a), as Helmberg, Rendl, Vanderbei and Wolkowicz
-(1996) do. The dual start is y = u / a.u with u = G^-1 a and Z = A*(y):
-a.y = 1, and Z = 1/n whenever the rows fix the trace; both, and Z's
-Cholesky factor, are fixed by the operator and held by it. The primal
-start is the least-norm solution (A*(v), a.v) of the rows, v = G^-1 b,
-shifted along (-1, +1), which keeps every row, until the spectrum of Y
-lies in [delta, 2 delta]; delta is the larger of its spread and s = a.b /
-a.a (at least 1e-2), the multiple of the identity that best fits the rows.
-Rows that do not fix the trace have no such dual start (a.u <= 0, or a Z
-that is not positive definite), and their solve ends before its first
-iteration with status numerical_failure. The dual iterate stays on
+a strictly feasible, centred point built from the rows' Gram matrix, as
+Helmberg, Rendl, Vanderbei and Wolkowicz (1996) do: the dual start
+Z = A*(y) = 1/n, fixed by the operator (:meth:`_Operator._factor`), and the
+least-norm primal solution shifted along the identity
+(:func:`_primal_start`). Rows that do not fix the trace have no such dual
+start, and their solve ends before its first iteration with status
+numerical_failure. The dual iterate stays on
 Z = A*(y) by construction: the start is exactly dual feasible and every
 step moves Z by A*(dy), so no iteration forms or removes a dual residual.
 The drift max|Z - A*(y)| is measured once, at the iterate that passes every
 other stopping test, where it still gates optimal. A step length takes only
-the smallest eigenvalue of L^-1 dS L^-H (LAPACK zheevr over one index, dsyevr
-on a real block), with L the Cholesky factor of the current X or Z. The
-factorizations (zpotrf or dpotrf), the inverse factors (ztrtri or dtrtri),
-the solves with the Schur and Gram factors (two triangular dtrtrs each,
-which on one right-hand side take about half of dpotrs's time) and that
-eigenvalue call LAPACK directly, and every info is checked. scipy's LAPACK
-bindings are imported at the first call that needs them, not with this module, so a process that never solves
-does not load scipy.linalg. A non-finite mu, mu_aff, Schur complement or
-step length, or a Schur complement that is not positive definite, ends the
-solve with status numerical_failure, and the iteration cap is 200.
+the smallest eigenvalue of L^-1 dS L^-H, with L the Cholesky factor of the
+current X or Z. Factorizations, inverse factors, triangular solves and that
+eigenvalue call LAPACK directly, every info checked (:func:`_checked`). A
+non-finite mu, mu_aff, Schur complement or step length, or a Schur
+complement that is not positive definite, ends the solve with status
+numerical_failure, and the iteration cap is 200.
 The free scalar t is eliminated inside the Schur system. It works on one
 block directly, as SDPT3 and SeDuMi do: a real symmetric one when the
 coefficients are real (below), else a complex Hermitian one. It is written
@@ -104,40 +95,32 @@ than that arithmetic, so :func:`_operator` holds the rows densely instead
 (:class:`_DenseOperator`: the stack of the m lifts lift(B_p), A(X) and
 A*(y) one matrix product each, the Schur complement a few) whenever the
 stack has at most :data:`DENSE_ENTRIES` floats: m n^2, doubled on a complex
-block. Its last Schur product is taken in row blocks below the size at
-which OpenBLAS starts threads for a matrix product (:data:`SERIAL_GEMM`);
-threads cost more than they save at these sizes, and the blocks round the
-same at any thread count. The choice is made from n, m and the dtype
-alone, as Fujisawa, Kojima and Nakata (1997) choose the Schur formula per
-problem from its cost. Qubit compatibility, steering and Bell
-decisions (n = 8 and 16) take dense rows; qutrit compatibility (n = 27) and
-complex qubit-to-qutrit compatibility (n = 18, m = 68) keep row groups,
-where the dense Schur build costs more than the loop. At one BLAS thread
-on a 2-vCPU Xeon guest, in a fast host period, a whole decision (rows,
-solve and validated witness) takes ~0.7 ms on a real qubit compatibility
-one (m = 17, n = 8, dense; 4 iterations), ~1.5 ms on a real qubit Bell one
-(m = 29, n = 16, dense; 5), ~2.2 ms on a real qutrit compatibility one
-(m = 84, n = 27; 4 on a depolarizing pair, and ~2.4 ms with 4 on a
-unitary pair, which :mod:`choimarg.marginals` decides in a real gauge),
-~4.8 ms on a complex one (m = 153, n = 27; 4 on a unitary pair without the
-gauge, ~10 ms and 9 on a random Kraus-rank-3 pair, ~1.15 ms per iteration)
-and ~54 ms on the complex qutrit Bell decision of ``default_rng(11)``
-(m = 289, n = 81; 8 iterations of ~6.7 ms, the O(m^3) Cholesky
-factorization of S included). The corrector step is projected onto the
-primal equations with the rows' Gram matrix (the kernel at Z^-1 = X = 1),
-so rounding in the Schur solve cannot leave a primal residual that the path
-no longer reduces; the predictor, along which no step is taken, is not.
+block; its last Schur product runs in row blocks of :data:`SERIAL_GEMM`
+multiply-adds. The choice is made from n, m and the dtype alone, as
+Fujisawa, Kojima and Nakata (1997) choose the Schur formula per problem
+from its cost. Qubit compatibility, steering and Bell decisions (n = 8 and
+16) take dense rows; qutrit compatibility (n = 27) and complex
+qubit-to-qutrit compatibility (n = 18, m = 68) keep row groups, where the
+dense Schur build costs more than the loop. At one BLAS thread on a 2-vCPU
+Xeon guest, in a fast host period, a whole decision (rows, solve and
+validated witness) takes ~0.8 ms on a real qubit compatibility one
+(m = 17, n = 8, dense; 4 iterations) and ~0.9 ms when it is compatible or a
+cloning bisection step that builds its depolarizing channel, ~1.4 ms on a
+real qubit Bell one (m = 29, n = 16, dense; 5), ~2.2 ms on a real qutrit
+compatibility one (m = 84, n = 27; 4 on a depolarizing pair, ~2.4 ms on a
+unitary pair in its real gauge), ~4.8 ms on a complex one (m = 153,
+n = 27; 4 on a unitary pair without the gauge, ~10 ms and 9 on a random
+Kraus-rank-3 pair, ~1.15 ms per iteration) and ~54 ms on the complex
+qutrit Bell decision of ``default_rng(11)`` (m = 289, n = 81; 8 iterations
+of ~6.7 ms, the O(m^3) Cholesky factorization of S included). The
+corrector step is projected onto the primal equations with the rows' Gram
+matrix (the kernel at Z^-1 = X = 1), so rounding in the Schur solve cannot
+leave a primal residual that the path no longer reduces; the predictor,
+along which no step is taken, is not.
 
-Per-shape costs are paid once. An :class:`_Operator` holds everything the
-coefficients fix: the gather indices, the coefficients in the solve's
-dtype (and, on a :class:`_DenseOperator`, the lifted rows), the free
-coefficients a and the Gram factor with its dependent-row result. A
-:class:`_Rows` is an operator and one problem's right-hand sides b.
-:mod:`choimarg.marginals` keeps the operators of a shape (dims and kept
-sets) on its one per-shape object, held in a bounded cache of 64 shapes, so
-a decision on a shape seen before supplies only b. Sharing is safe: every
-array an operator holds is read-only, and the cache keys are dimensions and
-factor indices, never object identities.
+Per-shape costs are paid once: an :class:`_Operator` holds, read-only,
+everything the coefficients fix, and a :class:`_Rows` adds one problem's
+right-hand sides b. :mod:`choimarg.marginals` caches the operators per shape.
 """
 
 from __future__ import annotations
@@ -328,10 +311,8 @@ class _Operator:
     the module docstring). Otherwise dtype is complex. free holds the free
     coefficients a; gram is the Cholesky factor of the rows' Gram matrix; y0,
     z0 = A*(y0) and z0's lower Cholesky factor lz0 are the dual start of every
-    solve (see :meth:`_factor`). status is None, or the status of a solve that
-    cannot start: numerical_failure when the Gram matrix has no factor (every
-    row is zero) or the rows do not fix the trace (no dual start), and
-    dependent_rows when a pivot collapses. These arrays are read-only; an
+    solve, and status is None or the status of a solve that cannot start (see
+    :meth:`_factor` and :meth:`_gram_factor`). These arrays are read-only; an
     operator shared between solves (:mod:`choimarg.marginals` keeps two per
     shape) is given read-only coefficients too.
     """
@@ -529,8 +510,8 @@ class _Rows:
         self.op = op
         self.rhs = np.asarray(rhs, dtype=float)
 
-    def holds(self, x: np.ndarray) -> bool:
-        """Every row holds to WITNESS_RESIDUAL and X is PSD to -WITNESS_PSD.
+    def holds(self, x: np.ndarray, psd: float = WITNESS_PSD) -> bool:
+        """Every row holds to WITNESS_RESIDUAL and X is PSD to -psd.
 
         On a real block X must be exactly real: a caller that leaves out the
         purely imaginary rows of a program invariant under X -> conj(X) (as
@@ -542,7 +523,7 @@ class _Rows:
             x = x.real
         if float(np.max(np.abs(self.op(x) - self.rhs))) > WITNESS_RESIDUAL:
             return False
-        return float(np.linalg.eigvalsh(x)[0]) >= -WITNESS_PSD
+        return float(np.linalg.eigvalsh(x)[0]) >= -psd
 
 
 # ---------------------------------------------------------------------------
@@ -713,24 +694,15 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
     """Run the interior-point method on the slack program of row groups.
 
     The program is max t s.t. A(Y) + a*t = b, Y >= 0, with a the rows' free
-    coefficients; the free scalar t is eliminated inside the Schur system.
-    The returned report's verdict is the solver status (optimal,
-    max_iterations, numerical_failure or dependent_rows), its slack t and
-    its witness the last Y; :func:`_group_feasibility` replaces both.
+    coefficients. The returned report's verdict is the solver status
+    (optimal, max_iterations, numerical_failure or dependent_rows), its slack
+    t and its witness the last Y; :func:`_group_feasibility` replaces both.
     Nothing is pruned, so the dual vector is indexed by the rows in group
-    order. Linearly dependent rows, which an inconsistent equality system
-    always has, end the solve before the first iteration with status
-    dependent_rows; rows that do not fix the trace (the operator has no dual
-    start) end it there with numerical_failure, as a non-finite mu, Schur
-    matrix or step length ends it later. The start is strictly feasible and
-    centred: the operator's dual start y0, Z0 = A*(y0) (1/n on marginal rows)
-    and the primal start of :func:`_primal_start`, so every row holds from
-    the first iterate on and no iteration is spent reaching feasibility.
-
-    The dual iterate stays on Z = A*(y), whose drift is measured only where
-    every other stopping test passes, and the centering exponent adapts to
-    the affine step (see the module docstring). A report after any number
-    of iterations, 0 included, carries the residuals and gap of its iterate.
+    order. Rows the operator cannot start on (dependent, or not fixing the
+    trace) end the solve before the first iteration with the operator's
+    status. The start, the centering and the dual iterate are those of the
+    module docstring. A report after any number of iterations, 0 included,
+    carries the residuals and gap of its iterate.
     """
     op, b = rows.op, rows.rhs
     n, m, a_free = op.n, op.m, op.free
@@ -759,7 +731,8 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
             schur = op.schur(zinv, x)
             if not (0.0 < mu < np.inf and np.isfinite(schur).all()):
                 raise np.linalg.LinAlgError("mu or the Schur complement is not finite")
-            schur.flat[:: m + 1] += 1e-14 * np.trace(schur) / m
+            diagonal = schur.reshape(-1)[:: m + 1]
+            diagonal += 1e-14 * diagonal.sum() / m
             cho = _cholesky(schur)
             w = _cho_solve(cho, a_free)
             if not float(a_free @ w) > 0:
@@ -835,6 +808,7 @@ def _group_feasibility(
     eps: float = BAND,
     finish: Callable[[np.ndarray], np.ndarray] = lambda x: x,
     holds: Callable[[np.ndarray], bool] | None = None,
+    psd: float = WITNESS_PSD,
     max_iterations: int = 200,
 ) -> Report:
     """Decide existence of a PSD operator satisfying the rows of row groups.
@@ -844,8 +818,8 @@ def _group_feasibility(
 
     Unless t <= -eps, the witness X = Y + t*1 (eigenvalue-clipped when
     |t| < eps) goes through finish, the caller's last change to it, and is
-    validated once, by holds (default ``rows.holds``; a caller that solves
-    an equivalent program checks the finished witness on its own rows):
+    validated once, by holds (default ``rows.holds`` to -psd; a caller that
+    solves an equivalent program checks the finished witness on its own rows):
     feasible if it holds, else SdpError when t >= eps and MARGINAL in the
     band |t| < eps. An eps that is not finite and positive raises ValueError.
 
@@ -878,7 +852,7 @@ def _group_feasibility(
         return replace(solve, verdict=infeasible, witness=None)
     x = solve.witness + t_hat * np.eye(rows.op.n)
     x = finish(np.asarray(x if t_hat >= eps else _clip_psd(x), dtype=complex))
-    if (holds or rows.holds)(x):
+    if holds(x) if holds else rows.holds(x, psd):
         return replace(solve, verdict=feasible, witness=x)
     if t_hat >= eps:
         raise SdpError("feasible verdict failed independent witness validation")

@@ -352,3 +352,87 @@ class TestJson:
             ch.channel_from_dict({"kind": "mystery"})
         with pytest.raises(ValueError):
             ch.state_from_dict({"kind": "density", "data": [[[2, 0]]]})
+
+
+def depolarizing_oracle(d, p):
+    """``Channel(...)`` on (1 - p) C(id) + p 1/d, validated in full."""
+    choi = (1.0 - p) * choi_of_identity(d) + p * (np.eye(d * d, dtype=complex) / d)
+    return ch.Channel(in_dim=d, out_dims=(d,), choi=choi)
+
+
+class TestDepolarizingChannel:
+    """CP is decided from the closed-form eigenvalues p/d and (1 - p) d + p/d
+    instead of an eigendecomposition; the stored Choi matrix and the verdict
+    must be the full validation's."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("p", ["0", "1/3", "3/8", "1", "edge", "-1e-6", "edge+1e-6"])
+    def test_matches_the_validated_construction(self, d, p):
+        edge = d * d / (d * d - 1)
+        outside = p in ("-1e-6", "edge+1e-6")
+        p = {"0": 0.0, "1/3": 1 / 3, "3/8": 3 / 8, "1": 1.0, "edge": edge,
+             "-1e-6": -1e-6, "edge+1e-6": edge + 1e-6}[p]
+        if outside:
+            with pytest.raises(ValueError, match="not CP"):
+                depolarizing_oracle(d, p)
+            with pytest.raises(ValueError, match="Choi matrix is not CP: min eigenvalue"):
+                ch.depolarizing_channel(d, p)
+            return
+        oracle = depolarizing_oracle(d, p)
+        c = ch.depolarizing_channel(d, p)
+        assert (c.in_dim, c.out_dims) == (d, (d,))
+        assert c.choi.dtype == oracle.choi.dtype and c.choi.tobytes() == oracle.choi.tobytes()
+        assert not c.choi.flags.writeable
+
+    @pytest.mark.parametrize(
+        "p", [np.nan, np.inf, -np.inf, 0.5 + 0j, 0.5 + 0.1j, np.complex128(0.5), "0.5"],
+        ids=["nan", "inf", "-inf", "complex", "complex-imag", "numpy-complex", "string"],
+    )
+    def test_rejects_a_p_that_is_not_a_finite_real(self, p):
+        with pytest.raises(ValueError, match=r"p .* is not a finite real number"):
+            ch.depolarizing_channel(2, p)
+
+    def test_accepts_real_numbers_of_any_type(self):
+        ref = ch.depolarizing_channel(3, 0.5).choi
+        for p in (np.float64(0.5), np.float32(0.5), np.array(0.5)):
+            np.testing.assert_array_equal(ch.depolarizing_channel(3, p).choi, ref)
+        np.testing.assert_array_equal(ch.depolarizing_channel(3, 1).choi, ch.depolarizing_channel(3).choi)
+
+
+class TestSamplingArguments:
+    def test_too_small_kraus_rank_names_it(self, rng):
+        # a 2 x 3 isometry into output (x) environment does not exist
+        with pytest.raises(ValueError, match="kraus_rank 1 is too small"):
+            random_channel(3, 2, rng, kraus_rank=1)
+        c = random_channel(3, 2, rng, kraus_rank=2)
+        assert (c.in_dim, c.out_dims) == (3, (2,))
+
+    @pytest.mark.parametrize("rank", [2.5, 0, True])
+    def test_kraus_rank_must_be_a_dimension(self, rng, rank):
+        with pytest.raises(ValueError, match=f"kraus_rank {rank!r} is not an integer"):
+            random_channel(2, 2, rng, kraus_rank=rank)
+
+    @pytest.mark.parametrize(
+        "draw, name",
+        [
+            (lambda rng: random_unitary(0, rng), "d 0"),
+            (lambda rng: random_unitary(2.5, rng), "d 2.5"),
+            (lambda rng: random_density(2, rng, rank=0), "rank 0"),
+            (lambda rng: random_density(True, rng), "d True"),
+            (lambda rng: random_effect(0, rng), "d 0"),
+            (lambda rng: random_channel(0, 2, rng), "in_dim 0"),
+            (lambda rng: random_channel(2, 1.5, rng), "out_dim 1.5"),
+        ],
+        ids=["unitary-0", "unitary-2.5", "density-rank", "density-bool", "effect", "channel-in", "channel-out"],
+    )
+    def test_bad_dimension_names_the_argument(self, rng, draw, name):
+        with pytest.raises(ValueError, match=f"{name} is not an integer"):
+            draw(rng)
+
+    def test_integral_floats_draw_the_same(self):
+        a = random_channel(2.0, np.int64(3), np.random.default_rng(5), kraus_rank=2.0)
+        b = random_channel(2, 3, np.random.default_rng(5), kraus_rank=2)
+        np.testing.assert_array_equal(a.choi, b.choi)
+        np.testing.assert_array_equal(
+            random_effect(3.0, np.random.default_rng(6)), random_effect(3, np.random.default_rng(6))
+        )

@@ -1222,3 +1222,97 @@ class TestUnitaryGauge:
         assert dtypes == [float, float]
         assert read.verdict == built.verdict == mg.INCOMPATIBLE
         assert abs(read.slack - built.slack) <= 1e-9
+
+
+def compatible_qutrit_to_qubit_pairs(count):
+    """The two qubit marginals of random joint channels from a qutrit to two
+    qubits: compatible by construction."""
+    rng = np.random.default_rng(2700)
+    for _ in range(count):
+        joint = random_channel(3, 4, rng).choi
+        yield (Channel(3, (2,), partial_trace(joint, (2, 2, 3), {2})),
+               Channel(3, (2,), partial_trace(joint, (2, 2, 3), {1})))
+
+
+def joint_contract_pairs():
+    """Every compat preset, depolarizing self-pairs within 1e-6 of the qubit
+    and qutrit cloning thresholds, random compatible qutrit-to-qubit pairs and
+    a gauged unitary qutrit channel beside the fully depolarizing one."""
+    pairs = [compat_preset(name) for name in ("identity-pair", "depolarizing-pair")]
+    for d, threshold in ((2, 1 / 3), (3, 3 / 8)):
+        for dp in (-1e-6, -1e-7, -1e-9, 0.0, 1e-9, 1e-7, 1e-6):
+            dep = depolarizing_channel(d, threshold + dp)
+            pairs.append((dep, dep))
+    pairs += compatible_qutrit_to_qubit_pairs(5)
+    pairs.append((seeded_unitary(3, 27), depolarizing_channel(3, 1.0)))
+    return pairs
+
+
+class TestJointChannelContract:
+    """The joint channel of a compatible verdict is the validated witness itself,
+    not a Channel(...) re-validated after the decision: the decision's check
+    must be at least as strict as Channel's own."""
+
+    def test_every_joint_channel_passes_the_full_validation(self):
+        compatible = 0
+        for c1, c2 in joint_contract_pairs():
+            rep = mg.channels_compatible(c1, c2)
+            if rep.verdict != mg.COMPATIBLE:
+                continue
+            compatible += 1
+            joint = rep.joint_choi
+            assert rep.witness is joint.choi and not joint.choi.flags.writeable
+            oracle = Channel(in_dim=c1.in_dim, out_dims=(c1.out_dim, c2.out_dim), choi=joint.choi)
+            assert (joint.in_dim, joint.out_dims) == (oracle.in_dim, oracle.out_dims)
+            assert joint.choi.tobytes() == oracle.choi.tobytes()
+        # at least the depolarizing preset, the three pairs above each threshold,
+        # the five pairs of marginals and the unitary pair
+        assert compatible >= 1 + 2 * 3 + 5 + 1
+
+    def test_no_channel_is_validated_inside_the_decision(self, monkeypatch):
+        pairs = joint_contract_pairs()
+        calls, post_init = [], Channel.__post_init__
+
+        def spy(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Channel, "__post_init__", spy)
+        verdicts = [mg.channels_compatible(c1, c2).verdict for c1, c2 in pairs]
+        assert mg.COMPATIBLE in verdicts and calls == []
+
+    def test_witness_outside_the_channel_bound_is_not_an_input_error(self, monkeypatch):
+        # a finished witness with lambda_min = -9e-9 on a qubit pair meets the
+        # generic witness contract (-1e-8) but not Channel's CP bound (-8e-9 at
+        # n = 8): the decision must refuse it by the band rule, not raise the
+        # ValueError of a bad input
+        finish = mg._joint_finish
+        seen = []
+
+        def nudged(spec, x):
+            x = finish(spec, x)
+            d = spec.dims[0] * spec.dims[1]
+            for _ in range(20):
+                w, v = np.linalg.eigh(x)
+                c = w[0] + 9e-9
+                if abs(c) <= 1e-13:
+                    break
+                # remove c along the lowest eigenvector; put its input marginal
+                # back uniformly, so that the trace preservation stays exact
+                low = np.outer(v[:, 0], v[:, 0].conj())
+                x = x - c * low + c * np.kron(np.eye(d), partial_trace(low, spec.dims, {1, 2})) / d
+                x = (x + x.conj().T) / 2
+            seen.append(x)
+            return x
+
+        monkeypatch.setattr(mg, "_joint_finish", nudged)
+        dep = depolarizing_channel(2, 1 / 3 + 1e-9)
+        try:
+            rep = mg.channels_compatible(dep, dep)
+        except sdp.SdpError:
+            rep = None
+        [x] = seen
+        lam = np.linalg.eigvalsh(x)[0]
+        assert -1e-8 < lam < -8e-9
+        assert np.max(np.abs(partial_trace(x, (2, 2, 2), {1, 2}) - np.eye(2))) <= 1e-12
+        assert rep is None or rep.verdict == MARGINAL
