@@ -64,7 +64,8 @@ class Channel:
     :mod:`choimarg.linalg`. Constructors whose results are CPTP by
     construction skip it and check their inputs instead: ``choi_from_kraus``
     (sum K^H K = 1), ``tensor`` (two channels), ``depolarizing_channel`` (CP
-    from its closed-form eigenvalues) and the ``joint_choi`` of
+    from its closed-form eigenvalues), ``measure_prepare`` (effects,
+    orthonormal preparations and its trace) and the ``joint_choi`` of
     :func:`~choimarg.marginals.channels_compatible` (its witness, validated
     on the rows and to this PSD bound). Immutable and thread-safe.
     """
@@ -186,6 +187,16 @@ def measure_prepare(
     A single effect M is shorthand for the two-outcome instrument (M, 1 - M)
     preparing the computational states |0>, |1>. In general the effects must
     sum to the identity and the preparations must be orthonormal.
+
+    The Choi matrix C = sum_k |phi_k><phi_k| (x) M_k^T is not re-validated as
+    a ``Channel``. Each term is Hermitian to rounding, and C is stored as its
+    Hermitian part, the bytes ``Channel(...)`` would store. It is CP: every
+    M_k >= -PSD_TOL and the phi_k are orthonormal to PSD_TOL, so
+    C >= -PSD_TOL (1 + K PSD_TOL) for K effects, within ``Channel``'s bound
+    -PSD_TOL d on any dimension d >= 2 (at d = 1 the one effect is 1 to
+    PSD_TOL). Trace preservation is checked directly, on
+    Tr_out C = sum_k |phi_k|^2 M_k^T at ``Channel``'s PSD_TOL: the effect-sum
+    and orthonormality checks alone would admit a deviation of about 2e-9.
     """
     if isinstance(effects, np.ndarray) or np.asarray(effects).ndim == 2:
         m = check_effect(np.asarray(effects, dtype=complex))
@@ -202,17 +213,21 @@ def measure_prepare(
         d_out = len(effect_list)
         preps = [np.eye(d_out, dtype=complex)[:, k] for k in range(d_out)]
     else:
-        preps = [np.asarray(v, dtype=complex).reshape(-1) for v in preparations]
+        preps = [check_finite(v).reshape(-1) for v in preparations]
         if len(preps) != len(effect_list):
             raise ValueError("need one preparation state per effect")
         d_out = preps[0].size
         gram = np.array([[np.vdot(a, b) for b in preps] for a in preps])
         if np.max(np.abs(gram - np.eye(len(preps)))) > PSD_TOL:
             raise ValueError("preparation states are not orthonormal")
+    marg = sum(np.vdot(v, v).real * m.T for m, v in zip(effect_list, preps))
+    dev = np.max(np.abs(marg - np.eye(d_in)))
+    if not dev <= PSD_TOL:
+        raise ValueError(f"channel is not trace preserving: output marginal deviates by {dev:.3e}")
     choi = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
     for m, v in zip(effect_list, preps):
         choi += kron(np.outer(v, v.conj()), m.T)
-    return Channel(in_dim=d_in, out_dims=(d_out,), choi=choi)
+    return Channel._trusted(d_in, (d_out,), (choi + choi.conj().T) / 2)
 
 
 def apply(c: Channel, rho: np.ndarray) -> np.ndarray:

@@ -140,6 +140,15 @@ class TestUnitaryChannel:
             assert np.max(np.abs(ch.apply(cinv, ch.apply(c, rho)) - rho)) <= 1e-10
 
 
+def measure_prepare_oracle(effects, preps):
+    """``Channel(...)`` on sum_k |phi_k><phi_k| (x) M_k^T, validated in full,
+    for the Hermitian parts M_k that ``check_effect`` returns."""
+    effects = [(m + m.conj().T) / 2 for m in map(np.asarray, effects)]
+    preps = [np.asarray(v, dtype=complex) for v in preps]
+    choi = sum(kron(np.outer(v, v.conj()), m.T) for m, v in zip(effects, preps))
+    return ch.Channel(in_dim=effects[0].shape[0], out_dims=(preps[0].size,), choi=choi)
+
+
 class TestMeasurePrepare:
     def test_identity_effect_prepares_zero(self, rng):
         c = ch.measure_prepare(np.eye(2))
@@ -173,6 +182,67 @@ class TestMeasurePrepare:
             ch.measure_prepare([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
         with pytest.raises(ValueError, match="at least one effect"):
             ch.measure_prepare([])
+
+    def test_matches_the_validated_construction(self, rng):
+        # the Choi matrix is not re-validated, so it must be the bytes that
+        # Channel(...) stores for the same sum of |phi_k><phi_k| (x) M_k^T
+        for d_in, d_out, k in ((2, 2, 2), (2, 3, 3), (3, 2, 2), (3, 4, 3)):
+            w = rng.uniform(0.0, 1.0, (k, d_in))
+            w /= w.sum(axis=0)
+            u = random_unitary(d_in, rng)
+            effects = [(u * wk) @ u.conj().T for wk in w]
+            preps = list(random_unitary(d_out, rng).T[:k])
+            c = ch.measure_prepare(effects, preps)
+            oracle = measure_prepare_oracle(effects, preps)
+            assert (c.in_dim, c.out_dims) == (oracle.in_dim, oracle.out_dims)
+            assert c.choi.dtype == oracle.choi.dtype and c.choi.tobytes() == oracle.choi.tobytes()
+            assert not c.choi.flags.writeable
+        m = random_effect(2, rng)
+        m = (m + m.conj().T) / 2
+        oracle = measure_prepare_oracle([m, np.eye(2) - m], list(np.eye(2, dtype=complex)))
+        assert ch.measure_prepare(m).choi.tobytes() == oracle.choi.tobytes()
+
+    @pytest.mark.parametrize(
+        "e, g",
+        [(0.0, 0.0), (0.9e-9, 0.0), (0.0, 0.9e-9), (0.45e-9, 0.45e-9), (0.55e-9, 0.55e-9),
+         (0.9e-9, 0.9e-9), (-0.45e-9, -0.45e-9), (-0.55e-9, -0.55e-9), (-0.9e-9, -0.9e-9)],
+    )
+    def test_trace_preservation_edge(self, rng, e, g):
+        # effects summing to (1 + e) 1 and preparations of squared norm 1 + g
+        # each pass their own check; the channel's trace deviates by about
+        # e + g, which Channel(...) admits only up to PSD_TOL = 1e-9
+        u, v = random_unitary(2, rng), random_unitary(3, rng)
+        effects = [(1.0 + e) * np.outer(u[:, i], u[:, i].conj()) for i in range(2)]
+        preps = [np.sqrt(1.0 + g) * v[:, i] for i in range(2)]
+        try:
+            oracle = measure_prepare_oracle(effects, preps)
+        except ValueError as exc:
+            assert "not trace preserving" in str(exc)
+            with pytest.raises(ValueError, match="not trace preserving"):
+                ch.measure_prepare(effects, preps)
+            assert abs(e + g) > 0.9e-9
+        else:
+            c = ch.measure_prepare(effects, preps)
+            assert c.choi.tobytes() == oracle.choi.tobytes()
+            assert abs(e + g) < 1e-9
+
+    def test_rejects_non_finite_preparations(self):
+        effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                ch.measure_prepare(effects, [np.array([bad, 0.0]), np.array([0.0, 1.0])])
+
+    def test_no_channel_is_revalidated(self, monkeypatch):
+        calls, post_init = [], ch.Channel.__post_init__
+
+        def spy(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ch.Channel, "__post_init__", spy)
+        ch.measure_prepare(np.diag([0.3, 0.6]))
+        ch.measure_prepare([np.eye(2) / 2] * 2, [np.array([0.0, 1.0]), np.array([1.0, 0.0])])
+        assert calls == []
 
 
 class TestApply:

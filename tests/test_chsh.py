@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from choimarg import chsh
-from choimarg.channels import identity_channel, max_entangled, measure_prepare, unitary_channel
+from choimarg.channels import (
+    Channel, apply, identity_channel, max_entangled, measure_prepare, tensor, unitary_channel,
+)
 from choimarg.linalg import check_unitary, kron
 from choimarg.marginals import bell_local
 from choimarg.sampling import random_channel, random_density, random_effect, random_separable, random_unitary
@@ -57,6 +59,102 @@ class TestCorrelation:
         ident = identity_channel(2)
         with pytest.raises(ValueError, match="observable"):
             chsh.correlation(ident, ident, np.eye(4) / 4, obs=2.0 * np.eye(4))
+
+
+def random_observable(d, rng):
+    """A random Hermitian A with -1 <= A <= 1."""
+    u = random_unitary(d, rng)
+    return (u * rng.uniform(-1.0, 1.0, d)) @ u.conj().T
+
+
+def tensor_correlation(ci, cj, rho, obs):
+    """Tr((ci (x) cj)(rho) A) through the public tensor product and apply."""
+    return np.trace(apply(tensor(ci, cj), rho) @ obs).real
+
+
+class TestBilinearForm:
+    """correlation and chsh_value contract the Choi matrices with one form Q;
+    the tensor-product channel applied to rho is the oracle."""
+
+    @pytest.mark.parametrize("ins, outs", [((2, 2), (2, 2)), ((2, 2), (3, 3)), ((2, 3), (3, 2)),
+                                           ((3, 2), (2, 4)), ((3, 3), (3, 3))])
+    def test_correlation_matches_tensor_apply(self, rng, ins, outs):
+        for _ in range(4):
+            ci, cj = (random_channel(d, o, rng) for d, o in zip(ins, outs))
+            rho = random_density(ins[0] * ins[1], rng)
+            obs = None if outs == (2, 2) else random_observable(outs[0] * outs[1], rng)
+            ref = tensor_correlation(ci, cj, rho, np.diag([1.0, -1.0, -1.0, 1.0]) if obs is None else obs)
+            assert abs(chsh.correlation(ci, cj, rho, obs) - ref) <= 1e-12
+
+    def test_composite_output_channel(self, rng):
+        # a channel with out_dims (2, 2) on one wing, a qubit channel on the other
+        for _ in range(4):
+            c = random_channel(2, 4, rng)
+            ci = Channel(in_dim=2, out_dims=(2, 2), choi=c.choi)
+            cj = random_channel(3, 2, rng)
+            rho, obs = random_density(6, rng), random_observable(8, rng)
+            assert abs(chsh.correlation(ci, cj, rho, obs) - tensor_correlation(ci, cj, rho, obs)) <= 1e-12
+            assert abs(chsh.correlation(cj, ci, rho, obs) - tensor_correlation(cj, ci, rho, obs)) <= 1e-12
+
+    def test_chsh_value_matches_tensor_apply(self, rng):
+        for ins, outs in (((2, 2), (2, 2)), ((2, 3), (3, 2)), ((3, 2), (2, 3))):
+            wing1 = [random_channel(ins[0], outs[0], rng) for _ in range(2)]
+            wing2 = [random_channel(ins[1], outs[1], rng) for _ in range(2)]
+            rho = random_density(ins[0] * ins[1], rng)
+            obs = random_observable(outs[0] * outs[1], rng)
+            rep = chsh.chsh_value(*wing1, *wing2, rho, obs)
+            ref = np.array([[tensor_correlation(ci, cj, rho, obs) for cj in wing2] for ci in wing1])
+            own = np.array([[chsh.correlation(ci, cj, rho, obs) for cj in wing2] for ci in wing1])
+            np.testing.assert_allclose(rep.correlations, ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rep.correlations, own, rtol=0, atol=1e-15)
+
+    def test_scan_rows_equal_chsh_value_on_the_default_grid(self):
+        rows = chsh.chsh_scan(1.0, 10.0, 901)
+        psi = max_entangled(2)
+        for theta, x in rows[::75]:
+            chans = [unitary_channel(u) for u in chsh.theta_family(float(theta))]
+            assert x == chsh.chsh_value(*chans, psi).value
+
+
+def _qubit(rng):
+    return random_channel(2, 2, rng)
+
+
+DIMENSION_CASES = [
+    # (which channel of (c11, c21, c12, c22) is odd, its (in, out), expected message)
+    (0, (3, 2), "state dimension 4 != joint channel input 6"),
+    (1, (3, 2), "state dimension 4 != joint channel input 6"),
+    (2, (3, 2), "state dimension 4 != joint channel input 6"),
+    (3, (3, 2), "state dimension 4 != joint channel input 6"),
+    (0, (2, 3), "observable dimension 4 != joint output dimension 6"),
+    (1, (2, 3), "observable dimension 4 != joint output dimension 6"),
+    (2, (2, 3), "observable dimension 4 != joint output dimension 6"),
+    (3, (2, 3), "observable dimension 4 != joint output dimension 6"),
+]
+
+
+class TestDimensionChecks:
+    """Each channel pair checks its joint input against the state and its joint
+    output against the observable, with the texts of the tensor-product path."""
+
+    @pytest.mark.parametrize("odd, dims, message", DIMENSION_CASES)
+    def test_chsh_value(self, rng, odd, dims, message):
+        chans = [_qubit(rng) for _ in range(4)]
+        chans[odd] = random_channel(*dims, rng)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            chsh.chsh_value(*chans, random_density(4, rng))
+
+    @pytest.mark.parametrize("odd, dims, message", DIMENSION_CASES)
+    def test_correlation(self, rng, odd, dims, message):
+        pair = [_qubit(rng), _qubit(rng)]
+        pair[odd % 2] = random_channel(*dims, rng)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            chsh.correlation(*pair, random_density(4, rng))
+
+    def test_state_of_the_wrong_dimension(self, rng):
+        chans = [_qubit(rng) for _ in range(4)]
+        with pytest.raises(ValueError, match="^state dimension 6 != joint channel input 4$"):
+            chsh.chsh_value(*chans, random_density(6, rng))
 
 
 class TestChshValue:
@@ -141,6 +239,22 @@ class TestThetaFamily:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 f(theta)
 
+    @pytest.mark.parametrize(
+        "theta", [np.array([1.0, 2.0]), [1.0], "1.0", 1.0 + 0j, np.complex128(2.0), np.array(1j), None],
+        ids=["array", "list", "string", "complex", "numpy-complex", "0-d-complex", "none"],
+    )
+    def test_rejects_a_theta_that_is_not_a_real_number(self, theta):
+        for f in (chsh.theta_family, chsh.closed_form_chsh):
+            with pytest.raises(ValueError, match="^theta must be a real number, got "):
+                f(theta)
+
+    def test_accepts_real_numbers_of_any_type(self):
+        ref = chsh.theta_family(4.0)
+        for theta in (np.float64(4.0), np.float32(4.0), np.int64(4), 4, np.array(4.0)):
+            for got, want in zip(chsh.theta_family(theta), ref):
+                np.testing.assert_array_equal(got, want)
+            assert chsh.closed_form_chsh(theta) == chsh.closed_form_chsh(4.0)
+
 
 class TestScan:
     def test_rows_match_closed_form(self):
@@ -192,6 +306,23 @@ class TestScan:
             chsh.chsh_scan(-1.0, 5.0, 10)
         with pytest.raises(ValueError):
             chsh.chsh_scan(1.0, 10.0, 1)
+
+    @pytest.mark.parametrize("bound", [np.array([1.0, 2.0]), "1.0", 1.0 + 0j, None])
+    @pytest.mark.parametrize("name", ["theta_min", "theta_max"])
+    def test_range_bounds_must_be_real_numbers(self, name, bound):
+        kwargs = {"theta_min": 1.0, "theta_max": 10.0, name: bound}
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            chsh.chsh_scan(steps=3, **kwargs)
+
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 2.0), (1.0, np.nan), (-np.inf, 2.0), (1.0, np.inf)])
+    def test_non_finite_range(self, lo, hi):
+        with pytest.raises(ValueError, match=r"^invalid scan range \["):
+            chsh.chsh_scan(lo, hi, 3)
+
+    def test_range_bounds_of_any_real_type(self):
+        ref = chsh.chsh_scan(1.0, 10.0, 5)
+        np.testing.assert_array_equal(chsh.chsh_scan(np.array(1.0), np.float32(10.0), 5), ref)
+        np.testing.assert_array_equal(chsh.chsh_scan(1, np.int64(10), 5), ref)
 
     @pytest.mark.parametrize("steps", [2.5, True, "3", None])
     def test_steps_must_be_an_integer(self, steps):

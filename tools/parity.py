@@ -8,8 +8,12 @@ The set: 10 qutrit blocks as perfbench's (seeds 3001-3010); depolarizing
 self-pairs at 11 offsets around 1/3 (qubit) and 3/8 (qutrit); 25 random qubit
 pairs of Kraus rank 1-3, 25 qutrit-to-qubit pairs and 20 unitary pairs; the
 qutrit Bell case of ``default_rng(11)``; 40 qubit depolarizing bisection steps;
-and the 7 CLI presets with ``--json``. ``--compare`` prints each field that
-differs in dtype, shape or bytes, and exits with 1 if any does.
+the 7 CLI presets with ``--json`` and ``chsh-scan`` on its default grid; and
+``chsh_value`` with the four ``correlation``s on the Bell presets' channels and
+on 8 seeded random sets, non-qubit outputs with a random observable included.
+``--compare`` prints each field that differs in dtype, shape or bytes, with the
+largest |difference| of a numeric field of equal shape, and exits with 1 if any
+field differs.
 """
 
 import contextlib, dataclasses, io, os, sys
@@ -20,10 +24,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 import choimarg as cm  # noqa: E402
-from choimarg import cli, sampling as sm  # noqa: E402
+from choimarg import cli, presets, sampling as sm  # noqa: E402
 
 PRESETS = (("compat", "identity-pair"), ("compat", "depolarizing-pair"), ("steer", "w-state"),
            ("steer", "max-entangled"), ("bell", "w-state"), ("bell", "max-entangled"), ("bell", "theta-family:5.83"))
+COMMANDS = PRESETS + (("chsh-scan",),)
 
 
 def unitaries(d, rng):
@@ -50,6 +55,26 @@ def pairs():
     yield from (unitaries(2 + s % 2, np.random.default_rng(300 + s)) for s in range(20))
 
 
+def observable(d, rng):
+    """A random Hermitian A with -1 <= A <= 1."""
+    u = sm.random_unitary(d, rng)
+    return (u * rng.uniform(-1.0, 1.0, d)) @ u.conj().T
+
+
+def chsh_cases():
+    """(name, rho, (c11, c21, c12, c22), obs): the Bell presets, then random sets
+    with inputs (d1, d2), outputs (o1, o2); obs is None (parity) on qubit outputs."""
+    for name in ("w-state", "max-entangled", "theta-family:5.83", "theta-family:1"):
+        rho, *chans = presets.bell_preset(name)
+        yield name, rho, chans, None
+    for s, (d1, d2, o1, o2) in enumerate(((2, 2, 2, 2), (2, 2, 2, 2), (2, 2, 3, 3), (2, 2, 2, 3),
+                                          (3, 2, 2, 2), (2, 3, 3, 2), (3, 3, 3, 3), (2, 2, 4, 2))):
+        rng = np.random.default_rng(400 + s)
+        chans = [sm.random_channel(d, o, rng) for d, o in ((d1, o1), (d1, o1), (d2, o2), (d2, o2))]
+        obs = None if (o1, o2) == (2, 2) else observable(o1 * o2, rng)
+        yield f"random{s}", sm.random_density(d1 * d2, rng), chans, obs
+
+
 def flatten(key, value, out):
     """Every array of a report field under its own key; a Channel as (choi, dims)."""
     if isinstance(value, cm.Channel):
@@ -74,14 +99,32 @@ def record(path):
     for i, rep in enumerate(reports):
         for f in dataclasses.fields(rep):
             flatten(f"{i:03d}.{f.name}", getattr(rep, f.name), out)
-    for command, preset in PRESETS:
+    for command, *preset in COMMANDS:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main([command, "--preset", preset, "--json"])
+            code = cli.main([command, *(["--preset", *preset, "--json"] if preset else [])])
         for name, value in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue()), ("code", code)):
-            out[f"cli.{command}:{preset}.{name}"] = np.asarray(value)
+            out[f"cli.{':'.join([command, *preset])}.{name}"] = np.asarray(value)
+    cases = list(chsh_cases())
+    for name, rho, (c11, c21, c12, c22), obs in cases:
+        rep = cm.chsh_value(c11, c21, c12, c22, rho, obs)
+        for f in dataclasses.fields(rep):
+            flatten(f"chsh.{name}.{f.name}", getattr(rep, f.name), out)
+        for i, ci in enumerate((c11, c21)):
+            for j, cj in enumerate((c12, c22)):
+                out[f"chsh.{name}.correlation.{i}{j}"] = np.asarray(cm.correlation(ci, cj, rho, obs))
     np.savez(path, **out)
-    print(f"{len(reports)} decisions and {len(PRESETS)} CLI presets, {len(out)} fields -> {path}")
+    print(f"{len(reports)} decisions, {len(COMMANDS)} CLI commands and {len(cases)} CHSH sets, "
+          f"{len(out)} fields -> {path}")
+
+
+def gap(a, b, key):
+    """' (max |diff| x)' for a numeric field of one shape in both records, else ''."""
+    if key not in a.files or key not in b.files:
+        return ""
+    x, y = a[key], b[key]
+    numeric = all(v.dtype.kind in "iufc" for v in (x, y))
+    return f" (max |diff| {np.max(np.abs(x - y), initial=0.0):.3g})" if numeric and x.shape == y.shape else ""
 
 
 def compare(a_path, b_path):
@@ -89,7 +132,7 @@ def compare(a_path, b_path):
     keys = sorted(set(a.files) | set(b.files))
     differ = [k for k in keys if k not in a.files or k not in b.files
               or (a[k].dtype, a[k].shape, a[k].tobytes()) != (b[k].dtype, b[k].shape, b[k].tobytes())]
-    print("".join(f"differs: {k}\n" for k in differ) + f"{len(differ)} of {len(keys)} fields differ")
+    print("".join(f"differs: {k}{gap(a, b, k)}\n" for k in differ) + f"{len(differ)} of {len(keys)} fields differ")
     return 1 if differ else 0
 
 
