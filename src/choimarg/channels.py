@@ -63,9 +63,10 @@ class Channel:
     and the Choi matrix in full, at the fixed tolerances of
     :mod:`choimarg.linalg`. Constructors whose results are CPTP by
     construction skip it and check their inputs instead: ``choi_from_kraus``
-    (sum K^H K = 1), ``tensor`` (two channels), ``depolarizing_channel`` (CP
-    from its closed-form eigenvalues), ``measure_prepare`` (effects,
-    orthonormal preparations and its trace) and the ``joint_choi`` of
+    (sum K^H K = 1), ``unitary_channel`` (U U^H = 1), ``tensor`` (two
+    channels), ``depolarizing_channel`` (CP from its closed-form
+    eigenvalues), ``measure_prepare`` (effects, orthonormal preparations and
+    its trace) and the ``joint_choi`` of
     :func:`~choimarg.marginals.channels_compatible` (its witness, validated
     on the rows and to this PSD bound). Immutable and thread-safe.
     """
@@ -151,8 +152,17 @@ def identity_channel(d: int) -> Channel:
 
 
 def unitary_channel(u: np.ndarray) -> Channel:
-    """The channel rho -> U rho U^dagger."""
-    return choi_from_kraus([check_unitary(u)])
+    """The channel rho -> U rho U^dagger, with U checked once (``check_unitary``).
+
+    Its Choi matrix |U>><<U| is built as ``choi_from_kraus`` builds it from
+    the one Kraus operator U, zeros plus the outer product, so the two agree
+    bit for bit.
+    """
+    u = check_unitary(u)
+    v = u.reshape(-1)
+    choi = np.zeros((v.size, v.size), dtype=complex)
+    choi += np.outer(v, v.conj())
+    return Channel._trusted(u.shape[1], (u.shape[0],), choi)
 
 
 def depolarizing_channel(d: int, p: float = 1.0) -> Channel:

@@ -14,20 +14,17 @@ once. Every decision returns one flat :class:`Report`: the verdict in the
 question's own words (feasible/infeasible here; compatible/incompatible,
 unsteerable/steerable or local/nonlocal in :mod:`choimarg.marginals`) or
 ``marginal``, the slack, the witness, the dual vector and the record of the
-solve (iterations, gap, residuals, dual objective). Callers pass linearly
-independent rows that fix the trace; the rows of :mod:`choimarg.marginals`
-are independent by construction, so nothing here prunes or probes them.
-Dependent rows, which every inconsistent system has, show as a collapsed
-pivot when the rows' Gram matrix is factored, and end the solve before its
-first iteration with status dependent_rows.
+solve (iterations, gap, residuals, dual objective). Callers pass rows that
+meet the precondition of :class:`_Operator`, as the rows of
+:mod:`choimarg.marginals` do by construction, so the rows' Gram matrix is
+diagonal and nothing here prunes, probes or factors it.
 
 The one tolerance a caller sets is ``eps`` (default :data:`BAND`), the
 half-width of the marginal band around zero slack; it must be finite and
 positive (else ValueError), and the solve targets a relative gap of
-min(:data:`GAP_TOL`, eps / 10). The rest are fixed: the
-residual target :data:`FEAS_TOL`, the dependent-row pivot
-:data:`DEPENDENT_PIVOT` and the witness contract (every reported witness is
-PSD to -:data:`WITNESS_PSD` and meets each row to :data:`WITNESS_RESIDUAL`).
+min(:data:`GAP_TOL`, eps / 10). The rest are fixed: the residual target
+:data:`FEAS_TOL` and the witness contract (every reported witness is PSD to
+-:data:`WITNESS_PSD` and meets each row to :data:`WITNESS_RESIDUAL`).
 The construction checks of the inputs use the constants of
 :mod:`choimarg.linalg`.
 
@@ -46,13 +43,11 @@ gamma = 0.9 + 0.099*min(alpha_p_aff, alpha_d_aff) of the way to the cone
 boundary, at most 0.999 (SDPT3's 0.09 caps it at 0.99, which holds the
 final iterations to a 100-fold cut of mu each), halved while rounding leaves
 an iterate that is not numerically positive definite. The solve starts at
-a strictly feasible, centred point built from the rows' Gram matrix, as
-Helmberg, Rendl, Vanderbei and Wolkowicz (1996) do: the dual start
-Z = A*(y) = 1/n, fixed by the operator (:meth:`_Operator._factor`), and the
-least-norm primal solution shifted along the identity
-(:func:`_primal_start`). Rows that do not fix the trace have no such dual
-start, and their solve ends before its first iteration with status
-numerical_failure. The dual iterate stays on
+a strictly feasible, centred point in closed form, as Helmberg, Rendl,
+Vanderbei and Wolkowicz (1996) do: the dual start y0 = e_0 / a_0, so
+Z = A*(y0) = 1/n, fixed by the operator, and the least-norm primal solution
+(b divided by the diagonal Gram matrix) shifted along the identity
+(:func:`_primal_start`). The dual iterate stays on
 Z = A*(y) by construction: the start is exactly dual feasible and every
 step moves Z by A*(dy), so no iteration forms or removes a dual residual.
 The drift max|Z - A*(y)| is measured once, at the iterate that passes every
@@ -113,10 +108,10 @@ n = 27; 4 on a unitary pair without the gauge, ~10 ms and 9 on a random
 Kraus-rank-3 pair, ~1.15 ms per iteration) and ~54 ms on the complex
 qutrit Bell decision of ``default_rng(11)`` (m = 289, n = 81; 8 iterations
 of ~6.7 ms, the O(m^3) Cholesky factorization of S included). The
-corrector step is projected onto the primal equations with the rows' Gram
-matrix (the kernel at Z^-1 = X = 1), so rounding in the Schur solve cannot
-leave a primal residual that the path no longer reduces; the predictor,
-along which no step is taken, is not.
+corrector step is projected onto the primal equations, one division by the
+diagonal Gram matrix (the Schur complement at Z^-1 = X = 1), so rounding in
+the Schur solve cannot leave a primal residual that the path no longer
+reduces; the predictor, along which no step is taken, is not.
 
 Per-shape costs are paid once: an :class:`_Operator` holds, read-only,
 everything the coefficients fix, and a :class:`_Rows` adds one problem's
@@ -142,7 +137,6 @@ __all__ = [
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
 NUMERICAL_FAILURE = "numerical_failure"
-DEPENDENT_ROWS = "dependent_rows"
 
 BAND = 1e-7
 """Default half-width eps of the marginal band around zero slack; the one
@@ -173,10 +167,6 @@ SERIAL_GEMM = 1 << 18
 product is taken in row blocks of at most this size: at these sizes waking
 BLAS threads costs more than it saves, and a block on one thread rounds the
 same whatever thread count the caller set."""
-
-DEPENDENT_PIVOT = 1e-10
-"""Squared Gram pivot, relative to the mean squared row norm, at or below which
-a row counts as a combination of the rows before it."""
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -308,23 +298,26 @@ class _Operator:
     Re<lift(B_p), X>, lift placing the identity on the other factors. When
     every coefficient has a zero imaginary part, the coefficients are held in
     float64 and dtype is float: the solve runs on a real symmetric block (see
-    the module docstring). Otherwise dtype is complex. free holds the free
-    coefficients a; gram is the Cholesky factor of the rows' Gram matrix; y0,
-    z0 = A*(y0) and z0's lower Cholesky factor lz0 are the dual start of every
-    solve, and status is None or the status of a solve that cannot start (see
-    :meth:`_factor` and :meth:`_gram_factor`). These arrays are read-only; an
-    operator shared between solves (:mod:`choimarg.marginals` keeps two per
-    shape) is given read-only coefficients too.
+    the module docstring). Otherwise dtype is complex.
+
+    Precondition: the lifts lift(B_p) are pairwise orthogonal and lift(B_0)
+    is a multiple of the identity, so only row 0 has nonzero trace: row 0 is
+    the normalization row of the orthonormal product bases of
+    :mod:`choimarg.marginals`. The rows' Gram matrix G = A A* + a a^T, with a
+    the free coefficients Tr lift(B_p), is then diagonal: gram holds its
+    diagonal d_rest |B_p|^2 + a_p^2, and free holds a. The dual start of
+    every solve (Helmberg, Rendl, Vanderbei and Wolkowicz 1996) is
+    y0 = u / a.u with u = G^-1 a, which is e_0 / a_0, with z0 = A*(y0) = 1/n
+    and z0's lower Cholesky factor lz0 = 1/sqrt(n), all three in closed form.
+    Rows that are not orthogonal but keep row 0 a multiple of the identity
+    still solve: their start meets the dual equations exactly and the primal
+    ones only approximately, and the path removes that residual as from any
+    infeasible start. These arrays are read-only; an operator shared between
+    solves (:mod:`choimarg.marginals` keeps two per shape) is given read-only
+    coefficients too.
     """
 
     def __init__(self, dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]):
-        self._set_groups(dims, groups)
-        self._factor()
-
-    def _set_groups(
-        self, dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]
-    ) -> None:
-        """The row groups' gather structure, coefficients, dtype and free coefficients."""
         dims = tuple(int(d) for d in dims)
         layout = tuple((len(c), tuple(int(k) for k in kept)) for kept, c in groups)
         self.m, self.parts, self.pairs = _structure(dims, layout)
@@ -335,7 +328,15 @@ class _Operator:
         self.coeffs = tuple(
             np.ascontiguousarray(c.real if real else c, dtype=self.dtype) for c in coeffs
         )
-        self.free = _read_only(self.free_coeffs())
+        free, gram = np.zeros(self.m), np.zeros(self.m)
+        for part, c in zip(self.parts, self.coeffs):
+            # Tr lift(B_p) = d_rest Tr B_p and |lift(B_p)|^2 = d_rest |B_p|^2
+            free[part.rows] = part.d_rest * c[:, :: part.d_kept + 1].sum(axis=1).real
+            gram[part.rows] = part.d_rest * np.einsum("ij,ij->i", c.view(float), c.view(float))
+        self.free, self.gram = _read_only(free), _read_only(gram + free * free)
+        eye = np.eye(self.n, dtype=self.dtype)
+        self.y0 = _read_only(np.eye(1, self.m)[0] / free[0])
+        self.z0, self.lz0 = _read_only(eye / self.n), _read_only(eye / sqrt(self.n))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """A(X): each group's coefficients of its partial trace."""
@@ -356,13 +357,6 @@ class _Operator:
             # the entries of one lift are distinct, so += adds each once
             out[part.take] += (y[part.rows] @ c.view(float)).view(self.dtype)
         return out.reshape(self.n, self.n)
-
-    def free_coeffs(self) -> np.ndarray:
-        """Tr lift(B_p) = d_rest Tr B_p."""
-        out = np.zeros(self.m)
-        for part, c in zip(self.parts, self.coeffs):
-            out[part.rows] += part.d_rest * c[:, :: part.d_kept + 1].sum(axis=1).real
-        return out
 
     def schur(self, zinv: np.ndarray, x: np.ndarray) -> np.ndarray:
         """HKM Schur complement S_ij = Re Tr(A_i Z^-1 A_j X).
@@ -389,57 +383,6 @@ class _Operator:
                 schur[t.rows, s.rows] = block.T
         return schur
 
-    def _factor(self) -> None:
-        """Set gram, status and the dual start y0, z0, lz0 (each None when status is set).
-
-        With G the Gram matrix and u = G^-1 a, y0 = u / a.u meets a.y0 = 1 and
-        z0 = A*(y0) is strictly feasible: when the rows fix the trace, a = A(1)
-        and A(A*(u) - (1 - a.u) 1) = 0 put A*(u) at (1 - a.u) 1, so z0 = 1/n
-        (Helmberg, Rendl, Vanderbei and Wolkowicz 1996). An a.u that is not
-        positive or a z0 that is not positive definite means the rows do not
-        fix the trace: status is then numerical_failure.
-        """
-        self.gram, self.status = self._gram_factor()
-        self.y0 = self.z0 = self.lz0 = None
-        if self.status is not None:
-            return
-        u = _cho_solve(self.gram, self.free)
-        fit = float(self.free @ u)
-        if not fit > 0:  # a = 0
-            self.status = NUMERICAL_FAILURE
-            return
-        y0 = u / fit
-        z0 = _herm(self.adjoint(y0))
-        try:
-            lz0 = _lower_factor(z0)
-        except np.linalg.LinAlgError:
-            self.status = NUMERICAL_FAILURE
-            return
-        self.y0, self.z0, self.lz0 = _read_only(y0), _read_only(z0), _read_only(lz0)
-
-    def _gram_factor(self) -> tuple[np.ndarray | None, str | None]:
-        """The Cholesky factor of the rows' Gram matrix (the Schur complement at
-        Z^-1 = X = 1) with their free-scalar coefficients, regularised as a
-        Schur complement is, and the status of a solve on the rows."""
-        eye = np.eye(self.n, dtype=self.dtype)
-        gram = self.schur(eye, eye) + np.outer(self.free, self.free)
-        if not np.isfinite(gram).all():
-            raise ValueError("array must not contain infs or NaNs")
-        trace = np.trace(gram)
-        gram.flat[:: self.m + 1] += 1e-14 * trace / self.m
-        try:
-            factor = _cholesky(gram)
-        except np.linalg.LinAlgError:
-            # every row is zero: there are no equations to iterate on
-            return None, NUMERICAL_FAILURE
-        factor.setflags(write=False)
-        # a collapsed pivot means a row lies in the span of the rows before
-        # it: the system is dependent, and inconsistent unless the right-hand
-        # sides happen to agree
-        if float(np.min(np.diagonal(factor))) ** 2 <= DEPENDENT_PIVOT * trace / self.m:
-            return factor, DEPENDENT_ROWS
-        return factor, None
-
 
 class _DenseOperator(_Operator):
     """An :class:`_Operator` whose rows are held densely: the read-only stack
@@ -450,18 +393,16 @@ class _DenseOperator(_Operator):
     interleaved on a complex block. A(X) is flat @ vec X, A*(y) is y @ flat
     and the Schur complement is Re<A_p, Z^-1 A_q X>, from one GEMM for every
     A_q X, one batched product with Z^-1 and flat times the result in row
-    blocks of at most SERIAL_GEMM multiply-adds, symmetrized exactly. The Gram
-    factor comes from this operator's own schur(1, 1), the dual start from its
-    own adjoint. It keeps the grouped structure and coefficients it is built
-    from; only the lifted stack is added to them.
+    blocks of at most SERIAL_GEMM multiply-adds, symmetrized exactly. It keeps
+    the grouped structure, coefficients and start it is built from; only the
+    lifted stack is added to them.
     """
 
     def __init__(self, dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]):
-        self._set_groups(dims, groups)
+        super().__init__(dims, groups)
         self.lifted = _read_only(np.array([_Operator.adjoint(self, e) for e in np.eye(self.m)]))
         flat = self.lifted.reshape(self.m, -1)
         self.flat = flat if self.dtype is float else flat.view(float)
-        self._factor()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """A(X) = flat @ vec X."""
@@ -659,13 +600,13 @@ def _newton(
 def _primal_start(op: _Operator, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """A strictly feasible primal start (Y0, Y0's lower Cholesky factor, t0).
 
-    v = G^-1 b gives the least-norm solution (A*(v), a.v) of A(Y) + a*t = b.
-    It is shifted along (-1, +1), which keeps every row as a = A(1), until
-    Y0's spectrum lies in [delta, 2 delta]: delta is the larger of its spread
-    and s = a.b / a.a (at least 1e-2), the multiple of the identity that best
-    fits the rows.
+    v = G^-1 b, b divided by the diagonal Gram matrix, gives the least-norm
+    solution (A*(v), a.v) of A(Y) + a*t = b. It is shifted along (-1, +1),
+    which keeps every row as a = A(1), until Y0's spectrum lies in
+    [delta, 2 delta]: delta is the larger of its spread and s = a.b / a.a (at
+    least 1e-2), the multiple of the identity that best fits the rows.
     """
-    v = _cho_solve(op.gram, b)
+    v = b / op.gram
     y = _herm(op.adjoint(v))
     lo, hi = np.linalg.eigvalsh(y)[[0, -1]]
     a_free = op.free
@@ -695,31 +636,19 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
 
     The program is max t s.t. A(Y) + a*t = b, Y >= 0, with a the rows' free
     coefficients. The returned report's verdict is the solver status
-    (optimal, max_iterations, numerical_failure or dependent_rows), its slack
-    t and its witness the last Y; :func:`_group_feasibility` replaces both.
-    Nothing is pruned, so the dual vector is indexed by the rows in group
-    order. Rows the operator cannot start on (dependent, or not fixing the
-    trace) end the solve before the first iteration with the operator's
-    status. The start, the centering and the dual iterate are those of the
-    module docstring. A report after any number of iterations, 0 included,
-    carries the residuals and gap of its iterate.
+    (optimal, max_iterations or numerical_failure), its slack t and its
+    witness the last Y; :func:`_group_feasibility` replaces both. Nothing is
+    pruned, so the dual vector is indexed by the rows in group order. The
+    start, the centering and the dual iterate are those of the module
+    docstring. A report after any number of iterations, 0 included, carries
+    the residuals and gap of its iterate.
     """
     op, b = rows.op, rows.rhs
     n, m, a_free = op.n, op.m, op.free
     status = MAX_ITERATIONS
     it = 0
-
-    # the Gram factor projects each step onto the primal equations and gives
-    # the start; without one, with a collapsed pivot, or without a dual start
-    # (rows that do not fix the trace), there is nothing to iterate on
-    gram_cho = op.gram
-    if op.status is not None:
-        max_iterations, status = 0, op.status
-        x = z = np.zeros((n, n), dtype=op.dtype)
-        y, t = np.zeros(m), 0.0
-    else:
-        x, lx, t = _primal_start(op, b)
-        y, z, lz = op.y0, op.z0, op.lz0
+    x, lx, t = _primal_start(op, b)
+    y, z, lz = op.y0, op.z0, op.lz0
     r_p, r_f, pinf, relgap, dual = _measures(op, b, x, y, t)
 
     for it in range(1, max_iterations + 1):
@@ -753,7 +682,7 @@ def _ipm(rows: _Rows, *, gap_tol: float, max_iterations: int) -> Report:
             # corrector: centering sigma*mu and the second-order term
             core = sigma * mu * zinv - x - _herm(zinv @ dz_aff @ dx_aff)
             dx, dy, dz, dt = _newton(op, a_free, cho, w, zinv, x, core, (r_p, r_f))
-            correction = _cho_solve(gram_cho, r_p - op(dx) - a_free * dt)
+            correction = (r_p - op(dx) - a_free * dt) / op.gram
             dx = dx + op.adjoint(correction)
             dt += float(a_free @ correction)
 
@@ -821,27 +750,16 @@ def _group_feasibility(
     validated once, by holds (default ``rows.holds`` to -psd; a caller that
     solves an equivalent program checks the finished witness on its own rows):
     feasible if it holds, else SdpError when t >= eps and MARGINAL in the
-    band |t| < eps. An eps that is not finite and positive raises ValueError.
-
-    Precondition: the rows are linearly independent and their span fixes the
-    trace. Dependent rows, and so every inconsistent system, raise SdpError
-    with status dependent_rows before the first iteration. Rows whose span
-    does not fix the trace (such as a lone traceless row, whose slack
-    program is unbounded) have no strictly feasible dual start and raise
-    SdpError with status numerical_failure before it; its reason names the
-    broken precondition, where a solve that fails later did not converge.
+    band |t| < eps. An eps that is not finite and positive raises ValueError,
+    and a solve that does not end optimal raises SdpError with its status,
+    iterations, residuals and gap.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and strictly positive, got {eps!r}")
     solve = _ipm(rows, gap_tol=min(GAP_TOL, eps / 10.0), max_iterations=max_iterations)
     if solve.verdict != OPTIMAL:
-        # a set operator status is the precondition that kept the solve from starting
-        reason = {
-            DEPENDENT_ROWS: "the constraint rows are linearly dependent",
-            NUMERICAL_FAILURE: "the constraint rows do not fix the trace",
-        }.get(rows.op.status, "feasibility solve did not converge")
         raise SdpError(
-            f"{reason}: status {solve.verdict} after "
+            f"feasibility solve did not converge: status {solve.verdict} after "
             f"{solve.iterations} iterations (primal residual {solve.primal_residual:.3e}, "
             f"dual residual {solve.dual_residual:.3e}, gap {solve.gap:.3e})"
         )

@@ -131,6 +131,21 @@ class TestUnitaryChannel:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             ch.unitary_channel(np.diag([1.0, 0.5]))
+        with pytest.raises(ValueError, match="non-finite"):
+            ch.unitary_channel(np.diag([1.0, np.nan]))
+
+    def test_choi_matrix_is_bitwise_that_of_its_kraus_operator(self):
+        # the unitary is checked once, and the Choi matrix is built as
+        # choi_from_kraus builds it, zeros plus the outer product: even the
+        # signed zeros of a real unitary's products agree
+        rng = np.random.default_rng(2801)
+        unitaries = [random_unitary(d, rng) for d in (1, 2, 3, 4) for _ in range(3)]
+        unitaries += [np.array([[0.0, -1.0], [1.0, 0.0]]), SY, SZ, HADAMARD]
+        for u in unitaries:
+            c, k = ch.unitary_channel(u), ch.choi_from_kraus([u])
+            assert (c.in_dim, c.out_dims) == (k.in_dim, k.out_dims)
+            assert c.choi.dtype == k.choi.dtype and c.choi.tobytes() == k.choi.tobytes()
+            assert not c.choi.flags.writeable
 
     def test_inverse_composes_to_identity(self, rng):
         u = random_unitary(2, rng)

@@ -554,7 +554,7 @@ def bell_rng11():
 
 class TestShapeCaches:
     """What only the shape of a decision fixes (its basis rows, their operators
-    and Gram factors) is built once and shared read-only; results do not depend
+    and Gram diagonals) is built once and shared read-only; results do not depend
     on whether it was built by the call or before it."""
 
     DECISIONS = {
@@ -647,8 +647,9 @@ class TestShapeCaches:
             monkeypatch.setattr(kind, "schur", counted)
             first = mg.channels_compatible(dep, dep)
             assert type(mg._shape((d, d, d), ((1, 3), (2, 3))).real_rows) is kind
-            # cold: the Gram matrix of the shape's operator, then one Schur matrix per iteration
-            assert len(built) == 1 + first.iterations
+            # cold as warm: one Schur matrix per iteration, none for the Gram
+            # matrix, whose diagonal the operator takes from its coefficients
+            assert len(built) == first.iterations
             built.clear()
             dep = depolarizing_channel(d, 0.35)
             second = mg.channels_compatible(dep, dep)

@@ -82,8 +82,8 @@ class TestSolve:
         np.testing.assert_array_equal(r1.joint_choi.choi, r2.joint_choi.choi)
 
     def test_inconsistent_rows_raise(self):
-        # an inconsistent system has dependent rows: the Gram pivot test ends
-        # the solve with status dependent_rows before the first iteration
+        # an inconsistent system has no primal solution: the path cannot remove
+        # the primal residual, and the solve ends without converging
         with pytest.raises(sdp.SdpError) as raised:
             feasibility(2, [(np.eye(2), 1.0), (np.eye(2), 2.0)])
         status, residual = re.search(
@@ -93,52 +93,12 @@ class TestSolve:
         assert status != "optimal"
         assert float(residual) > 1e-9
 
-    def test_dependent_rows_end_before_the_first_iteration(self):
-        # a row in the span of earlier rows is found when the Gram matrix is
-        # factored, once per solve, and no iteration runs
-        half = np.diag([1.0, 0.0])
-        cases = [
-            [(np.eye(2), 1.0), (np.eye(2), 2.0)],  # inconsistent
-            [(np.eye(2), 1.0), (np.eye(2), 1.0)],  # a repeated row
-            [(np.eye(2), 1.0), (SZ, 0.2), (np.eye(2) + SZ, 1.2)],  # a combination
-            [(np.eye(2), 1.0), (np.zeros((2, 2)), 0.0)],  # a zero row
-            [(np.eye(2), 1.0), (half, 0.5), (np.eye(2) - half, 0.5)],
-        ]
-        for pins in cases:
-            sol = slack_program(2, whole_block(pins))
-            assert (sol.verdict, sol.iterations) == (sdp.DEPENDENT_ROWS, 0)
-            with pytest.raises(
-                sdp.SdpError, match="linearly dependent: status dependent_rows after 0 iterations"
-            ):
-                feasibility(2, pins)
-        # independent rows that are far from orthogonal still iterate
-        sol = slack_program(2, whole_block([(np.eye(2), 1.0), (half, 0.5)]))
-        assert sol.verdict == sdp.OPTIMAL and sol.iterations > 0
-
-    def test_all_zero_rows_are_a_numerical_failure(self):
-        sol = slack_program(2, whole_block([(np.zeros((2, 2)), 0.0)]))
-        assert (sol.verdict, sol.iterations) == (sdp.NUMERICAL_FAILURE, 0)
-
-    def test_dependent_imaginary_rows_end_before_the_first_iteration(self, monkeypatch):
-        # imaginary rows, even with right-hand side 0, are solved on a complex
-        # block, and the Gram pivots find a dependence among them
-        dtypes = spy_dtypes(monkeypatch)
-        for pins in ([(np.eye(2), 1.0), (SY, 0.0), (SY, 0.0)],
-                     [(np.eye(2), 1.0), (SY, 0.0), (2 * SY, 0.0)]):
-            sol = slack_program(2, whole_block(pins))
-            assert (sol.verdict, sol.iterations) == (sdp.DEPENDENT_ROWS, 0)
-            with pytest.raises(
-                sdp.SdpError, match="linearly dependent: status dependent_rows after 0 iterations"
-            ):
-                feasibility(2, pins)
-        assert dtypes == [complex] * 4
-
     @staticmethod
     def assert_numerical_failure(monkeypatch, capsys, tmp_path, corrupt):
         """Corrupt the Schur matrix of iteration 2: SdpError naming
         numerical_failure from the API, exit 3 from the CLI, whether the
-        shape's operator (and its Gram matrix) is built by the call or cached,
-        on a qubit pair (a dense operator) and a qutrit pair (row groups)."""
+        shape's operator is built by the call or cached, on a qubit pair (a
+        dense operator) and a qutrit pair (row groups)."""
         qutrit = depolarizing_channel(3)
         paths = [str(tmp_path / "qutrit.json")]
         Path(paths[0]).write_text(json.dumps(channel_to_dict(qutrit)))
@@ -150,21 +110,17 @@ class TestSolve:
             schur, ipm = kind.schur, sdp._ipm
 
             def corrupt_iteration_two():
-                calls, solving = [], []
+                calls = []
 
                 def patched(self, zinv, x):
                     out = schur(self, zinv, x)
-                    if solving:
-                        calls.append(None)
-                        if len(calls) == 2:
-                            corrupt(out)
+                    calls.append(None)
+                    if len(calls) == 2:
+                        corrupt(out)
                     return out
 
                 def solve(rows, **kwargs):
                     assert type(rows.op) is kind
-                    # count from the solve on: the Gram matrix is built with the
-                    # operator, and not at all when the shape's operator is cached
-                    solving.append(None)
                     return ipm(rows, **kwargs)
 
                 monkeypatch.setattr(kind, "schur", patched)
@@ -405,7 +361,7 @@ class TestFeasibleStart:
         decide()
         monkeypatch.undo()
         (rows,) = solves
-        assert (type(rows.op), rows.op.dtype, rows.op.status) == (kind, dtype, None)
+        assert (type(rows.op), rows.op.dtype) == (kind, dtype)
         return rows
 
     @pytest.mark.parametrize("name", list(DECISIONS))
@@ -544,24 +500,61 @@ class TestSchurKernel:
     @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
     @pytest.mark.parametrize("dims, kept_sets", LIFTED_CASES, ids=["compat", "steer", "bell"])
     def test_dense_gram_factor_matches_grouped(self, dims, kept_sets, imag):
+        # the closed-form Gram diagonal and free coefficients, read from the
+        # grouped coefficients, against the same read from the dense lifted
+        # rows: the diagonal d_rest |B_p|^2 + a_p^2 holds for any rows, so
+        # random rows test it too; with the identity on the first kept set
+        # the rows fix the trace, and z0 = A*(y0) = 1/n through either adjoint
         rng = np.random.default_rng(9)
         groups = [(g.kept, g.coeffs) for g in self.lifted_groups(rng, dims, kept_sets, imag)]
-        # random rows need not fix the trace (then neither operator has a dual
-        # start); with the identity on the first kept set they do
         (kept, c), *rest = groups
         k = int(np.sqrt(c.shape[1]))
+        n = int(np.prod(dims))
         for rows in (groups, [(kept, np.vstack([np.eye(k).ravel(), c])), *rest]):
             grouped, dense = sdp._Operator(dims, rows), sdp._DenseOperator(dims, rows)
             assert dense.dtype is grouped.dtype is (float if imag == 0 else complex)
-            assert dense.status == grouped.status
-            np.testing.assert_allclose(dense.gram, grouped.gram, rtol=1e-12, atol=1e-12 * np.max(
-                np.abs(grouped.gram)))
+            traces = np.einsum("pii->p", dense.lifted).real
+            np.testing.assert_allclose(grouped.free, traces, rtol=1e-12, atol=1e-12 * n)
+            norms = np.einsum("pij,pij->p", dense.lifted.conj(), dense.lifted).real
+            np.testing.assert_allclose(grouped.gram, norms + traces**2, rtol=1e-12)
+            np.testing.assert_array_equal(dense.gram, grouped.gram)
             np.testing.assert_array_equal(dense.free, grouped.free)
-        assert dense.status is grouped.status is None
-        n = int(np.prod(dims))
         for op in (grouped, dense):
             np.testing.assert_allclose(op.z0, np.eye(n) / n, atol=1e-13)
-        np.testing.assert_allclose(dense.y0, grouped.y0, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(op.adjoint(op.y0), op.z0, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(dense.y0, grouped.y0)
+
+    MARGINAL_SHAPES = {
+        "qubit-compat": ((2, 2, 2), ((1, 3), (2, 3))),
+        "qutrit-compat": ((3, 3, 3), ((1, 3), (2, 3))),
+        "qubit-to-qutrit-compat": ((3, 3, 2), ((1, 3), (2, 3))),
+        "w-state-steer": ((2, 2, 2), ((1, 2), (1, 3))),
+        "qubit-bell": ((2, 2, 2, 2), ((1, 3), (1, 4), (2, 3), (2, 4))),
+        "qutrit-bell": ((3, 3, 3, 3), ((1, 3), (1, 4), (2, 3), (2, 4))),
+        "d4-effects": ((2, 2, 4), ((1, 3), (2, 3))),
+    }
+
+    @pytest.mark.parametrize("name", list(MARGINAL_SHAPES))
+    def test_marginal_rows_have_a_diagonal_gram_matrix(self, name):
+        # the precondition of the closed-form Gram diagonal and dual start, on
+        # every row and on the real rows of the shape, through both operator
+        # kinds: the Gram matrix A A* + a a^T (the Schur complement at
+        # Z^-1 = X = 1 plus the free column's outer product) is diag(gram),
+        # a = A(1) is nonzero only on the normalization row (up to the rounding
+        # of the traceless diagonal elements' traces), and z0 = A*(y0)
+        shape = mg._shape(*self.MARGINAL_SHAPES[name])
+        every = list(zip(shape.kept, shape.coeffs))
+        real = [(kept, c.real[~c.imag.any(axis=1)]) for kept, c in every]
+        for groups in (every, real):
+            for kind in (sdp._Operator, sdp._DenseOperator):
+                op = kind(shape.dims, groups)
+                eye = np.eye(op.n, dtype=op.dtype)
+                gram = op.schur(eye, eye) + np.outer(op.free, op.free)
+                np.testing.assert_allclose(
+                    gram, np.diag(op.gram), rtol=0, atol=1e-12 * np.max(np.abs(gram))
+                )
+                assert np.max(np.abs(op.free[1:])) <= 1e-12 * op.free[0]
+                np.testing.assert_allclose(op.z0, op.adjoint(op.y0), rtol=0, atol=1e-12)
 
     @pytest.mark.skipif(
         "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
@@ -650,46 +643,6 @@ class TestFeasibility:
                 rows.append((h, 0.05))
             rep = feasibility(d, rows)
             assert rep.slack <= 1.0 / d + 1e-7
-
-    def test_missing_normalization_raises(self):
-        # rows that do not fix the trace have no strictly feasible dual start
-        # (a.u <= 0 for u = G^-1 a, or a singular A*(y0)): the solve cannot
-        # start, and is a numerical failure after 0 iterations
-        cases = [
-            [(SZ, 0.0)],  # unbounded, a = 0
-            [(SZ, 0.0), (SX, 0.3)],  # unbounded, a = 0
-            [(np.diag([1.0, 0.0]), 0.5)],  # bounded, but A*(y0) = diag(1, 0) is singular
-        ]
-        for pins in cases:
-            op = operator_of((2,), (whole_block(pins),))
-            assert (op.status, op.y0, op.z0, op.lz0) == (sdp.NUMERICAL_FAILURE, None, None, None)
-            sol = slack_program(2, whole_block(pins))
-            assert (sol.verdict, sol.iterations) == (sdp.NUMERICAL_FAILURE, 0)
-            with pytest.raises(
-                sdp.SdpError, match="status numerical_failure after 0 iterations"
-            ) as raised:
-                feasibility(2, pins)
-            # the reason names the broken precondition: nothing was iterated
-            assert str(raised.value).startswith(
-                "the constraint rows do not fix the trace: status numerical_failure "
-                "after 0 iterations ("
-            )
-
-    @pytest.mark.parametrize("pins", [
-        [(SZ, 0.0), (SX, 0.3)],  # no dual start: numerical_failure
-        [(np.diag([1.0, 0.0]), 0.5)],  # no dual start: numerical_failure
-        [(np.eye(2), 1.0), (np.eye(2), 2.0)],  # dependent_rows
-        [(np.zeros((2, 2)), 0.0)],  # no Gram factor: numerical_failure
-    ])
-    def test_a_solve_that_cannot_start_reports_its_zero_iterate(self, pins):
-        # X = 0, y = 0, t = 0: r_p = b, r_f = 1 - a.y = 1, b.y = t = 0
-        sol = slack_program(2, whole_block(pins))
-        b = np.array([v for _, v in pins])
-        assert sol.iterations == 0 and sol.verdict != sdp.OPTIMAL
-        assert sol.primal_residual == pytest.approx(
-            np.linalg.norm(b) / (1 + np.linalg.norm(b)), rel=1e-15
-        )
-        assert (sol.dual_residual, sol.gap, sol.dual_objective, sol.slack) == (1.0, 0.0, 0.0, 0.0)
 
     def test_inconsistent_targets_infeasible(self):
         # overlapping targets that disagree on factor 1 are rejected up front

@@ -12,8 +12,9 @@ the 7 CLI presets with ``--json`` and ``chsh-scan`` on its default grid; and
 ``chsh_value`` with the four ``correlation``s on the Bell presets' channels and
 on 8 seeded random sets, non-qubit outputs with a random observable included.
 ``--compare`` prints each field that differs in dtype, shape or bytes, with the
-largest |difference| of a numeric field of equal shape, and exits with 1 if any
-field differs.
+largest |difference| of a numeric field of equal shape, then one summary line:
+the number of decisions whose verdict or iteration count differ and the largest
+|slack difference| / (1 + |slack|). It exits with 1 if any field differs.
 """
 
 import contextlib, dataclasses, io, os, sys
@@ -127,12 +128,22 @@ def gap(a, b, key):
     return f" (max |diff| {np.max(np.abs(x - y), initial=0.0):.3g})" if numeric and x.shape == y.shape else ""
 
 
+def decisions(a, b):
+    """The summary line of the decisions that both records hold."""
+    ids = sorted(i for i in (k.removesuffix(".slack") for k in set(a.files) & set(b.files)) if i.isdigit())
+    moved = sum(any(not np.array_equal(a[f"{i}.{f}"], b[f"{i}.{f}"]) for f in ("verdict", "iterations"))
+                for i in ids)
+    worst = max((abs(a[f"{i}.slack"] - b[f"{i}.slack"]) / (1 + abs(a[f"{i}.slack"])) for i in ids), default=0.0)
+    return f"{len(ids)} decisions: {moved} differ in verdict or iterations, max |d slack|/(1+|t|) {worst:.3g}"
+
+
 def compare(a_path, b_path):
     a, b = np.load(a_path, allow_pickle=False), np.load(b_path, allow_pickle=False)
     keys = sorted(set(a.files) | set(b.files))
     differ = [k for k in keys if k not in a.files or k not in b.files
               or (a[k].dtype, a[k].shape, a[k].tobytes()) != (b[k].dtype, b[k].shape, b[k].tobytes())]
     print("".join(f"differs: {k}{gap(a, b, k)}\n" for k in differ) + f"{len(differ)} of {len(keys)} fields differ")
+    print(decisions(a, b))
     return 1 if differ else 0
 
 
