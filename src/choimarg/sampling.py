@@ -62,6 +62,7 @@ def random_channel(
 
 def random_separable(d1: int, d2: int, rng: np.random.Generator, terms: int = 4) -> np.ndarray:
     """Random convex mixture of product states (hence Bell local for any channels)."""
+    d1, d2, terms = check_dim(d1, "d1"), check_dim(d2, "d2"), check_dim(terms, "terms")
     rho = np.zeros((d1 * d2, d1 * d2), dtype=complex)
     weights = rng.dirichlet(np.ones(terms))
     for w in weights:

@@ -57,7 +57,7 @@ current X or Z. Factorizations, inverse factors, triangular solves and that
 eigenvalue call LAPACK directly, every info checked (:func:`_checked`). A
 non-finite mu, mu_aff, Schur complement or step length, or a Schur
 complement that is not positive definite, ends the solve with status
-numerical_failure, and the iteration cap is 200.
+numerical_failure, and the iteration cap is :data:`ITERATION_CAP` (200).
 The free scalar t is eliminated inside the Schur system. It works on one
 block directly, as SDPT3 and SeDuMi do: a real symmetric one when the
 coefficients are real (below), else a complex Hermitian one. It is written
@@ -82,16 +82,16 @@ coefficient matrix P. A marginal target is one group. A(X) is P applied
 to each group's partial trace Tr_R X and A*(y) the sum of the lifts of
 y_g P, both through one flat gather (scatter) index per group. The HKM
 Schur block of groups s and t is Re P_s T_st P_t^T, where T_st contracts
-Z^-1 and X over the factors outside K_s and K_t in one GEMM (see
-:meth:`_Operator.schur`). A pair costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) +
-m_s m_t d_Kt^2) instead of the O(m n^3 + m^2 n^2) of dense rows on a block
-of dimension n. On small blocks the group loop's Python calls cost more
-than that arithmetic, so :func:`_operator` holds the rows densely instead
-(:class:`_DenseOperator`: the stack of the m lifts lift(B_p), A(X) and
-A*(y) one matrix product each, the Schur complement a few) whenever the
-stack has at most :data:`DENSE_ENTRIES` floats: m n^2, doubled on a complex
-block; its last Schur product runs in row blocks of :data:`SERIAL_GEMM`
-multiply-adds. The choice is made from n, m and the dtype alone, as
+Z^-1 and X over the factors outside K_s and K_t in one GEMM of the two
+with their factor axes reordered (see :meth:`_Operator.schur`). A pair
+costs O(d_Ks^2 d_Kt^2 (d_Rs d_Rt + m_s) + m_s m_t d_Kt^2) instead of the
+O(m n^3 + m^2 n^2) of dense rows on a block of dimension n. On small
+blocks the group loop's Python calls cost more than that arithmetic, so
+:func:`_operator` holds the rows densely instead (:class:`_DenseOperator`:
+the stack of the m lifts lift(B_p), A(X) and A*(y) one matrix product
+each, the Schur complement a few) whenever the stack has at most
+:data:`DENSE_ENTRIES` floats: m n^2, doubled on a complex block; its last
+Schur product runs in row blocks of :data:`SERIAL_GEMM` multiply-adds. The choice is made from n, m and the dtype alone, as
 Fujisawa, Kojima and Nakata (1997) choose the Schur formula per problem
 from its cost. Qubit compatibility, steering and Bell decisions (n = 8 and
 16) take dense rows; qutrit compatibility (n = 27) and complex
@@ -121,6 +121,7 @@ right-hand sides b. :mod:`choimarg.marginals` caches the operators per shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement
 from math import prod, sqrt
 from typing import Callable, NamedTuple, Sequence
 
@@ -147,6 +148,9 @@ GAP_TOL = 1e-7
 min(GAP_TOL, eps / 10), 1e-8 at the default band: a tenth of the band, so that
 slack noise cannot move a boundary problem across the band edge, and never
 looser than GAP_TOL however wide the band."""
+
+ITERATION_CAP = 200
+"""Iterations after which a feasibility solve stops with status max_iterations."""
 
 FEAS_TOL = 1e-9
 """Primal and dual residual an optimal iterate must reach."""
@@ -220,22 +224,18 @@ def _herm(m: np.ndarray) -> np.ndarray:
 
 class _Part(NamedTuple):
     """One group's rows; take[r, (a, b)] is the flat index of X[(a, r), (b, r)]
-    for kept row a, kept column b and rest r."""
+    for kept row a, kept column b and rest r. In a block viewed as its factor
+    tensor (shape dims * 2, rows first), kept and rest are the row axes of the
+    kept and the other factors, kept_col and rest_col their column axes."""
 
     rows: slice
     take: np.ndarray
     d_kept: int
     d_rest: int
-
-
-class _Pair(NamedTuple):
-    """Flat gather indices of the Schur block of parts i <= j (see :meth:`_Operator.schur`)."""
-
-    i: int
-    j: int
-    zinv: np.ndarray
-    x: np.ndarray
-    t: np.ndarray
+    kept: tuple[int, ...]
+    rest: tuple[int, ...]
+    kept_col: tuple[int, ...]
+    rest_col: tuple[int, ...]
 
 
 def _real(coeffs: Sequence[np.ndarray]) -> bool:
@@ -249,45 +249,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _structure(
-    dims: tuple[int, ...], layout: tuple[tuple[int, tuple[int, ...]], ...]
-) -> tuple[int, tuple[_Part, ...], tuple[_Pair, ...]]:
-    """Row count, parts, and pairs of parts.
-
-    dims are the block's factor dimensions; layout holds, per group, its row
-    count and its kept factors.
-    """
-    nf = len(dims)
-    n = prod(dims)
-    index = np.arange(n).reshape(dims)
-    parts, full, start = [], [], 0
-    for m_g, kept in layout:
-        if m_g:
-            rest = tuple(f for f in range(nf) if f not in kept)
-            d_kept, d_rest = prod(dims[k] for k in kept), prod(dims[r] for r in rest)
-            # full[a, r]: the block index of kept index a and rest index r
-            full.append(index.transpose(kept + rest).reshape(d_kept, d_rest))
-            take = full[-1].T[:, :, None] * n + full[-1].T[:, None, :]
-            parts.append(_Part(
-                slice(start, start + m_g), _read_only(take.reshape(d_rest, -1)), d_kept, d_rest
-            ))
-        start += m_g
-    pairs = []
-    for i, j in ((i, j) for i in range(len(parts)) for j in range(i, len(parts))):
-        fs, ft = full[i], full[j]
-        ks, rs, kt, rt = fs.shape + ft.shape
-        # Z^-1[(b, r_s), (c, r_t)] at [(b, c), (r_s, r_t)] and X[(d, r_t), (a, r_s)]
-        # at [(r_s, r_t), (d, a)]: lift(B_i) ties a = b outside K_s and lift(B_j)
-        # ties c = d outside K_t. Their product G[(b, c), (d, a)] is gathered
-        # into T_st[(a, b), (c, d)].
-        zinv = fs[:, None, :, None] * n + ft[None, :, None, :]
-        x = ft.T[None, :, :, None] * n + fs.T[:, None, None, :]
-        t = np.arange(ks * kt * kt * ks).reshape(ks, kt, kt, ks).transpose(3, 0, 1, 2)
-        pairs.append(_Pair(
-            i, j, _read_only(zinv.reshape(ks * kt, rs * rt)),
-            _read_only(x.reshape(rs * rt, kt * ks)), _read_only(t.reshape(ks * ks, kt * kt)),
-        ))
-    return start, tuple(parts), tuple(pairs)
+def _reordered(a: np.ndarray, axes: tuple[int, ...], rows: int) -> np.ndarray:
+    """a's axes in the order ``axes``, as a C-contiguous matrix of ``rows`` rows,
+    so that BLAS reads every operand in one layout and rounds alike."""
+    return np.ascontiguousarray(a.transpose(axes).reshape(rows, -1))
 
 
 class _Operator:
@@ -318,10 +283,23 @@ class _Operator:
     """
 
     def __init__(self, dims: Sequence[int], groups: Sequence[tuple[tuple[int, ...], np.ndarray]]):
-        dims = tuple(int(d) for d in dims)
-        layout = tuple((len(c), tuple(int(k) for k in kept)) for kept, c in groups)
-        self.m, self.parts, self.pairs = _structure(dims, layout)
-        self.n = prod(dims)
+        self.dims = dims = tuple(int(d) for d in dims)
+        nf, n, parts, self.m = len(dims), prod(dims), [], 0
+        index = np.arange(n).reshape(dims)
+        for kept, c in groups:
+            if len(c):
+                kept = tuple(int(k) for k in kept)
+                rest = tuple(f for f in range(nf) if f not in kept)
+                d_kept, d_rest = prod(dims[k] for k in kept), prod(dims[r] for r in rest)
+                # full[a, r]: the block index of kept index a and rest index r
+                full = index.transpose(kept + rest).reshape(d_kept, d_rest)
+                take = full.T[:, :, None] * n + full.T[:, None, :]
+                parts.append(_Part(
+                    slice(self.m, self.m + len(c)), _read_only(take.reshape(d_rest, -1)),
+                    d_kept, d_rest, kept, rest, tuple(k + nf for k in kept), tuple(r + nf for r in rest),
+                ))
+            self.m += len(c)
+        self.n, self.parts = n, tuple(parts)
         coeffs = [np.asarray(c) for _, c in groups if len(c)]
         real = _real(coeffs)
         self.dtype: type = float if real else complex
@@ -361,21 +339,27 @@ class _Operator:
     def schur(self, zinv: np.ndarray, x: np.ndarray) -> np.ndarray:
         """HKM Schur complement S_ij = Re Tr(A_i Z^-1 A_j X).
 
-        For parts s and t, T_st[(a,b),(c,d)] = sum Z^-1[b,c] X[d,a] over the
+        For parts s <= t, T_st[(a,b),(c,d)] = sum Z^-1[b,c] X[d,a] over the
         factors outside K_s (where a = b) and outside K_t (where c = d) is one
-        GEMM; its operands and T_st are gathered through the flat indices of
-        the :class:`_Pair`. The block is Re P_s T_st P_t^T. When both groups keep every
-        factor the sum is empty and T_st is the outer product Z^-1 (x) X.
+        GEMM of axis reorders of Z^-1 and X viewed as factor tensors: Z^-1 to
+        [(K_s rows, K_t columns), (R_s rows, R_t columns)] and X to
+        [(R_s columns, R_t rows), (K_t rows, K_s columns)]. Their product
+        G[(b, c), (d, a)] gives T_st = G[b, c, d, a] by one more reorder. The
+        block is Re P_s T_st P_t^T. When both groups keep every factor the
+        sum is empty and T_st is the outer product Z^-1 (x) X.
         """
         schur = np.empty((self.m, self.m))
-        zinv, x = np.asarray(zinv).reshape(-1), np.asarray(x).reshape(-1)
-        for pair in self.pairs:
-            s, t = self.parts[pair.i], self.parts[pair.j]
-            p, q = self.coeffs[pair.i], self.coeffs[pair.j]
-            u = p @ (zinv.take(pair.zinv) @ x.take(pair.x)).reshape(-1).take(pair.t)
+        zinv, x = np.asarray(zinv).reshape(self.dims * 2), np.asarray(x).reshape(self.dims * 2)
+        for i, j in combinations_with_replacement(range(len(self.parts)), 2):
+            s, t = self.parts[i], self.parts[j]
+            ks, kt = s.d_kept, t.d_kept
+            g = (_reordered(zinv, s.kept + t.kept_col + s.rest + t.rest_col, ks * kt)
+                 @ _reordered(x, s.rest_col + t.rest + t.kept + s.kept_col, s.d_rest * t.d_rest))
+            u = self.coeffs[i] @ _reordered(g.reshape(ks, kt, kt, ks), (3, 0, 1, 2), ks * ks)
+            q = self.coeffs[j]
             # Re(u . q): over interleaved real and imaginary parts when q is complex
             block = u.real @ q.T if q.dtype.kind == "f" else u.conj().view(float) @ q.view(float).T
-            if pair.i == pair.j:
+            if i == j:
                 schur[s.rows, s.rows] = (block + block.T) / 2
             else:
                 # written as exact transposes, so S is exactly symmetric
@@ -738,7 +722,6 @@ def _group_feasibility(
     finish: Callable[[np.ndarray], np.ndarray] = lambda x: x,
     holds: Callable[[np.ndarray], bool] | None = None,
     psd: float = WITNESS_PSD,
-    max_iterations: int = 200,
 ) -> Report:
     """Decide existence of a PSD operator satisfying the rows of row groups.
 
@@ -756,7 +739,7 @@ def _group_feasibility(
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and strictly positive, got {eps!r}")
-    solve = _ipm(rows, gap_tol=min(GAP_TOL, eps / 10.0), max_iterations=max_iterations)
+    solve = _ipm(rows, gap_tol=min(GAP_TOL, eps / 10.0), max_iterations=ITERATION_CAP)
     if solve.verdict != OPTIMAL:
         raise SdpError(
             f"feasibility solve did not converge: status {solve.verdict} after "

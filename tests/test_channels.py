@@ -3,7 +3,9 @@ import pytest
 
 from choimarg import channels as ch
 from choimarg.linalg import hermitian_basis, kron, partial_trace
-from choimarg.sampling import random_channel, random_density, random_effect, random_unitary
+from choimarg.sampling import (
+    random_channel, random_density, random_effect, random_separable, random_unitary,
+)
 from conftest import HADAMARD, SX, SY, SZ
 from kron_oracles import permute_factors
 
@@ -507,8 +509,19 @@ class TestSamplingArguments:
             (lambda rng: random_effect(0, rng), "d 0"),
             (lambda rng: random_channel(0, 2, rng), "in_dim 0"),
             (lambda rng: random_channel(2, 1.5, rng), "out_dim 1.5"),
+            (lambda rng: random_separable(2, 2, rng, terms=0), "terms 0"),
+            (lambda rng: random_separable(2, 2, rng, terms=2.5), "terms 2.5"),
+            (lambda rng: random_separable(2, 2, rng, terms=True), "terms True"),
+            (lambda rng: random_separable(2, 2, rng, terms=-1), "terms -1"),
+            (lambda rng: random_separable(2.5, 2, rng), "d1 2.5"),
+            (lambda rng: random_separable(0, 2, rng), "d1 0"),
+            (lambda rng: random_separable(2, 0, rng), "d2 0"),
         ],
-        ids=["unitary-0", "unitary-2.5", "density-rank", "density-bool", "effect", "channel-in", "channel-out"],
+        ids=[
+            "unitary-0", "unitary-2.5", "density-rank", "density-bool", "effect", "channel-in",
+            "channel-out", "separable-terms-0", "separable-terms-2.5", "separable-terms-bool",
+            "separable-terms-negative", "separable-d1-2.5", "separable-d1-0", "separable-d2-0",
+        ],
     )
     def test_bad_dimension_names_the_argument(self, rng, draw, name):
         with pytest.raises(ValueError, match=f"{name} is not an integer"):
@@ -520,4 +533,8 @@ class TestSamplingArguments:
         np.testing.assert_array_equal(a.choi, b.choi)
         np.testing.assert_array_equal(
             random_effect(3.0, np.random.default_rng(6)), random_effect(3, np.random.default_rng(6))
+        )
+        np.testing.assert_array_equal(
+            random_separable(2.0, 2, np.random.default_rng(7), terms=3.0),
+            random_separable(2, 2, np.random.default_rng(7), terms=3),
         )

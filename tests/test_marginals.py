@@ -592,7 +592,6 @@ class TestShapeCaches:
             if isinstance(op, sdp._DenseOperator):
                 arrays += [op.lifted, op.flat]
             arrays += [part.take for part in op.parts]
-            arrays += [a for pair in op.pairs for a in (pair.zinv, pair.x, pair.t)]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):

@@ -411,7 +411,10 @@ class TestSchurKernel:
         ((2, 3, 2), ((0, 2), (1, 2))),  # compatibility: targets (1,3) and (2,3)
         ((2, 2, 3), ((0, 1), (0, 2))),  # steering: targets (1,2) and (1,3)
         ((2, 2, 2, 2), ((0, 2), (0, 3), (1, 2), (1, 3))),  # Bell: the four pairwise targets
+        # no product spec's layout: kept sets of three factors and of one, unequal dimensions
+        ((2, 3, 2, 2), ((0, 1, 3), (2,), (1, 2))),
     ]
+    LIFTED_IDS = ["compat", "steer", "bell", "uneven"]
 
     @staticmethod
     def herm(g):
@@ -452,9 +455,8 @@ class TestSchurKernel:
         core = self.herm(self.gauss(rng, n, imag))
         y = rng.standard_normal(op.m)
 
-        expected = np.array(
-            [[vec(ai).conj() @ np.kron(x.T, zinv) @ vec(aj) for aj in dense] for ai in dense]
-        ).real
+        vecs = np.array([vec(a) for a in dense])
+        expected = (vecs.conj() @ np.kron(x.T, zinv) @ vecs.T).real
         expected_rhs = np.array([np.trace(ai @ core) for ai in dense]).real
         # entries that cancel to ~1e-4 of the largest carry its rounding, hence the atol
         scale = float(np.max(np.abs(expected)))
@@ -483,7 +485,7 @@ class TestSchurKernel:
                 for kind in (sdp._Operator, sdp._DenseOperator):
                     self.check(rng, dims, groups, imag, kind)
 
-    @pytest.mark.parametrize("dims, kept_sets", LIFTED_CASES, ids=["compat", "steer", "bell"])
+    @pytest.mark.parametrize("dims, kept_sets", LIFTED_CASES, ids=LIFTED_IDS)
     def test_bitwise_symmetric(self, dims, kept_sets):
         # the group kernel symmetrizes only the diagonal pair blocks and stores
         # the others as exact transposes, the dense one symmetrizes the whole
@@ -498,7 +500,7 @@ class TestSchurKernel:
             assert np.array_equal(schur, (schur + schur.T) / 2)
 
     @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
-    @pytest.mark.parametrize("dims, kept_sets", LIFTED_CASES, ids=["compat", "steer", "bell"])
+    @pytest.mark.parametrize("dims, kept_sets", LIFTED_CASES, ids=LIFTED_IDS)
     def test_dense_gram_factor_matches_grouped(self, dims, kept_sets, imag):
         # the closed-form Gram diagonal and free coefficients, read from the
         # grouped coefficients, against the same read from the dense lifted
@@ -591,7 +593,8 @@ class TestSchurKernel:
 
 
 class TestFeasibility:
-    def test_failure_reports_iterations_residuals_and_gap(self):
+    def test_failure_reports_iterations_residuals_and_gap(self, monkeypatch):
+        monkeypatch.setattr(sdp, "ITERATION_CAP", 2)
         ident = identity_channel(2)
         spec = mg._compat_spec(ident, ident)
         rows = rows_of(spec.dims, target_rows(spec))
@@ -603,7 +606,7 @@ class TestFeasibility:
                 rf"dual residual ({number}), gap ({number})\)"
             ),
         ):
-            sdp._group_feasibility(rows, words=("yes", "no"), max_iterations=2)
+            sdp._group_feasibility(rows, words=("yes", "no"))
 
     def test_scalar_pin(self):
         rep = feasibility(1, [(np.array([[1.0]]), 5.0)])

@@ -8,6 +8,9 @@ The set: 10 qutrit blocks as perfbench's (seeds 3001-3010); depolarizing
 self-pairs at 11 offsets around 1/3 (qubit) and 3/8 (qutrit); 25 random qubit
 pairs of Kraus rank 1-3, 25 qutrit-to-qubit pairs and 20 unitary pairs; the
 qutrit Bell case of ``default_rng(11)``; 40 qubit depolarizing bisection steps;
+``marginal_feasibility`` on dims (2, 3, 2, 2) with kept sets (1, 2, 4), (3,)
+and (2, 3), the marginals of a seeded random state; a qutrit
+``state_steerable`` case (dims (3, 3, 3), seeded random state and channels);
 the 7 CLI presets with ``--json`` and ``chsh-scan`` on its default grid; and
 ``chsh_value`` with the four ``correlation``s on the Bell presets' channels and
 on 8 seeded random sets, non-qubit outputs with a random observable included.
@@ -26,6 +29,7 @@ import numpy as np  # noqa: E402
 
 import choimarg as cm  # noqa: E402
 from choimarg import cli, presets, sampling as sm  # noqa: E402
+from choimarg.linalg import partial_trace  # noqa: E402
 
 PRESETS = (("compat", "identity-pair"), ("compat", "depolarizing-pair"), ("steer", "w-state"),
            ("steer", "max-entangled"), ("bell", "w-state"), ("bell", "max-entangled"), ("bell", "theta-family:5.83"))
@@ -96,6 +100,11 @@ def record(path):
             p = (lo + hi) / 2
             reports.append(cm.channels_compatible(cm.depolarizing_channel(2, p), cm.depolarizing_channel(2, p)))
             lo, hi = (lo, p) if reports[-1].verdict == "compatible" else (p, hi)
+    dims, rho = (2, 3, 2, 2), sm.random_density(24, np.random.default_rng(12))
+    targets = [(kept, partial_trace(rho, dims, set(range(1, 5)) - set(kept))) for kept in ((1, 2, 4), (3,), (2, 3))]
+    reports.append(cm.marginal_feasibility(cm.MarginalSpec(dims, targets)))
+    rng = np.random.default_rng(13)
+    reports.append(cm.state_steerable(sm.random_density(9, rng), *[sm.random_channel(3, 3, rng) for _ in range(2)]))
     out = {}
     for i, rep in enumerate(reports):
         for f in dataclasses.fields(rep):
